@@ -4,7 +4,8 @@ Subcommands:
 
 * ``solve`` decides or enumerates a problem file (DIMACS CNF or the
   equation-per-line system format, auto-detected).  Exit code 10 means
-  satisfiable, 20 unsatisfiable, 1 usage or parse error.
+  satisfiable, 20 unsatisfiable, 1 usage or parse error, or a
+  brute-force leaf over the enumeration cap.
 * ``enumerate`` is ``solve --mode enumerate``.
 * ``verify`` runs the expansion identity suite on random functions and
   ON sets, or on a user-supplied pair.  Exit 0 when every identity
@@ -22,7 +23,7 @@ import sys
 from typing import Optional
 
 from . import boolalg, cnf, expansion, gf2k, onset, solver
-from .boolalg import ParseError, VarTable
+from .boolalg import BoolAlgError, VarTable
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,7 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--split-depth", type=int, default=3,
                        help="variables per decomposition chain")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker count (default: ONSAT_WORKERS or all cores)")
+                       help="worker count for system files (default: "
+                            "ONSAT_WORKERS or all cores); CNF input is "
+                            "always solved serially")
         p.add_argument("--seed", type=int, default=None,
                        help="seed reserved for randomized components")
         p.add_argument("--format",
@@ -289,7 +292,7 @@ def main(argv: Optional[list] = None) -> int:
             return _verify_identities(args)
         if args.command == "curve":
             return _run_curve(args)
-    except (ParseError, OSError, ValueError) as exc:
+    except (BoolAlgError, OSError, ValueError) as exc:
         print(f"onsat: {exc}", file=sys.stderr)
         return 1
     return 1

@@ -11,17 +11,32 @@ assigned true one at a time (ascending variable id, skipping any whose
 variable disappears along the way), which is satisfiability-preserving.
 In enumerate mode fixing pures would lose solutions, so the node
 branches over the full pure-literal chain instead.
+
+The clause-level functions (``assign_and_reduce``, ``propagate_units``,
+``assign_pure_round``, ``pure_literal_chain``, ``decompose_cnf``,
+``choose_split_cnf``) state that loop one step at a time on clause
+copies.  ``solve_sat`` walks the same tree, node for node, without
+copying: one assignment trail, per-literal occurrence lists, and per
+clause the counts of true and of free literals, plus per literal the
+count of unsatisfied clauses it still occurs in.  Assigning a literal
+updates the counters of the clauses it touches and reports new units
+and conflicts; undo replays the trail backwards to a node's mark.  The
+literal counts give the pure literals, the occurring variables and the
+split frequencies without rescanning the clauses.  The walk is serial
+and depth-first, so its output does not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 from .boolalg import (
     PartialAssignment,
     ParseError,
+    _check_cap,
+    _var_pattern,
     not_,
     or_all,
     var,
@@ -30,14 +45,12 @@ from .onset import OnSet, term_chain
 from .solver import (
     Conflict,
     DECIDE,
-    ENUMERATE,
     SAT,
     UNSAT,
     BoolSystem,
     Solution,
     SolveOutcome,
     SolverConfig,
-    _Search,
 )
 
 
@@ -301,42 +314,16 @@ def choose_split_cnf(c: CnfSet, cfg: SolverConfig) -> OnSet:
 
 
 # ---------------------------------------------------------------------------
-# the SAT driver
+# the SAT engine
 
-@dataclass(frozen=True)
-class _CnfNode:
-    cnf: CnfSet
-    trail: tuple  # sorted (var, value) pairs
-
-
-def _node(cnf: CnfSet, trail: dict) -> _CnfNode:
-    return _CnfNode(cnf, tuple(sorted(trail.items())))
-
-
-def _leaf_solutions(node: _CnfNode, local_iter, occ: list) -> list:
-    universe = set(range(node.cnf.num_vars))
-    trail = dict(node.trail)
-    n = len(occ)
-    out = []
-    for idx in local_iter:
-        assignment = dict(trail)
-        for i, v in enumerate(occ):
-            assignment[v] = (idx >> (n - 1 - i)) & 1
-        dont_care = universe - assignment.keys()
-        out.append(Solution.make(assignment, dont_care))
-    return out
-
-
-def _brute_indices(c: CnfSet, occ: list) -> Iterator[int]:
+def _brute_indices(clauses, occ: list) -> Iterator[int]:
     """Indices of satisfying points over occ, via truth-table bitmasks."""
-    from .boolalg import _var_pattern
-
     n = len(occ)
     full = (1 << (1 << n)) - 1
     pos = {v: i for i, v in enumerate(occ)}
     patterns: dict = {}
     mask = full
-    for clause in c.clauses:
+    for clause in clauses:
         violate = full
         for lit in clause:
             v = abs(lit) - 1
@@ -354,70 +341,243 @@ def _brute_indices(c: CnfSet, occ: list) -> Iterator[int]:
         mask ^= low
 
 
-def _cnf_step(cfg: SolverConfig):
-    enumerate_mode = cfg.mode == ENUMERATE
+def _leaf_solutions(fixed: dict, indices, occ: list, num_vars: int) -> list:
+    """One solution per leaf point: the fixed values plus occ's bits."""
+    n = len(occ)
+    dont_care = set(range(num_vars)) - fixed.keys() - set(occ)
+    out = []
+    for idx in indices:
+        assignment = dict(fixed)
+        for i, v in enumerate(occ):
+            assignment[v] = (idx >> (n - 1 - i)) & 1
+        out.append(Solution.make(assignment, dont_care))
+    return out
 
-    def step(node: _CnfNode):
-        c = node.cnf
-        trail = dict(node.trail)
-        try:
-            c, units = propagate_units(c)
-        except Conflict:
-            return [], []
-        trail.update(units.as_dict())
-        if enumerate_mode:
-            pures = find_pure_literals(c)
-            if pures:
-                children = []
-                chain = term_chain(pures)
-                for t in chain.terms:
-                    q = t.partial_assignment().as_dict()
-                    try:
-                        reduced = assign_and_reduce(c, q)
-                    except Conflict:
-                        continue
-                    child_trail = dict(trail)
-                    child_trail.update(q)
-                    children.append(_node(reduced, child_trail))
-                return [], children
-        else:
-            while True:
-                c, pures = assign_pure_round(c)
-                if not pures:
-                    break
-                trail.update(pures.as_dict())
-        occ = sorted(c.occurring())
-        if len(occ) <= cfg.n0:
-            node2 = _node(c, trail)
-            return _leaf_solutions(node2, _brute_indices(c, occ), occ), []
-        chain = choose_split_cnf(c, cfg)
-        children = []
-        for t in chain.terms:
-            q = t.partial_assignment().as_dict()
-            try:
-                reduced = assign_and_reduce(c, q)
-            except Conflict:
+
+def _chain_terms(lits: list) -> list:
+    """The terms of the ON chain over signed literals, as literal lists.
+
+    Same order as :func:`term_chain`: for l1..lr the terms are [-l1],
+    [l1, -l2], ..., [l1, ..., l(r-1), -lr] and finally [l1, ..., lr].
+    """
+    terms = [lits[:i] + [-lits[i]] for i in range(len(lits))]
+    terms.append(list(lits))
+    return terms
+
+
+class _Trail:
+    """One assignment trail with undo over a fixed clause list.
+
+    Literals are DIMACS ints and index the per-literal lists directly: in
+    a list of length 2n+1, +k sits at index k and -k at index -k.  The
+    counters describe the clause set reduced by the trail:
+
+    * ``sat[c]``: true literals in clause c (c is satisfied when > 0);
+    * ``free[c]``: unassigned literals in clause c, kept only while c is
+      unsatisfied (a satisfied clause's count is frozen until undo
+      unsatisfies it again, when it is right once more);
+    * ``count[l]``: unsatisfied clauses in which literal l is unassigned.
+
+    So a variable occurs in the reduced set when either of its literals
+    has a nonzero count, it is pure when exactly one has, and the counts
+    are the split frequencies.  ``units`` collects the clauses that an
+    assignment left unsatisfied with one free literal.  Undo runs newest
+    first, so every counter returns to its value before the assignment.
+    """
+
+    __slots__ = ("n", "clauses", "occ", "sat", "free", "count", "value",
+                 "trail", "units")
+
+    def __init__(self, clauses, n: int):
+        self.n = n
+        self.clauses = [list(c) for c in clauses]
+        self.occ = [[] for _ in range(2 * n + 1)]
+        self.count = [0] * (2 * n + 1)
+        for ci, clause in enumerate(self.clauses):
+            for lit in clause:
+                self.occ[lit].append(ci)
+                self.count[lit] += 1
+        self.sat = [0] * len(self.clauses)
+        self.free = [len(c) for c in self.clauses]
+        self.value = [None] * (2 * n + 1)  # truth of each literal, None if free
+        self.trail: list = []
+        self.units: list = []
+
+    def assign(self, lit: int) -> bool:
+        """Make lit true; False when some clause lost its last literal."""
+        clauses, sat, count, value = self.clauses, self.sat, self.count, self.value
+        neg = -lit
+        value[lit] = True
+        value[neg] = False
+        for ci in self.occ[lit]:
+            if sat[ci]:
+                sat[ci] += 1
                 continue
-            child_trail = dict(trail)
-            child_trail.update(q)
-            children.append(_node(reduced, child_trail))
-        return [], children
+            sat[ci] = 1
+            for other in clauses[ci]:
+                if value[other] is None:
+                    count[other] -= 1
+        count[lit] = count[neg] = 0
+        free, units = self.free, self.units
+        ok = True
+        for ci in self.occ[neg]:
+            if not sat[ci]:
+                left = free[ci] - 1
+                free[ci] = left
+                if left == 1:
+                    units.append(ci)
+                elif not left:
+                    ok = False
+        self.trail.append(lit)
+        return ok
 
-    return step
+    def undo(self, mark: int) -> None:
+        """Unassign back to trail length mark, newest first."""
+        clauses, sat, free, count, value, occ = (
+            self.clauses, self.sat, self.free, self.count, self.value, self.occ)
+        for lit in reversed(self.trail[mark:]):
+            neg = -lit
+            unsat = 0
+            for ci in occ[neg]:
+                if not sat[ci]:
+                    free[ci] += 1
+                    unsat += 1
+            count[neg] = unsat
+            value[lit] = value[neg] = None
+            for ci in occ[lit]:
+                sat[ci] -= 1
+                if not sat[ci]:
+                    for other in clauses[ci]:
+                        if value[other] is None:
+                            count[other] += 1
+        del self.trail[mark:]
+        self.units.clear()
+
+    def propagate(self) -> bool:
+        """Assign unit literals to a fixpoint; False on a conflict."""
+        clauses, units, sat, value = self.clauses, self.units, self.sat, self.value
+        while units:
+            ci = units.pop()
+            if sat[ci]:
+                continue
+            for lit in clauses[ci]:
+                if value[lit] is None:
+                    break
+            if not self.assign(lit):
+                return False
+        return True
+
+    def scan(self) -> tuple[list, list]:
+        """Pure literals and occurring variables, ascending by variable."""
+        count = self.count
+        pures, occurring = [], []
+        for v in range(1, self.n + 1):
+            p, q = count[v], count[-v]
+            if p or q:
+                occurring.append(v)
+                if not q:
+                    pures.append(v)
+                elif not p:
+                    pures.append(-v)
+        return pures, occurring
+
+    def reduced_clauses(self) -> list:
+        value = self.value
+        return [[l for l in clause if value[l] is None]
+                for clause, s in zip(self.clauses, self.sat) if not s]
+
+
+class _Engine:
+    """Depth-first walk of the generalised DPLL tree on one trail.
+
+    Each node propagates units to a fixpoint, handles pure literals
+    (decide: assign them, round by round; enumerate: branch on their
+    chain), then brute-forces the occurring variables if there are at
+    most n0 of them, else branches on the chain over the split_depth
+    most frequent variables.  A child is entered by assigning its
+    chain term on top of the parent's trail and left by undoing to the
+    parent's mark.
+    """
+
+    def __init__(self, c: CnfSet, fixed: dict, cfg: SolverConfig):
+        # c holds no unit or empty clause: the trail reports units only
+        # as assignments create them
+        top = max((abs(l) for clause in c.clauses for l in clause), default=0)
+        self.trail = _Trail(c.clauses, top)
+        self.fixed = fixed
+        self.num_vars = c.num_vars
+        self.cfg = cfg
+        self.decide = cfg.mode == DECIDE
+
+    def _visit(self, out: list) -> Optional[list]:
+        """Process the node on the trail; its chain terms, or None at a leaf."""
+        t = self.trail
+        pures, occurring = t.scan()
+        if self.decide:
+            while pures:
+                for lit in pures:
+                    if t.count[lit]:  # skip a variable that has vanished
+                        t.assign(lit)
+                pures, occurring = t.scan()
+        elif pures:
+            return _chain_terms(pures)
+        if len(occurring) > self.cfg.n0:
+            count = t.count
+            ranked = sorted(occurring, key=lambda v: (-count[v] - count[-v], v))
+            lits = [v if count[v] >= count[-v] else -v
+                    for v in ranked[:self.cfg.split_depth]]
+            return _chain_terms(lits)
+        _check_cap(len(occurring), None)
+        occ = [v - 1 for v in occurring]
+        fixed = dict(self.fixed)
+        for lit in t.trail:
+            fixed[abs(lit) - 1] = 1 if lit > 0 else 0
+        indices = _brute_indices(t.reduced_clauses(), occ)
+        if self.decide:
+            indices = islice(indices, 1)
+        out.extend(_leaf_solutions(fixed, indices, occ, self.num_vars))
+        return None
+
+    def run(self) -> list:
+        t = self.trail
+        out: list = []
+        stack: list = []  # frames [mark, chain terms, next term]
+        entered = True
+        while True:
+            if entered and t.propagate():
+                terms = self._visit(out)
+                if self.decide and out:
+                    return out
+                if terms:
+                    stack.append([len(t.trail), terms, 0])
+            while stack:
+                frame = stack[-1]
+                t.undo(frame[0])
+                terms, i = frame[1], frame[2]
+                if i < len(terms):
+                    frame[2] = i + 1
+                    entered = all(t.assign(lit) for lit in terms[i])
+                    break
+                stack.pop()
+            else:
+                return out
 
 
 def solve_sat(c: CnfSet, cfg: Optional[SolverConfig] = None) -> SolveOutcome:
     """Decide or enumerate satisfiability of a clause set.
 
-    The node loop is: unit propagation to a fixpoint, pure-literal
-    handling (mode-dependent, see the module docstring), then either
-    brute force below the n0 threshold or decomposition by a term chain
-    over the most frequent variables.
+    The root's unit clauses are propagated by :func:`propagate_units`,
+    which also rejects an empty clause; the rest of the tree is walked
+    by the trail engine, serially and in a fixed order whatever
+    ``cfg.workers`` says.  Decide mode stops at the first leaf point.
     """
     if cfg is None:
         cfg = SolverConfig()
-    search = _Search(_cnf_step(cfg), cfg.workers, cfg.mode == DECIDE)
-    solutions = search.run(_node(c, {}))
+    try:
+        c, units = propagate_units(c)
+    except Conflict:
+        return SolveOutcome(UNSAT, [])
+    solutions = _Engine(c, units.as_dict(), cfg).run()
     return SolveOutcome(SAT if solutions else UNSAT, solutions)
 
 

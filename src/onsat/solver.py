@@ -30,6 +30,7 @@ from .boolalg import (
     PartialAssignment,
     ParseError,
     VarTable,
+    _check_cap,
     cofactor,
     literal_of,
     not_,
@@ -379,6 +380,7 @@ def _local_solutions(system: BoolSystem) -> tuple[list, list]:
     """
     occ = sorted(system.occurring())
     n = len(occ)
+    _check_cap(n, None)
     full = (1 << (1 << n)) - 1
     mask = full
     for l, r in system.equations:

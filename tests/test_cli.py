@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -114,6 +115,43 @@ class TestSolve:
         monkeypatch.setenv("ONSAT_WORKERS", "2")
         code, out, _ = run("solve", cnf_file)
         assert code == 10
+
+
+class TestEnumerationCap:
+    """A leaf over the 2^24-point cap exits 1 before building its masks."""
+
+    WIDE = 26  # the masks alone would take 2^26 bits = 8 MB
+
+    def run_traced(self, run, path):
+        tracemalloc.start()
+        try:
+            code, out, err = run("solve", str(path), "--n0", "30")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return code, out, err, peak
+
+    def test_cnf_leaf(self, run, tmp_path):
+        # every variable occurs in both polarities, so no unit or pure
+        # literal shrinks the 26-variable leaf
+        path = tmp_path / "wide.cnf"
+        clauses = []
+        for v in range(1, self.WIDE):
+            clauses += [f"{v} {v + 1} 0", f"-{v} -{v + 1} 0"]
+        path.write_text(f"p cnf {self.WIDE} {len(clauses)}\n"
+                        + "\n".join(clauses) + "\n")
+        code, out, err, peak = self.run_traced(run, path)
+        assert (code, out) == (1, "")
+        assert err.startswith("onsat: 2^26 evaluations exceed the cap")
+        assert peak < 2 << 20
+
+    def test_system_leaf(self, run, tmp_path):
+        path = tmp_path / "wide.sys"
+        path.write_text(" ^ ".join(f"x{v}" for v in range(self.WIDE)) + " = 1\n")
+        code, out, err, peak = self.run_traced(run, path)
+        assert (code, out) == (1, "")
+        assert err.startswith("onsat: 2^26 evaluations exceed the cap")
+        assert peak < 2 << 20
 
 
 class TestVerify:

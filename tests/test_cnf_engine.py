@@ -1,0 +1,147 @@
+"""The trail engine against the clause-level specification.
+
+``reference`` walks the generalised DPLL tree with the clause-copying
+functions of ``onsat.cnf`` only: units to a fixpoint, pure rounds
+(decide) or the pure-literal chain (enumerate), then brute force at or
+below n0 or the split chain, children depth-first and left to right.
+``solve_sat`` must return exactly its solution list, order included.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from onsat.cnf import (
+    CnfSet,
+    _brute_indices,
+    _chain_terms,
+    assign_pure_round,
+    choose_split_cnf,
+    decompose_cnf,
+    find_pure_literals,
+    propagate_units,
+    pure_literal_chain,
+    solve_sat,
+)
+from onsat.onset import term_chain
+from onsat.solver import DECIDE, ENUMERATE, Conflict, Solution, SolverConfig
+from conftest import random_clauses
+
+
+def reference(c: CnfSet, cfg: SolverConfig) -> list:
+    decide = cfg.mode == DECIDE
+    out = []
+    stack = [(c, {})]
+    while stack:
+        c, fixed = stack.pop()
+        try:
+            c, units = propagate_units(c)
+        except Conflict:
+            continue
+        fixed = {**fixed, **units.as_dict()}
+        chain = None
+        if decide:
+            while True:
+                c, pures = assign_pure_round(c)
+                if not pures:
+                    break
+                fixed.update(pures.as_dict())
+        elif find_pure_literals(c):
+            chain = pure_literal_chain(c)
+        occ = sorted(c.occurring())
+        if chain is None and len(occ) <= cfg.n0:
+            for idx in _brute_indices(c.clauses, occ):
+                point = {v: (idx >> (len(occ) - 1 - i)) & 1
+                         for i, v in enumerate(occ)}
+                assignment = {**fixed, **point}
+                out.append(Solution.make(
+                    assignment, set(range(c.num_vars)) - assignment.keys()))
+                if decide:
+                    return out
+            continue
+        if chain is None:
+            chain = choose_split_cnf(c, cfg)
+        children = [
+            (child, {**fixed, **t.partial_assignment().as_dict()})
+            for t, child in zip(chain.terms, decompose_cnf(c, chain))
+            if child is not None
+        ]
+        stack.extend(reversed(children))
+    return out
+
+
+def configs():
+    for mode, n0, depth in itertools.product(
+            (DECIDE, ENUMERATE), range(1, 7), range(1, 5)):
+        yield SolverConfig(n0=n0, split_depth=depth, workers=1, mode=mode)
+
+
+def random_cnfs(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        clauses = random_clauses(rng, n, rng.randint(0, 4 * n), width=4)
+        yield CnfSet.from_clauses(clauses, n)
+
+
+SPECIAL = {
+    "empty clause": CnfSet.from_clauses([[1, 2], [], [-1, 3]], 3),
+    "only an empty clause": CnfSet([frozenset()], 2),
+    "duplicate clauses": CnfSet.from_clauses(
+        [[1, -2], [1, -2], [2, 3], [-1, -3], [2, 3], [-2, 4, 5], [-2, 4, 5]]),
+    "contradictory units": CnfSet.from_clauses([[1, 2], [3], [-2, 4], [-3]]),
+    "units contradicting after propagation": CnfSet.from_clauses(
+        [[1], [-1, 2], [-1, -2, 3], [-3, -2]]),
+    "extra variables are don't-cares": CnfSet.from_clauses(
+        [[1, -2], [2, 3], [-1, -3], [-2, -3, 4]], num_vars=8),
+    "no clauses": CnfSet.from_clauses([], num_vars=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECIAL))
+def test_special_cases_match_reference(name):
+    c = SPECIAL[name]
+    for cfg in configs():
+        assert solve_sat(c, cfg).solutions == reference(c, cfg), cfg
+
+
+def test_extra_variables_come_out_as_dont_cares():
+    c = SPECIAL["extra variables are don't-cares"]
+    cfg = SolverConfig(n0=1, split_depth=1, workers=1, mode=ENUMERATE)
+    solutions = solve_sat(c, cfg).solutions
+    assert solutions
+    for s in solutions:
+        assert {4, 5, 6, 7} <= set(s.dont_care)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_cnfs_match_reference(seed):
+    cases = list(random_cnfs(seed, 40))
+    for cfg in configs():
+        for c in cases:
+            assert solve_sat(c, cfg).solutions == reference(c, cfg), (
+                cfg, c.clauses)
+
+
+def test_workers_do_not_change_the_solutions():
+    for c in random_cnfs(99, 20):
+        for mode in (DECIDE, ENUMERATE):
+            one = SolverConfig(n0=2, split_depth=2, workers=1, mode=mode)
+            four = SolverConfig(n0=2, split_depth=2, workers=4, mode=mode)
+            assert solve_sat(c, one).solutions == solve_sat(c, four).solutions
+
+
+@pytest.mark.parametrize("lits", [
+    [(0, True)],
+    [(0, False)],
+    [(3, True), (1, False), (7, True)],
+    [(2, False), (0, False), (5, False), (4, True)],
+])
+def test_chain_order_is_term_chain_order(lits):
+    signed = [v + 1 if p else -(v + 1) for v, p in lits]
+    expected = [
+        {v + 1 if p else -(v + 1) for v, p in t.literals.items()}
+        for t in term_chain(lits).terms
+    ]
+    assert [set(t) for t in _chain_terms(signed)] == expected
