@@ -10,8 +10,10 @@ operations, and the text grammar used by the file formats:
                 ``'`` (NOT), constants ``0`` and ``1``
     precedence  ``~``  >  ``&``  >  ``^``  >  ``|``, parentheses allowed
 
-Everything here is a value: safe to share across threads, never mutated
-after construction.
+Everything here is a value: never mutated after construction, so
+subtrees are shared freely (a cofactor keeps the untouched subtrees of
+its argument).  Derived facts (variable set, hash, occurrence counts)
+are cached on the node, filled lazily on first use.
 """
 
 from __future__ import annotations
@@ -216,9 +218,14 @@ class BoolFunc:
     other simplification is performed, so two semantically equal
     functions may be structurally different (compare those with
     :func:`semantically_equal`).
+
+    The ``_vars``, ``_hash`` and ``_occ`` caches are filled on first
+    use.  Under the solver's thread pool two threads may fill the same
+    cache at once; that race is benign, since both compute the same
+    value and store it with one assignment.
     """
 
-    __slots__ = ("kind", "var", "value", "left", "right", "_vars", "_hash")
+    __slots__ = ("kind", "var", "value", "left", "right", "_vars", "_hash", "_occ")
 
     def __init__(self, kind, var=None, value=None, left=None, right=None):
         self.kind = kind
@@ -228,6 +235,7 @@ class BoolFunc:
         self.right = right
         self._vars = None
         self._hash = None
+        self._occ = None
 
     # -- construction -------------------------------------------------
 
@@ -511,12 +519,20 @@ def _var_pattern(n: int, pos: int) -> int:
     return pat
 
 
-def truth_table(f: BoolFunc, order: Sequence[int], cap: Optional[int] = None) -> int:
+def truth_table(
+    f: BoolFunc,
+    order: Sequence[int],
+    cap: Optional[int] = None,
+    memo: Optional[dict] = None,
+    patterns: Optional[dict] = None,
+) -> int:
     """Truth table of f as an integer bitmask.
 
     Bit a holds f at the point whose bits, read most-significant first,
     assign the variables in ``order``.  The first variable in ``order``
     is the most significant bit, matching the minterm index convention.
+    ``memo`` (node id -> table) and ``patterns`` (variable -> table) may
+    be shared between calls with the same ``order``.
     """
     order = list(order)
     n = len(order)
@@ -526,8 +542,10 @@ def truth_table(f: BoolFunc, order: Sequence[int], cap: Optional[int] = None) ->
         raise UndeclaredVariable(min(missing))
     full = (1 << (1 << n)) - 1
     pos = {v: i for i, v in enumerate(order)}
-    patterns = {}
-    memo = {}
+    if patterns is None:
+        patterns = {}
+    if memo is None:
+        memo = {}
 
     def go(g: BoolFunc) -> int:
         key = id(g)
@@ -630,12 +648,24 @@ def is_one(f: BoolFunc, cap: Optional[int] = None) -> bool:
 # ---------------------------------------------------------------------------
 # substitution, cofactors, dual
 
-def substitute(f: BoolFunc, mapping: Mapping[int, Union[BoolFunc, int]]) -> BoolFunc:
-    """Replace variables by expressions (or constants), folding as it goes."""
+def substitute(
+    f: BoolFunc,
+    mapping: Mapping[int, Union[BoolFunc, int]],
+    memo: Optional[dict] = None,
+) -> BoolFunc:
+    """Replace variables by expressions (or constants), folding as it goes.
+
+    A subtree that mentions no mapped variable comes back as itself, so
+    it keeps its identity and its cached variable set, hash and
+    occurrence counts, and is not walked.  ``memo`` maps node ids to
+    results for this one mapping; pass the same dict to substitute the
+    same mapping into several expressions that share nodes.
+    """
     repl = {}
     for v, g in mapping.items():
         repl[v] = const(g) if isinstance(g, int) else g
-    memo = {}
+    if memo is None:
+        memo = {}
 
     def go(g: BoolFunc) -> BoolFunc:
         key = id(g)
@@ -645,7 +675,7 @@ def substitute(f: BoolFunc, mapping: Mapping[int, Union[BoolFunc, int]]) -> Bool
         k = g.kind
         if k == VAR:
             r = repl.get(g.var, g)
-        elif k == CONST:
+        elif k == CONST or g.vars.isdisjoint(repl):
             r = g
         elif k == NOT:
             r = not_(go(g.left))
@@ -662,18 +692,20 @@ def substitute(f: BoolFunc, mapping: Mapping[int, Union[BoolFunc, int]]) -> Bool
 
 
 def cofactor(
-    f: BoolFunc, p: Union[PartialAssignment, Mapping[int, int], Term]
+    f: BoolFunc,
+    p: Union[PartialAssignment, Mapping[int, int], Term],
+    memo: Optional[dict] = None,
 ) -> BoolFunc:
     """f with the partial assignment substituted and constants folded.
 
     For a term t this computes the ratio f/t = f(t=1), a function of the
-    free variables only.
+    free variables only.  ``memo`` is passed on to :func:`substitute`.
     """
     if isinstance(p, Term):
         p = p.partial_assignment()
     elif not isinstance(p, PartialAssignment):
         p = PartialAssignment.from_pairs(dict(p).items())
-    return substitute(f, {v: b for v, b in p.items()})
+    return substitute(f, p, memo)
 
 
 def conjugate(f: BoolFunc) -> BoolFunc:
@@ -691,46 +723,54 @@ def point_function(a: Assignment) -> BoolFunc:
     return or_all([xor(var(v), const(b)) for v, b in sorted(a.items())])
 
 
-def _children(f: BoolFunc) -> tuple:
-    if f.kind in (VAR, CONST):
-        return ()
-    if f.kind == NOT:
-        return (f.left,)
-    return (f.left, f.right)
+def _occurrences(f: BoolFunc) -> dict:
+    """f's cached occurrence counts, filled in post-order without recursion.
+
+    The counts of a binary node are the sums of its children's, and a
+    NOT node shares its child's dict, so no cached dict may be mutated.
+    """
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g._occ is not None:
+            stack.pop()
+            continue
+        k = g.kind
+        if k == VAR:
+            g._occ = {g.var: 1}
+        elif k == CONST:
+            g._occ = {}
+        elif k == NOT:
+            if g.left._occ is None:
+                stack.append(g.left)
+                continue
+            g._occ = g.left._occ
+        else:
+            big, small = g.left._occ, g.right._occ
+            if big is None or small is None:
+                if big is None:
+                    stack.append(g.left)
+                if small is None:
+                    stack.append(g.right)
+                continue
+            if len(small) > len(big):
+                big, small = small, big
+            counts = dict(big)
+            for v, c in small.items():
+                counts[v] = counts.get(v, 0) + c
+            g._occ = counts
+        stack.pop()
+    return f._occ
 
 
 def var_occurrences(f: BoolFunc) -> dict:
     """Occurrence count per variable, as in the fully unshared tree.
 
     Shared subtrees count once per path from the root, so the result
-    matches the textual occurrence count of the expression.
+    matches the textual occurrence count of the expression.  The counts
+    are cached on the nodes; the caller gets a fresh copy.
     """
-    # post-order over the DAG, each node once
-    post = []
-    seen = set()
-    stack = [(f, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            post.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for child in _children(node):
-            if id(child) not in seen:
-                stack.append((child, False))
-    paths = {id(node): 0 for node in post}
-    paths[id(f)] = 1
-    counts: dict = {}
-    for node in reversed(post):
-        p = paths[id(node)]
-        if node.kind == VAR:
-            counts[node.var] = counts.get(node.var, 0) + p
-        for child in _children(node):
-            paths[id(child)] += p
-    return counts
+    return dict(_occurrences(f))
 
 
 # ---------------------------------------------------------------------------

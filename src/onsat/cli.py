@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import Optional
@@ -43,9 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--split-depth", type=int, default=3,
                        help="variables per decomposition chain")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker count for system files (default: "
-                            "ONSAT_WORKERS or all cores); CNF input is "
-                            "always solved serially")
+                       help="worker threads for system files, at most "
+                            "the core count (default: ONSAT_WORKERS or 1); "
+                            "CNF input is always solved serially")
         p.add_argument("--seed", type=int, default=None,
                        help="seed reserved for randomized components")
         p.add_argument("--format",
@@ -100,14 +101,8 @@ def _looks_like_dimacs(text: str) -> bool:
     return False
 
 
-def _solution_json(solution, names) -> str:
-    assignment = {names(v): b for v, b in solution.assignment}
-    dont_care = [names(v) for v in solution.dont_care]
-    return json.dumps({"assignment": assignment, "dont_care": dont_care},
-                      sort_keys=True)
-
-
-def _emit_solutions(outcome, names, args, dimacs_style: bool) -> None:
+def _emit_solutions(outcome, names: list, args, dimacs_style: bool) -> None:
+    """Print the solutions; ``names[v]`` is the output name of variable v."""
     solutions = outcome.solutions
     if args.expand_dont_cares:
         expanded = []
@@ -121,8 +116,12 @@ def _emit_solutions(outcome, names, args, dimacs_style: bool) -> None:
             lits = [(v + 1) if b else -(v + 1) for v, b in s.assignment]
             print("v " + " ".join(str(l) for l in sorted(lits, key=abs)) + " 0")
     else:
+        encode = json.JSONEncoder(sort_keys=True).encode
         for s in solutions:
-            print(_solution_json(s, names))
+            print(encode({
+                "assignment": {names[v]: b for v, b in s.assignment},
+                "dont_care": [names[v] for v in s.dont_care],
+            }))
 
 
 def _run_solve(args, mode: str) -> int:
@@ -132,6 +131,7 @@ def _run_solve(args, mode: str) -> int:
     else:
         input_fmt = "dimacs" if _looks_like_dimacs(text) else "system"
     workers = args.workers if args.workers is not None else solver.default_workers()
+    workers = min(workers, os.cpu_count() or 1)
     cfg = solver.SolverConfig(
         n0=args.n0, split_depth=args.split_depth, workers=workers, mode=mode
     )
@@ -141,12 +141,12 @@ def _run_solve(args, mode: str) -> int:
         # decide mode speaks the usual s/v protocol; enumerate mode
         # reports solution cubes as JSON lines
         dimacs_style = args.format != "json" and mode == solver.DECIDE
-        _emit_solutions(outcome, lambda v: f"x{v + 1}", args,
-                        dimacs_style=dimacs_style)
+        names = [f"x{v + 1}" for v in range(problem.num_vars)]
+        _emit_solutions(outcome, names, args, dimacs_style=dimacs_style)
     else:
         system, table = solver.parse_system(text)
         outcome = solver.bool_solve(system, cfg)
-        _emit_solutions(outcome, table.name_of, args, dimacs_style=False)
+        _emit_solutions(outcome, table.names, args, dimacs_style=False)
     return 10 if outcome.sat else 20
 
 

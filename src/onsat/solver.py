@@ -54,13 +54,18 @@ class Conflict(Exception):
 
 
 def default_workers() -> int:
+    """``ONSAT_WORKERS`` if set to an integer, else 1.
+
+    One worker walks the tree depth-first in order, so runs are
+    reproducible; the thread pool never wins under the GIL.
+    """
     env = os.environ.get("ONSAT_WORKERS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             pass
-    return os.cpu_count() or 1
+    return 1
 
 
 @dataclass(frozen=True)
@@ -243,12 +248,13 @@ def triv_solve(system: BoolSystem) -> tuple[BoolSystem, PartialAssignment]:
 
     def rewrite(mapping: dict) -> None:
         nonlocal equations
+        memo: dict = {}
         fresh = []
         for l, r in equations:
-            if mapping.keys() & l.vars:
-                l = substitute(l, mapping)
-            if mapping.keys() & r.vars:
-                r = substitute(r, mapping)
+            if not l.vars.isdisjoint(mapping):
+                l = substitute(l, mapping, memo)
+            if not r.vars.isdisjoint(mapping):
+                r = substitute(r, mapping, memo)
             fresh.append((l, r))
         equations = fresh
 
@@ -350,12 +356,13 @@ def decompose(system: BoolSystem, terms: OnSet) -> list:
             stray = min(set(q.keys()) - system.vars)
             raise ValueError(f"split variable x{stray} is not open")
         mapping = q.as_dict()
+        memo: dict = {}
         eqs = []
         for l, r in system.equations:
-            if mapping.keys() & l.vars:
-                l = cofactor(l, q)
-            if mapping.keys() & r.vars:
-                r = cofactor(r, q)
+            if not l.vars.isdisjoint(mapping):
+                l = cofactor(l, q, memo)
+            if not r.vars.isdisjoint(mapping):
+                r = cofactor(r, q, memo)
             eqs.append((l, r))
         out.append(
             BoolSystem(
@@ -383,8 +390,13 @@ def _local_solutions(system: BoolSystem) -> tuple[list, list]:
     _check_cap(n, None)
     full = (1 << (1 << n)) - 1
     mask = full
+    memo: dict = {}
+    patterns: dict = {}
     for l, r in system.equations:
-        mask &= full ^ (truth_table(l, occ) ^ truth_table(r, occ))
+        mask &= full ^ (
+            truth_table(l, occ, None, memo, patterns)
+            ^ truth_table(r, occ, None, memo, patterns)
+        )
         if mask == 0:
             break
     indices = []

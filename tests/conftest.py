@@ -140,6 +140,24 @@ def random_func(rng: random.Random, ids, depth: int = 3) -> BoolFunc:
     return {"and": a & b, "or": a | b, "xor": a ^ b}[op]
 
 
+def random_shared_funcs(rng: random.Random, ids, count: int, size: int = 10) -> list:
+    """``count`` random expression DAGs over one shared node pool.
+
+    Each new node combines two earlier nodes, so subtrees are shared
+    within an expression and between the expressions.
+    """
+    pool = [boolalg.var(v) for v in ids]
+    pool += [~f for f in pool]
+    out = []
+    for _ in range(count):
+        for _ in range(size):
+            op = rng.choice(("and", "or", "xor", "not"))
+            a, b = rng.choice(pool), rng.choice(pool)
+            pool.append({"and": a & b, "or": a | b, "xor": a ^ b, "not": ~a}[op])
+        out.append(pool[-1])
+    return out
+
+
 def random_system(rng: random.Random, n_vars: int, n_eqs: int):
     from onsat.solver import BoolSystem
 

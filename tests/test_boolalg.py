@@ -1,4 +1,6 @@
 import random
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from onsat.boolalg import (
     TooManyVariables,
     UndeclaredVariable,
     VarTable,
+    and_,
     as_term,
     cofactor,
     const,
@@ -26,11 +29,13 @@ from onsat.boolalg import (
     star,
     substitute,
     support,
+    to_text,
     truth_table,
     var,
+    var_occurrences,
     zero_set,
 )
-from conftest import all_points, oracle_eval, random_func
+from conftest import all_points, oracle_eval, random_func, random_shared_funcs
 
 
 x, y, z = var(0), var(1), var(2)
@@ -263,6 +268,32 @@ class TestSubstitution:
             table = truth_table(f, ids)
             for i, point in enumerate(all_points(ids)):
                 assert (table >> i) & 1 == oracle_eval(f, point)
+
+
+class TestOccurrences:
+    def test_counts_match_the_text(self, rng):
+        table = VarTable()
+        ids = [table.intern(f"v{i}") for i in range(5)]
+        for _ in range(60):
+            for f in random_shared_funcs(rng, ids, 3, rng.randint(1, 12)):
+                names = re.findall(r"[A-Za-z_]\w*", to_text(f, table))
+                expected = {table.id_of(n): c for n, c in Counter(names).items()}
+                assert var_occurrences(f) == expected
+
+    def test_result_is_a_copy(self):
+        f = (x & y) ^ ~(x | z)
+        counts = var_occurrences(f)
+        counts[0] = 99
+        counts[7] = 1
+        assert var_occurrences(f) == {0: 2, 1: 1, 2: 1}
+        assert var_occurrences(~f) == {0: 2, 1: 1, 2: 1}
+
+    def test_deep_chain_needs_no_recursion(self):
+        # 2100 leaves x0, x1, x2, x0, ... under 2099 left-leaning ANDs
+        f = var(0)
+        for i in range(1, 2100):
+            f = and_(f, var(i % 3))
+        assert var_occurrences(f) == {0: 700, 1: 700, 2: 700}
 
 
 class TestParser:

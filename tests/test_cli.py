@@ -117,6 +117,50 @@ class TestSolve:
         assert code == 10
 
 
+class TestWorkersAndJson:
+    @pytest.fixture
+    def seen_workers(self, monkeypatch):
+        from onsat import solver
+
+        seen = []
+        real = solver.bool_solve
+
+        def spy(system, cfg=None):
+            seen.append(cfg.workers)
+            return real(system, cfg)
+
+        monkeypatch.setattr(solver, "bool_solve", spy)
+        return seen
+
+    @pytest.fixture
+    def sys_file(self, tmp_path):
+        path = tmp_path / "sys.txt"
+        path.write_text("a = 1\na ^ b = 0\n")
+        return str(path)
+
+    def test_default_is_one_worker(self, run, sys_file, seen_workers, monkeypatch):
+        monkeypatch.delenv("ONSAT_WORKERS", raising=False)
+        assert run("solve", sys_file)[0] == 10
+        monkeypatch.setenv("ONSAT_WORKERS", "2")
+        assert run("solve", sys_file)[0] == 10
+        assert seen_workers == [1, min(2, os.cpu_count() or 1)]
+
+    def test_workers_capped_at_core_count(self, run, sys_file, seen_workers):
+        # the pool is never started with this many threads: the CLI caps it
+        assert run("solve", sys_file, "--workers", "1000000")[0] == 10
+        assert seen_workers == [os.cpu_count() or 1]
+
+    def test_json_keys_sort_as_strings(self, run, tmp_path):
+        path = tmp_path / "wide.cnf"
+        path.write_text("p cnf 11 2\n1 0\n10 0\n")
+        code, out, _ = run("enumerate", str(path))
+        assert code == 10
+        rest = ", ".join(f'"x{v}"' for v in (2, 3, 4, 5, 6, 7, 8, 9, 11))
+        assert out == (
+            '{"assignment": {"x1": 1, "x10": 1}, "dont_care": [' + rest + "]}\n"
+        )
+
+
 class TestEnumerationCap:
     """A leaf over the 2^24-point cap exits 1 before building its masks."""
 

@@ -1,6 +1,28 @@
+import itertools
+import random
+
 import pytest
 
-from onsat.boolalg import ParseError, const, var
+from onsat.boolalg import (
+    AND,
+    CONST,
+    NOT,
+    OR,
+    VAR,
+    XOR,
+    ParseError,
+    and_,
+    cofactor,
+    const,
+    not_,
+    or_,
+    substitute,
+    truth_table,
+    var,
+    var_occurrences,
+    xor,
+)
+from onsat.gf2k import Curve, Field, lower_to_boolean
 from onsat.onset import term_chain
 from onsat.solver import (
     DECIDE,
@@ -10,6 +32,7 @@ from onsat.solver import (
     BoolSystem,
     Conflict,
     SolverConfig,
+    _local_solutions,
     bool_solve,
     brute_force,
     choose_split,
@@ -21,6 +44,7 @@ from conftest import (
     expanded_solution_set,
     oracle_system_solutions,
     random_func,
+    random_shared_funcs,
     random_system,
     random_term_chain,
 )
@@ -272,3 +296,173 @@ class TestSystemFormat:
             SolverConfig(workers=0)
         with pytest.raises(ValueError):
             SolverConfig(mode="guess")
+
+
+# ---------------------------------------------------------------------------
+# same tree, same solutions: the solver against a rebuild-everything reference
+#
+# The reference cofactors with a fresh memo per call and rebuilds every
+# node it visits, and counts occurrences by walking the DAG once per
+# call, as the solver did before cofactors kept untouched subtrees and
+# nodes cached their counts.  The solver must give structurally equal
+# children, the same split choices and the same Solution list, in order.
+
+
+def reference_substitute(f, mapping):
+    repl = {v: const(g) if isinstance(g, int) else g for v, g in mapping.items()}
+    memo = {}
+
+    def go(g):
+        if id(g) in memo:
+            return memo[id(g)]
+        if g.kind == VAR:
+            r = repl.get(g.var, g)
+        elif g.kind == CONST:
+            r = g
+        elif g.kind == NOT:
+            r = not_(go(g.left))
+        else:
+            op = {AND: and_, OR: or_, XOR: xor}[g.kind]
+            r = op(go(g.left), go(g.right))
+        memo[id(g)] = r
+        return r
+
+    return go(f)
+
+
+def reference_occurrences(f) -> dict:
+    post, seen, stack = [], set(), [(f, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            post.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            if node.kind not in (VAR, CONST):
+                kids = (node.left,) if node.kind == NOT else (node.left, node.right)
+                stack.extend((c, False) for c in kids if id(c) not in seen)
+    paths = {id(node): 0 for node in post}
+    paths[id(f)] = 1
+    counts = {}
+    for node in reversed(post):
+        p = paths[id(node)]
+        if node.kind == VAR:
+            counts[node.var] = counts.get(node.var, 0) + p
+        elif node.kind != CONST:
+            for c in (node.left,) if node.kind == NOT else (node.left, node.right):
+                paths[id(c)] += p
+    return counts
+
+
+def reference_choose_split(system, config):
+    counts = {}
+    for l, r in system.equations:
+        for side in (l, r):
+            for v, c in reference_occurrences(side).items():
+                counts[v] = counts.get(v, 0) + c
+    ranked = sorted(counts, key=lambda v: (-counts[v], v))
+    return term_chain([(v, True) for v in ranked[:config.split_depth]])
+
+
+def reference_decompose(system, terms):
+    out = []
+    for t in terms.terms:
+        q = t.partial_assignment()
+        mapping = q.as_dict()
+        eqs = [
+            tuple(reference_substitute(side, mapping)
+                  if mapping.keys() & side.vars else side for side in eq)
+            for eq in system.equations
+        ]
+        out.append(BoolSystem(eqs, system.vars - mapping.keys(),
+                              system.trail.merge(q), system.bindings,
+                              system.root_vars))
+    return out
+
+
+def reference_solve(system, config) -> list:
+    out = []
+    stack = [system]
+    while stack:
+        try:
+            node, _ = triv_solve(stack.pop())
+        except Conflict:
+            continue
+        if len(node.occurring()) <= config.n0:
+            out.extend(brute_force(node).solutions)
+            if config.mode == DECIDE and out:
+                return out[:1]
+            continue
+        chain = reference_choose_split(node, config)
+        assert choose_split(node, config) == chain
+        stack.extend(reversed(reference_decompose(node, chain)))
+    return out
+
+
+def shared_system(rng, n_vars: int, n_eqs: int):
+    """A random system whose equations share subtrees."""
+    ids = list(range(n_vars))
+    sides = random_shared_funcs(rng, ids, 2 * n_eqs, rng.randint(2, 6))
+    eqs = [(sides[2 * i], sides[2 * i + 1] if rng.random() < 0.5
+            else const(rng.randint(0, 1))) for i in range(n_eqs)]
+    return BoolSystem.root(eqs, ids)
+
+
+def curve_system():
+    field = Field(0b1011)
+    curve = Curve(a1=1, a2=3, a4=7, a6=2)
+    equation = curve.symbolic_equation(field, [0, 1, 2], [3, 4, 5])
+    return lower_to_boolean(equation, list(range(6)))
+
+
+class TestSameTree:
+    def test_substitute_keeps_an_untouched_expression(self, rng):
+        for f in random_shared_funcs(rng, list(range(4)), 20, 6):
+            assert substitute(f, {7: 1}) is f
+            assert cofactor(f, {9: 0, 8: 1}) is f
+            g = cofactor(f, {0: 1})
+            assert g == reference_substitute(f, {0: 1})
+            if 0 not in f.vars:
+                assert g is f
+
+    def test_shared_memo_cofactors_equal_fresh_ones(self, rng):
+        systems = [shared_system(rng, 6, 4) for _ in range(40)] + [curve_system()]
+        for s in systems:
+            chain = random_term_chain(rng, sorted(s.vars))
+            for t in chain.terms:
+                mapping = t.partial_assignment().as_dict()
+                memo = {}
+                for l, r in s.equations:
+                    for side in (l, r):
+                        got = cofactor(side, t, memo)
+                        want = reference_substitute(side, mapping)
+                        assert got == want
+                        assert var_occurrences(got) == reference_occurrences(want)
+            for got, want in zip(decompose(s, chain), reference_decompose(s, chain)):
+                assert got.equations == want.equations
+                assert got.trail == want.trail and got.vars == want.vars
+
+    def test_leaf_tables_share_one_memo(self, rng):
+        for _ in range(40):
+            s = shared_system(rng, 6, 4)
+            occ = sorted(s.occurring())
+            full = (1 << (1 << len(occ))) - 1
+            mask = full
+            for l, r in s.equations:
+                mask &= full ^ truth_table(l, occ) ^ truth_table(r, occ)
+            got_order, got = _local_solutions(s)
+            assert got_order == occ
+            assert got == [i for i in range(1 << len(occ)) if (mask >> i) & 1]
+
+    @pytest.mark.parametrize("mode", [DECIDE, ENUMERATE])
+    def test_same_solutions_in_the_same_order(self, mode):
+        rng = random.Random(4242)
+        systems = [shared_system(rng, rng.randint(4, 8), rng.randint(2, 5))
+                   for _ in range(50)]
+        systems += [random_system(rng, 7, 4) for _ in range(10)]
+        systems.append(curve_system())
+        for s in systems:
+            for n0, depth in itertools.product(range(1, 5), range(1, 4)):
+                config = cfg(n0=n0, split_depth=depth, mode=mode)
+                assert bool_solve(s, config).solutions == reference_solve(s, config)
