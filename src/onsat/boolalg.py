@@ -220,9 +220,7 @@ class BoolFunc:
     :func:`semantically_equal`).
 
     The ``_vars``, ``_hash`` and ``_occ`` caches are filled on first
-    use.  Under the solver's thread pool two threads may fill the same
-    cache at once; that race is benign, since both compute the same
-    value and store it with one assignment.
+    use, children first and without recursion, so any depth is fine.
     """
 
     __slots__ = ("kind", "var", "value", "left", "right", "_vars", "_hash", "_occ")
@@ -256,16 +254,10 @@ class BoolFunc:
     @property
     def vars(self) -> frozenset:
         """The set of variable ids the expression mentions."""
-        if self._vars is None:
-            if self.kind == VAR:
-                self._vars = frozenset((self.var,))
-            elif self.kind == CONST:
-                self._vars = frozenset()
-            elif self.kind == NOT:
-                self._vars = self.left.vars
-            else:
-                self._vars = self.left.vars | self.right.vars
-        return self._vars
+        got = self._vars
+        if got is None:
+            got = _fill_vars(self)
+        return got
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -283,16 +275,10 @@ class BoolFunc:
         return self.left == other.left and self.right == other.right
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            if self.kind == VAR:
-                self._hash = hash((VAR, self.var))
-            elif self.kind == CONST:
-                self._hash = hash((CONST, self.value))
-            elif self.kind == NOT:
-                self._hash = hash((NOT, hash(self.left)))
-            else:
-                self._hash = hash((self.kind, hash(self.left), hash(self.right)))
-        return self._hash
+        got = self._hash
+        if got is None:
+            got = _fill_hash(self)
+        return got
 
     def __repr__(self) -> str:
         return f"BoolFunc({to_text(self)})"
@@ -332,6 +318,65 @@ class BoolFunc:
 
 _CONST0 = BoolFunc(CONST, value=0)
 _CONST1 = BoolFunc(CONST, value=1)
+
+
+def _fill_vars(f: BoolFunc) -> frozenset:
+    """f's cached variable set, filled in post-order without recursion.
+
+    The stack is a path down from f: a node is pushed only while its
+    cache is empty and is filled before the nodes above it, so when the
+    children are cached the first pass is the only one.
+    """
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        k = g.kind
+        if k == VAR:
+            g._vars = frozenset((g.var,))
+        elif k == CONST:
+            g._vars = frozenset()
+        else:
+            left = g.left._vars
+            if left is None:
+                stack.append(g.left)
+                continue
+            if k == NOT:
+                g._vars = left
+            else:
+                right = g.right._vars
+                if right is None:
+                    stack.append(g.right)
+                    continue
+                g._vars = left | right
+        stack.pop()
+    return f._vars
+
+
+def _fill_hash(f: BoolFunc) -> int:
+    """f's cached hash, filled like :func:`_fill_vars`."""
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        k = g.kind
+        if k == VAR:
+            g._hash = hash((VAR, g.var))
+        elif k == CONST:
+            g._hash = hash((CONST, g.value))
+        else:
+            left = g.left._hash
+            if left is None:
+                stack.append(g.left)
+                continue
+            if k == NOT:
+                g._hash = hash((NOT, left))
+            else:
+                right = g.right._hash
+                if right is None:
+                    stack.append(g.right)
+                    continue
+                g._hash = hash((k, left, right))
+        stack.pop()
+    return f._hash
 
 
 def const(value: int) -> BoolFunc:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from typing import Optional
@@ -44,11 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--split-depth", type=int, default=3,
                        help="variables per decomposition chain")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker threads for system files, at most "
-                            "the core count (default: ONSAT_WORKERS or 1); "
-                            "CNF input is always solved serially")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed reserved for randomized components")
+                       help="ignored: the search is serial")
         p.add_argument("--format",
                        choices=["auto", "dimacs", "system", "json"],
                        default="auto",
@@ -105,11 +100,8 @@ def _emit_solutions(outcome, names: list, args, dimacs_style: bool) -> None:
     """Print the solutions; ``names[v]`` is the output name of variable v."""
     solutions = outcome.solutions
     if args.expand_dont_cares:
-        expanded = []
-        for s in solutions:
-            for total in s.expand():
-                expanded.append(solver.Solution.make(total, ()))
-        solutions = expanded
+        solutions = (solver.Solution.make(total, ())
+                     for s in solutions for total in s.expand())
     if dimacs_style:
         print("s SATISFIABLE" if outcome.sat else "s UNSATISFIABLE")
         for s in solutions:
@@ -130,11 +122,7 @@ def _run_solve(args, mode: str) -> int:
         input_fmt = args.format
     else:
         input_fmt = "dimacs" if _looks_like_dimacs(text) else "system"
-    workers = args.workers if args.workers is not None else solver.default_workers()
-    workers = min(workers, os.cpu_count() or 1)
-    cfg = solver.SolverConfig(
-        n0=args.n0, split_depth=args.split_depth, workers=workers, mode=mode
-    )
+    cfg = solver.SolverConfig(n0=args.n0, split_depth=args.split_depth, mode=mode)
     if input_fmt == "dimacs":
         problem = cnf.parse_dimacs(text, strict=args.strict_dimacs)
         outcome = cnf.solve_sat(problem, cfg)

@@ -23,7 +23,7 @@ updates the counters of the clauses it touches and reports new units
 and conflicts; undo replays the trail backwards to a node's mark.  The
 literal counts give the pure literals, the occurring variables and the
 split frequencies without rescanning the clauses.  The walk is serial
-and depth-first, so its output does not depend on the worker count.
+and depth-first, so its output is the same on every run.
 """
 
 from __future__ import annotations
@@ -568,8 +568,8 @@ def solve_sat(c: CnfSet, cfg: Optional[SolverConfig] = None) -> SolveOutcome:
 
     The root's unit clauses are propagated by :func:`propagate_units`,
     which also rejects an empty clause; the rest of the tree is walked
-    by the trail engine, serially and in a fixed order whatever
-    ``cfg.workers`` says.  Decide mode stops at the first leaf point.
+    by the trail engine, depth-first in a fixed order.  Decide mode
+    stops at the first leaf point.
     """
     if cfg is None:
         cfg = SolverConfig()

@@ -333,7 +333,7 @@ def enumerate_curve(
     equation = curve.symbolic_equation(field, x_ids, y_ids)
     system = lower_to_boolean(equation, x_ids + y_ids)
     chain = term_chain([(v, False) for v in reversed(x_ids)])
-    cfg = SolverConfig(n0=2, split_depth=1, workers=1, mode=ENUMERATE)
+    cfg = SolverConfig(n0=2, split_depth=1, mode=ENUMERATE)
     points = set()
     for subsystem in decompose(system, chain):
         outcome = bool_solve(subsystem, cfg)

@@ -10,19 +10,17 @@ conflicts or fits under the brute-force threshold:
   variables, which partitions the search space into independent
   subproblems.
 
-Subproblems are immutable values; a worker pool may process them in any
-order.  Solutions are reported compressed: an assignment of the
-constrained variables plus a list of don't-care variables, every
-expansion of which satisfies the system.
+Subproblems are immutable values, walked depth-first in chain order,
+so runs are reproducible.  Solutions are reported compressed: an
+assignment of the constrained variables plus a list of don't-care
+variables, every expansion of which satisfies the system.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 from .boolalg import (
     BoolFunc,
@@ -53,28 +51,12 @@ class Conflict(Exception):
     """A subproblem is locally unsatisfiable."""
 
 
-def default_workers() -> int:
-    """``ONSAT_WORKERS`` if set to an integer, else 1.
-
-    One worker walks the tree depth-first in order, so runs are
-    reproducible; the thread pool never wins under the GIL.
-    """
-    env = os.environ.get("ONSAT_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Tuning knobs for the decomposition engine."""
 
     n0: int = 16
     split_depth: int = 3
-    workers: int = field(default_factory=default_workers)
     mode: str = DECIDE
 
     def __post_init__(self):
@@ -82,8 +64,6 @@ class SolverConfig:
             raise ValueError("n0 must be at least 1")
         if self.split_depth < 1:
             raise ValueError("split_depth must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         if self.mode not in (DECIDE, ENUMERATE):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -443,8 +423,9 @@ def brute_force(system: BoolSystem) -> SolveOutcome:
     """Exhaustive search over the constrained variables of a system.
 
     Variables that no equation mentions are reported as don't-cares.
-    Intended for systems at or below the n0 threshold; the caller is
-    responsible for keeping the variable count sane.
+    Intended for systems at or below the n0 threshold; more constrained
+    variables than the enumeration cap allows raise TooManyVariables
+    before any table is built.
     """
     occ, indices = _local_solutions(system)
     n = len(occ)
@@ -457,109 +438,22 @@ def brute_force(system: BoolSystem) -> SolveOutcome:
 
 
 # ---------------------------------------------------------------------------
-# the search tree runner
+# the search
 
-class _Search:
-    """Work-stealing style tree search with optional early cancellation.
-
-    ``step`` maps a node to (solutions, children).  Nodes are immutable;
-    the only shared state is the cancellation event, the output list and
-    the pending-task counter, each protected appropriately.  With one
-    worker the tree is walked depth-first in order, which makes runs
-    reproducible.
-    """
-
-    def __init__(self, step: Callable, workers: int, stop_after_first: bool):
-        self.step = step
-        self.workers = workers
-        self.stop_after_first = stop_after_first
-
-    def run(self, root) -> list:
-        if self.workers == 1:
-            return self._run_serial(root)
-        return self._run_pool(root)
-
-    def _run_serial(self, root) -> list:
-        out: list = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            solutions, children = self.step(node)
-            out.extend(solutions)
-            if self.stop_after_first and out:
-                return out[:1]
-            # keep left-to-right order under LIFO popping
-            stack.extend(reversed(children))
-        return out
-
-    def _run_pool(self, root) -> list:
-        out: list = []
-        lock = threading.Lock()
-        done = threading.Event()
-        cancel = threading.Event()
-        pending = [0]
-        errors: list = []
-
-        def finish_one():
-            with lock:
-                pending[0] -= 1
-                if pending[0] == 0:
-                    done.set()
-
-        def submit(executor, node):
-            if cancel.is_set():
-                return
-            with lock:
-                pending[0] += 1
-            try:
-                executor.submit(task, executor, node)
-            except RuntimeError:  # pool already shut down after cancellation
-                finish_one()
-
-        def task(executor, node):
-            try:
-                if cancel.is_set():
-                    return
-                solutions, children = self.step(node)
-                if solutions:
-                    with lock:
-                        out.extend(solutions)
-                    if self.stop_after_first:
-                        cancel.set()
-                        done.set()
-                        return
-                for child in children:
-                    submit(executor, child)
-            except BaseException as exc:  # surfaced in the caller
-                errors.append(exc)
-                cancel.set()
-                done.set()
-            finally:
-                finish_one()
-
-        with ThreadPoolExecutor(max_workers=self.workers) as executor:
-            submit(executor, root)
-            done.wait()
-            cancel.set()
-        if errors:
-            raise errors[0]
-        if self.stop_after_first:
-            return out[:1]
-        return out
-
-
-def _system_step(cfg: SolverConfig):
-    def step(node: BoolSystem):
+def _system_solutions(system: BoolSystem, cfg: SolverConfig) -> Iterator[Solution]:
+    """Leaf solutions in depth-first, left-to-right order of the split tree."""
+    stack = [system]
+    while stack:
+        node = stack.pop()
         try:
             reduced, _ = triv_solve(node)
         except Conflict:
-            return [], []
-        occ = reduced.occurring()
-        if len(occ) <= cfg.n0:
-            return brute_force(reduced).solutions, []
-        return [], decompose(reduced, choose_split(reduced, cfg))
-
-    return step
+            continue
+        if len(reduced.occurring()) <= cfg.n0:
+            yield from brute_force(reduced).solutions
+        else:
+            # keep left-to-right order under LIFO popping
+            stack.extend(reversed(decompose(reduced, choose_split(reduced, cfg))))
 
 
 def bool_solve(system: BoolSystem, cfg: Optional[SolverConfig] = None) -> SolveOutcome:
@@ -573,8 +467,8 @@ def bool_solve(system: BoolSystem, cfg: Optional[SolverConfig] = None) -> SolveO
     """
     if cfg is None:
         cfg = SolverConfig()
-    search = _Search(_system_step(cfg), cfg.workers, cfg.mode == DECIDE)
-    solutions = search.run(system)
+    found = _system_solutions(system, cfg)
+    solutions = list(islice(found, 1) if cfg.mode == DECIDE else found)
     return SolveOutcome(SAT if solutions else UNSAT, solutions)
 
 

@@ -289,11 +289,23 @@ class TestOccurrences:
         assert var_occurrences(~f) == {0: 2, 1: 1, 2: 1}
 
     def test_deep_chain_needs_no_recursion(self):
-        # 2100 leaves x0, x1, x2, x0, ... under 2099 left-leaning ANDs
-        f = var(0)
+        # 2100 leaves x0, x1, x2, x0, ... under 2099 left-leaning ANDs;
+        # each check gets a fresh chain, so no cache is filled in advance
+        def chain():
+            f = var(0)
+            for i in range(1, 2100):
+                f = and_(f, var(i % 3))
+            return f
+
+        assert var_occurrences(chain()) == {0: 700, 1: 700, 2: 700}
+        assert chain().vars == {0, 1, 2}
+        expected = hash((boolalg.VAR, 0))
         for i in range(1, 2100):
-            f = and_(f, var(i % 3))
-        assert var_occurrences(f) == {0: 700, 1: 700, 2: 700}
+            expected = hash((boolalg.AND, expected, hash((boolalg.VAR, i % 3))))
+        assert hash(chain()) == expected
+        from onsat.solver import BoolSystem
+
+        assert BoolSystem.root([(chain(), const(1))]).vars == {0, 1, 2}
 
 
 class TestParser:

@@ -1,5 +1,5 @@
+import contextlib
 import json
-import os
 import tracemalloc
 
 import pytest
@@ -75,6 +75,34 @@ class TestSolve:
         assert len(records) == 2
         assert all(rec["dont_care"] == [] for rec in records)
 
+    def test_expand_dont_cares_streams(self, tmp_path):
+        # one cube with 16 don't-cares: 65,536 lines, printed as they are
+        # expanded rather than gathered first
+        path = tmp_path / "wide.sys"
+        path.write_text(
+            "vars: a, " + ", ".join(f"s{i}" for i in range(16)) + "\na = 1\n")
+
+        class LineCounter:
+            lines = 0
+
+            def write(self, text):
+                self.lines += text.count("\n")
+                return len(text)
+
+            def flush(self):
+                pass
+
+        sink = LineCounter()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["enumerate", str(path), "--expand-dont-cares"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, sink.lines) == (10, 1 << 16)
+        assert peak < 4 << 20
+
     def test_json_output_for_cnf(self, run, cnf_file):
         code, out, _ = run("solve", cnf_file, "--format", "json")
         record = json.loads(out.splitlines()[0])
@@ -90,8 +118,8 @@ class TestSolve:
         assert all("dont_care" in rec for rec in records)
 
     def test_deterministic_output_single_worker(self, run, cnf_file):
-        first = run("enumerate", cnf_file, "--workers", "1", "--seed", "5")
-        second = run("enumerate", cnf_file, "--workers", "1", "--seed", "5")
+        first = run("enumerate", cnf_file)
+        second = run("enumerate", cnf_file)
         assert first == second
 
     def test_strict_dimacs_flag(self, run, tmp_path):
@@ -111,44 +139,17 @@ class TestSolve:
         code, _, err = run("solve", "/nonexistent/file.cnf")
         assert code == 1
 
-    def test_workers_env_override(self, run, cnf_file, monkeypatch):
-        monkeypatch.setenv("ONSAT_WORKERS", "2")
-        code, out, _ = run("solve", cnf_file)
-        assert code == 10
-
 
 class TestWorkersAndJson:
-    @pytest.fixture
-    def seen_workers(self, monkeypatch):
-        from onsat import solver
-
-        seen = []
-        real = solver.bool_solve
-
-        def spy(system, cfg=None):
-            seen.append(cfg.workers)
-            return real(system, cfg)
-
-        monkeypatch.setattr(solver, "bool_solve", spy)
-        return seen
-
     @pytest.fixture
     def sys_file(self, tmp_path):
         path = tmp_path / "sys.txt"
         path.write_text("a = 1\na ^ b = 0\n")
         return str(path)
 
-    def test_default_is_one_worker(self, run, sys_file, seen_workers, monkeypatch):
-        monkeypatch.delenv("ONSAT_WORKERS", raising=False)
-        assert run("solve", sys_file)[0] == 10
-        monkeypatch.setenv("ONSAT_WORKERS", "2")
-        assert run("solve", sys_file)[0] == 10
-        assert seen_workers == [1, min(2, os.cpu_count() or 1)]
-
-    def test_workers_capped_at_core_count(self, run, sys_file, seen_workers):
-        # the pool is never started with this many threads: the CLI caps it
-        assert run("solve", sys_file, "--workers", "1000000")[0] == 10
-        assert seen_workers == [os.cpu_count() or 1]
+    def test_workers_flag_is_ignored(self, run, cnf_file, sys_file):
+        for path in (cnf_file, sys_file):
+            assert run("solve", path, "--workers", "4") == run("solve", path)
 
     def test_json_keys_sort_as_strings(self, run, tmp_path):
         path = tmp_path / "wide.cnf"

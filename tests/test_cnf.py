@@ -65,7 +65,7 @@ def clause_sets(c: CnfSet) -> list:
 
 
 def cfg(**kw):
-    base = dict(n0=2, split_depth=2, workers=1, mode=ENUMERATE)
+    base = dict(n0=2, split_depth=2, mode=ENUMERATE)
     base.update(kw)
     return SolverConfig(**base)
 
@@ -304,23 +304,6 @@ class TestSolveSat:
             decide = solve_sat(c, cfg(mode=DECIDE))
             oracle = bool(oracle_cnf_solutions(c.clauses, n))
             assert decide.sat == oracle
-
-    def test_workers_do_not_change_status(self, rng):
-        for _ in range(20):
-            n = rng.randint(3, 9)
-            c = CnfSet.from_clauses(random_clauses(rng, n, rng.randint(2, 12)), n)
-            one = solve_sat(c, cfg(mode=DECIDE))
-            four = solve_sat(c, cfg(mode=DECIDE, workers=4))
-            assert one.status == four.status
-
-    def test_parallel_enumerate_finds_the_same_set(self, rng):
-        for _ in range(15):
-            n = rng.randint(3, 9)
-            c = CnfSet.from_clauses(random_clauses(rng, n, rng.randint(2, 12)), n)
-            serial = solve_sat(c, cfg())
-            parallel = solve_sat(c, cfg(workers=4))
-            assert expanded_solution_set(serial, range(n)) == \
-                expanded_solution_set(parallel, range(n))
 
 
 class TestDpllDegeneration:

@@ -74,7 +74,7 @@ def reference(c: CnfSet, cfg: SolverConfig) -> list:
 def configs():
     for mode, n0, depth in itertools.product(
             (DECIDE, ENUMERATE), range(1, 7), range(1, 5)):
-        yield SolverConfig(n0=n0, split_depth=depth, workers=1, mode=mode)
+        yield SolverConfig(n0=n0, split_depth=depth, mode=mode)
 
 
 def random_cnfs(seed: int, count: int):
@@ -108,7 +108,7 @@ def test_special_cases_match_reference(name):
 
 def test_extra_variables_come_out_as_dont_cares():
     c = SPECIAL["extra variables are don't-cares"]
-    cfg = SolverConfig(n0=1, split_depth=1, workers=1, mode=ENUMERATE)
+    cfg = SolverConfig(n0=1, split_depth=1, mode=ENUMERATE)
     solutions = solve_sat(c, cfg).solutions
     assert solutions
     for s in solutions:
@@ -122,14 +122,6 @@ def test_random_cnfs_match_reference(seed):
         for c in cases:
             assert solve_sat(c, cfg).solutions == reference(c, cfg), (
                 cfg, c.clauses)
-
-
-def test_workers_do_not_change_the_solutions():
-    for c in random_cnfs(99, 20):
-        for mode in (DECIDE, ENUMERATE):
-            one = SolverConfig(n0=2, split_depth=2, workers=1, mode=mode)
-            four = SolverConfig(n0=2, split_depth=2, workers=4, mode=mode)
-            assert solve_sat(c, one).solutions == solve_sat(c, four).solutions
 
 
 @pytest.mark.parametrize("lits", [

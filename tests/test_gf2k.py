@@ -25,7 +25,7 @@ SQRT_THETA = 0b110  # theta^2 + theta
 
 
 def cfg():
-    return SolverConfig(n0=2, split_depth=1, workers=1, mode=ENUMERATE)
+    return SolverConfig(n0=2, split_depth=1, mode=ENUMERATE)
 
 
 class TestFieldArithmetic:

@@ -53,7 +53,7 @@ x, y, z, w = var(0), var(1), var(2), var(3)
 
 
 def cfg(**kw):
-    base = dict(n0=2, split_depth=2, workers=1, mode=ENUMERATE)
+    base = dict(n0=2, split_depth=2, mode=ENUMERATE)
     base.update(kw)
     return SolverConfig(**base)
 
@@ -238,15 +238,6 @@ class TestBoolSolve:
                 got = expanded_solution_set(out, s.root_vars)
                 assert got <= oracle
 
-    def test_worker_pool_agrees_with_serial(self, rng):
-        for _ in range(15):
-            s = random_system(rng, 7, 4)
-            serial = bool_solve(s, cfg())
-            parallel = bool_solve(s, cfg(workers=4))
-            assert serial.status == parallel.status
-            assert expanded_solution_set(serial, s.root_vars) == \
-                expanded_solution_set(parallel, s.root_vars)
-
     def test_free_variables_reported_symbolically(self):
         s = BoolSystem.root([(x, const(1))], [0, 1, 2])
         out = bool_solve(s, cfg())
@@ -292,8 +283,6 @@ class TestSystemFormat:
             SolverConfig(n0=0)
         with pytest.raises(ValueError):
             SolverConfig(split_depth=0)
-        with pytest.raises(ValueError):
-            SolverConfig(workers=0)
         with pytest.raises(ValueError):
             SolverConfig(mode="guess")
 
