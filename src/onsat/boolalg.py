@@ -260,19 +260,32 @@ class BoolFunc:
         return got
 
     def __eq__(self, other) -> bool:
+        """Structural equality, walked with an explicit stack of node pairs."""
         if self is other:
             return True
         if not isinstance(other, BoolFunc):
             return NotImplemented
-        if hash(self) != hash(other) or self.kind != other.kind:
-            return False
-        if self.kind == VAR:
-            return self.var == other.var
-        if self.kind == CONST:
-            return self.value == other.value
-        if self.kind == NOT:
-            return self.left == other.left
-        return self.left == other.left and self.right == other.right
+        stack = [(self, other)]
+        seen = set()
+        while stack:
+            f, g = stack.pop()
+            if f is g or (id(f), id(g)) in seen:
+                continue
+            seen.add((id(f), id(g)))
+            if hash(f) != hash(g) or f.kind != g.kind:
+                return False
+            k = f.kind
+            if k == VAR:
+                if f.var != g.var:
+                    return False
+            elif k == CONST:
+                if f.value != g.value:
+                    return False
+            else:
+                stack.append((f.left, g.left))
+                if k != NOT:
+                    stack.append((f.right, g.right))
+        return True
 
     def __hash__(self) -> int:
         got = self._hash
@@ -859,6 +872,11 @@ class VarTable:
 
 _TOKEN_RE = re.compile(r"[A-Za-z_]\w*|[01&|^~()']|\S")
 
+#: Deepest nesting of parentheses and prefix ``~`` the parser accepts.
+#: The parser, ``truth_table`` and ``substitute`` recurse once per
+#: level, so this keeps them well inside Python's recursion limit.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str, table: VarTable, line: Optional[int] = None):
@@ -866,6 +884,7 @@ class _Parser:
         self.pos = 0
         self.table = table
         self.line = line
+        self.depth = 0
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -905,10 +924,18 @@ class _Parser:
             parts.append(self.unary())
         return and_all(parts)
 
+    def nest(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested too deeply (over {MAX_NESTING} levels)")
+
     def unary(self) -> BoolFunc:
         if self.peek() == "~":
             self.take()
-            return not_(self.unary())
+            self.nest()
+            f = not_(self.unary())
+            self.depth -= 1
+            return f
         return self.postfix()
 
     def postfix(self) -> BoolFunc:
@@ -923,9 +950,11 @@ class _Parser:
         if tok is None:
             self.fail("unexpected end of expression")
         if tok == "(":
+            self.nest()
             f = self.disjunction()
             if self.take() != ")":
                 self.fail("missing closing parenthesis")
+            self.depth -= 1
             return f
         if tok == "0":
             return _CONST0

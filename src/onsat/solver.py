@@ -1,19 +1,34 @@
 """Decomposition solver for systems of Boolean equations.
 
 A system is a list of equations lhs = rhs over a shared variable
-universe.  Solving alternates two moves until every branch either
-conflicts or fits under the brute-force threshold:
+universe.  Solving walks a tree of subproblems depth-first, in chain
+order: each node is reduced, and then either fits under the n0
+brute-force threshold and becomes a leaf, or splits by an orthonormal
+chain of positive-literal terms over its most frequent variables, which
+partitions its solutions among independent children.
 
-* trivial reductions (constant equations, unit literals, literal
-  equalities, forced sums/products), and
-* splitting by an orthonormal chain of terms over the most frequent
-  variables, which partitions the search space into independent
-  subproblems.
+Nodes take one of two forms, with the same walk (:func:`_search`):
 
-Subproblems are immutable values, walked depth-first in chain order,
-so runs are reproducible.  Solutions are reported compressed: an
-assignment of the constrained variables plus a list of don't-care
-variables, every expansion of which satisfies the system.
+* ANF (algebraic normal form, :mod:`onsat.anf`): each equation
+  ``l = r`` becomes the GF(2) polynomial ``l ^ r``, an XOR of
+  monomials.  A node reduces by Gauss-Jordan elimination over its
+  affine equations: an inconsistent system is a conflict, and each
+  pivot becomes a binding ``v = c ^ (sum of others)`` that is
+  substituted into the other equations, to a fixpoint.  Frequency is
+  the number of monomials a variable occurs in, and leaves build their
+  truth tables from the monomials.  Lifting solves the bindings in
+  reverse, splitting a variable that a binding mentions and nothing
+  fixes.  A system is solved in this form when every polynomial and
+  every product met along the way fits the monomial budget
+  (``anf.BUDGET``).
+* Expression trees, for every other system (an OR of k literals alone
+  has 2^k - 1 monomials): trivial reductions (constant equations, unit
+  literals, literal equalities, forced sums/products), cofactoring, and
+  leaves over the expressions' truth tables.
+
+The walk is serial and deterministic.  Solutions are reported
+compressed: an assignment of the constrained variables plus a list of
+don't-care variables, every expansion of which satisfies the system.
 """
 
 from __future__ import annotations
@@ -38,6 +53,7 @@ from .boolalg import (
     var,
     var_occurrences,
 )
+from . import anf
 from .onset import OnSet, term_chain
 
 SAT = "SAT"
@@ -438,37 +454,212 @@ def brute_force(system: BoolSystem) -> SolveOutcome:
 
 
 # ---------------------------------------------------------------------------
+# the ANF backend: polynomial equations, Gauss-Jordan bindings
+
+class _AnfSearch:
+    """Search nodes over the ANF of the root equations.
+
+    Variable ids map to bits in id order; ``cbit``, above all of them,
+    stands for the constant in affine rows.  A node is (equations,
+    zeros, ones, bindings): the polynomials that must be 0, the bits
+    fixed to 0 and to 1 by splits, and the affine bindings
+    (pivot, rest) meaning pivot = rest, in the order they were made.
+    Raises OverBudget while converting a root equation that does not
+    fit :data:`anf.BUDGET`.
+    """
+
+    def __init__(self, system: BoolSystem, cfg: SolverConfig):
+        self.cfg = cfg
+        self.ids = sorted(
+            system.root_vars | system.vars
+            | {v for b in system.bindings for v in b[:2]}
+        )
+        self.cbit = cbit = 1 << len(self.ids)
+        bit = {v: 1 << i for i, v in enumerate(self.ids)}
+        memo: dict = {}
+        eqs = tuple(
+            anf.from_expr(l, bit, memo) ^ anf.from_expr(r, bit, memo)
+            for l, r in system.equations
+        )
+        # a literal equality v1 = v2 (or v2') is the affine binding it reads
+        bindings = tuple(
+            (bit[v1], bit[v2] | (0 if same_pol else cbit))
+            for v1, v2, same_pol in system.bindings
+        )
+        self.root = (eqs, 0, 0, bindings)
+        self.trail = system.trail.as_dict()
+        self.root_vars = system.root_vars
+
+    def reduce(self, node):
+        """Eliminate the affine equations to a fixpoint.
+
+        Gauss-Jordan turns them into bindings, which are substituted
+        into the rest; that may leave more equations affine.  An
+        inconsistent affine system (1 = 0 included) is a Conflict.
+        """
+        eqs, zeros, ones, bindings = node
+        cbit = self.cbit
+        while True:
+            affine, others = [], []
+            for e in eqs:
+                if e:
+                    (affine if anf.is_affine(e) else others).append(e)
+            if not affine:
+                break
+            pivots = anf.gauss_jordan([anf.row_of(e, cbit) for e in affine], cbit)
+            if pivots is None:
+                raise Conflict("inconsistent affine equations")
+            for p, row in pivots:
+                rest = row ^ p
+                others = [anf.substitute(e, p, rest, cbit) for e in others]
+                bindings += ((p, rest),)
+            eqs = others
+        occ = 0
+        for e in eqs:
+            for m in e:
+                occ |= m
+        return eqs, zeros, ones, bindings, occ
+
+    def width(self, node) -> int:
+        return node[4].bit_count()
+
+    def split(self, node) -> list:
+        """One child per term of a chain over the most frequent bits.
+
+        Frequency is the number of monomials a bit occurs in; ties break
+        toward the lowest variable id.  A term sets the first i chosen
+        bits to 1 and the next one to 0; the last term sets all to 1.
+        """
+        eqs, zeros, ones, bindings, _ = node
+        counts: dict = {}
+        for e in eqs:
+            for m in e:
+                for b in anf.bits_of(m):
+                    counts[b] = counts.get(b, 0) + 1
+        chosen = sorted(counts, key=lambda b: (-counts[b], b))[: self.cfg.split_depth]
+        children = []
+        for i in range(len(chosen) + 1):
+            zero = chosen[i] if i < len(chosen) else 0
+            one = sum(chosen[:i])
+            children.append((
+                tuple(anf.cofactor(e, zero, one) for e in eqs),
+                zeros | zero, ones | one, bindings,
+            ))
+        return children
+
+    def leaf(self, node) -> Iterator[Solution]:
+        """Brute force over the occurring bits, then lift each point."""
+        eqs, zeros, ones, bindings, occ = node
+        order = anf.bits_of(occ)
+        n = len(order)
+        mask = anf.zero_table(eqs, order)
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            idx = low.bit_length() - 1
+            local = sum(b for i, b in enumerate(order) if (idx >> (n - 1 - i)) & 1)
+            yield from self._lift(zeros | ones | occ, ones | local, bindings)
+
+    def _lift(self, known: int, ones: int, bindings) -> Iterator[Solution]:
+        """Solve the bindings in reverse, depth first.
+
+        A bit on the right of a binding that is neither fixed nor bound
+        gets both values, 0 first; bits that nothing mentions are
+        don't-cares.  The stack holds one pending branch per split bit.
+        """
+        cbit = self.cbit
+        stack = [(len(bindings), known | cbit, ones | cbit)]
+        while stack:
+            i, known, ones = stack.pop()
+            while i:
+                p, rest = bindings[i - 1]
+                free = rest & ~known
+                if free:
+                    low = free & -free
+                    stack.append((i, known | low, ones | low))
+                    known |= low
+                    continue
+                i -= 1
+                known |= p
+                if (rest & ones).bit_count() & 1:
+                    ones |= p
+            assignment = dict(self.trail)
+            for j, v in enumerate(self.ids):
+                if known >> j & 1:
+                    assignment[v] = ones >> j & 1
+            yield Solution.make(assignment, self.root_vars - assignment.keys())
+
+
+# ---------------------------------------------------------------------------
 # the search
 
-def _system_solutions(system: BoolSystem, cfg: SolverConfig) -> Iterator[Solution]:
+class _TreeSearch:
+    """Search nodes are expression-tree BoolSystems."""
+
+    def __init__(self, cfg: SolverConfig):
+        self.cfg = cfg
+
+    def reduce(self, node: BoolSystem) -> BoolSystem:
+        return triv_solve(node)[0]
+
+    def width(self, node: BoolSystem) -> int:
+        return len(node.occurring())
+
+    def split(self, node: BoolSystem) -> list:
+        return decompose(node, choose_split(node, self.cfg))
+
+    def leaf(self, node: BoolSystem) -> list:
+        return brute_force(node).solutions
+
+
+def _search(root, backend, n0: int) -> Iterator[Solution]:
     """Leaf solutions in depth-first, left-to-right order of the split tree."""
-    stack = [system]
+    stack = [root]
     while stack:
-        node = stack.pop()
         try:
-            reduced, _ = triv_solve(node)
+            node = backend.reduce(stack.pop())
         except Conflict:
             continue
-        if len(reduced.occurring()) <= cfg.n0:
-            yield from brute_force(reduced).solutions
+        if backend.width(node) <= n0:
+            yield from backend.leaf(node)
         else:
             # keep left-to-right order under LIFO popping
-            stack.extend(reversed(decompose(reduced, choose_split(reduced, cfg))))
+            stack.extend(reversed(backend.split(node)))
+
+
+def _system_solutions(system: BoolSystem, cfg: SolverConfig) -> Iterator[Solution]:
+    """The search over expression trees (trivial reductions, cofactors)."""
+    return _search(system, _TreeSearch(cfg), cfg.n0)
+
+
+def _anf_solutions(system: BoolSystem, cfg: SolverConfig) -> Iterator[Solution]:
+    """The search over ANF equations; raises OverBudget past the budget."""
+    backend = _AnfSearch(system, cfg)
+    yield from _search(backend.root, backend, cfg.n0)
 
 
 def bool_solve(system: BoolSystem, cfg: Optional[SolverConfig] = None) -> SolveOutcome:
     """Solve a Boolean system by orthonormal-term decomposition.
 
-    Trivial reductions run first at every node; nodes above the n0
-    threshold split by a term chain over the most frequent variables and
-    the pieces are solved independently.  Decide mode stops at the first
-    witness; enumerate mode collects the complete, duplicate-free
+    Systems whose equations fit the ANF budget are searched as GF(2)
+    polynomials, with affine equations eliminated by Gauss-Jordan at
+    every node; any other system (or one whose elimination outgrows the
+    budget) is searched as expression trees, with trivial reductions at
+    every node.  Either way nodes above the n0 threshold split by a term
+    chain over the most frequent variables.  Decide mode stops at the
+    first witness; enumerate mode collects the complete, duplicate-free
     solution set (compressed with don't-care lists).
     """
     if cfg is None:
         cfg = SolverConfig()
-    found = _system_solutions(system, cfg)
-    solutions = list(islice(found, 1) if cfg.mode == DECIDE else found)
+
+    def take(found):
+        return list(islice(found, 1) if cfg.mode == DECIDE else found)
+
+    try:
+        solutions = take(_anf_solutions(system, cfg))
+    except anf.OverBudget:
+        solutions = take(_system_solutions(system, cfg))
     return SolveOutcome(SAT if solutions else UNSAT, solutions)
 
 

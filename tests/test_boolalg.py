@@ -307,6 +307,31 @@ class TestOccurrences:
 
         assert BoolSystem.root([(chain(), const(1))]).vars == {0, 1, 2}
 
+    def test_deep_chains_compare_without_recursion(self):
+        # two separately built 2,099-deep chains; the second pair differs
+        # only in its deepest leaf
+        def chain(first):
+            f = var(first)
+            for i in range(1, 2100):
+                f = and_(f, var(i % 3))
+            return f
+
+        assert chain(0) == chain(0)
+        assert chain(0) is not chain(0)
+        assert not chain(0) == chain(5)
+        assert chain(0) != chain(5)
+
+    def test_shared_dags_compare_pair_by_pair(self):
+        # each level uses the one below twice: 2^40 paths, 40 node pairs
+        def dag(last):
+            f = var(0)
+            for i in range(1, 40):
+                f = (f ^ var(i)) & (var(i) ^ f)
+            return f & var(last)
+
+        assert dag(1) == dag(1)
+        assert dag(1) != dag(2)
+
 
 class TestParser:
     def test_precedence(self):

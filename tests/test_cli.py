@@ -4,6 +4,8 @@ import tracemalloc
 
 import pytest
 
+from onsat.anf import OverBudget, from_expr
+from onsat.boolalg import MAX_NESTING, VarTable, parse_expr
 from onsat.cli import main
 
 
@@ -190,13 +192,54 @@ class TestEnumerationCap:
         assert err.startswith("onsat: 2^26 evaluations exceed the cap")
         assert peak < 2 << 20
 
-    def test_system_leaf(self, run, tmp_path):
-        path = tmp_path / "wide.sys"
-        path.write_text(" ^ ".join(f"x{v}" for v in range(self.WIDE)) + " = 1\n")
+    def check_system_leaf(self, run, path, line):
+        path.write_text(line + " = 1\n")
         code, out, err, peak = self.run_traced(run, path)
         assert (code, out) == (1, "")
         assert err.startswith("onsat: 2^26 evaluations exceed the cap")
         assert peak < 2 << 20
+
+    def test_system_leaf(self, run, tmp_path):
+        # a sum of products: no affine equation to eliminate, so the
+        # whole system is one ANF leaf
+        pairs = [f"x{v} & x{v + 1}" for v in range(0, self.WIDE, 2)]
+        self.check_system_leaf(run, tmp_path / "wide.sys", " ^ ".join(pairs))
+
+    def test_system_tree_leaf(self, run, tmp_path):
+        # a wide OR is over the ANF budget and reaches an expression-tree leaf
+        line = " | ".join(f"x{v}" for v in range(self.WIDE))
+        self.check_system_leaf(run, tmp_path / "wide.sys", line)
+
+
+class TestNesting:
+    """Deep nesting exits 1 with a message instead of a RecursionError."""
+
+    @pytest.mark.parametrize("line", [
+        "(" * 3000 + "a" + ")" * 3000 + " = 1",
+        "~" * 5000 + "a = 1",
+        "(" * MAX_NESTING + "~" + "a" + ")" * MAX_NESTING + " = 1",
+    ])
+    def test_too_deep_is_a_parse_error(self, run, tmp_path, line):
+        path = tmp_path / "deep.sys"
+        path.write_text(line + "\n")
+        code, out, err = run("solve", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("onsat: line 1: ")
+        assert "nested too deeply" in err
+
+    def test_at_the_bound_solves_on_the_tree_path(self, run, tmp_path):
+        # x0 | (x1 | (... (x99 | x100))): one OR per level, over the ANF
+        # budget, so truth tables and cofactors recurse through every level
+        depth = MAX_NESTING
+        expr = "".join(f"(x{i} | " for i in range(depth)) + f"x{depth}" + ")" * depth
+        with pytest.raises(OverBudget):
+            table = VarTable()
+            from_expr(parse_expr(expr, table), {v: 1 << v for v in range(len(table))}, {})
+        path = tmp_path / "deep.sys"
+        path.write_text(f"{expr} = 1\n")
+        code, out, _ = run("solve", str(path), "--n0", "4")
+        assert code == 10
+        assert 1 in json.loads(out)["assignment"].values()
 
 
 class TestVerify:

@@ -249,6 +249,15 @@ class TestCurveEnumeration:
                 boolean = enumerate_curve(curve, field, BOOLEAN_SOLVER)
                 assert direct == boolean
 
+    def test_methods_agree_on_a_degree_8_curve(self):
+        # affordable on the Boolean route because the coordinate equations
+        # are solved as GF(2) polynomials: affine in y once x is fixed
+        field = Field(0x11B)
+        curve = Curve(a1=1, a2=1, a6=3)
+        boolean = enumerate_curve(curve, field, BOOLEAN_SOLVER)
+        assert boolean == enumerate_curve(curve, field, FIELD_DIRECT)
+        assert len(boolean) == 239
+
     def test_every_point_satisfies_the_curve(self):
         for x, y in enumerate_curve(self.CURVE, F8, FIELD_DIRECT):
             lhs = F8.square(y)
