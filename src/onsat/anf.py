@@ -5,9 +5,16 @@ is a bitmask over variable bits, and 0 is the constant monomial 1.
 XOR is symmetric difference, a product multiplies out pairwise with
 x * x = x, and a monomial that appears twice cancels.
 
-Everything is bounded by :data:`BUDGET`.  A polynomial that would grow
-past it raises :class:`OverBudget`, so a caller can keep a wide OR (an
-OR of k literals has 2^k - 1 monomials) in expression form instead.
+A system is converted only when its polynomials are no larger than
+its expressions: when they hold more monomials than the expressions
+have distinct nodes, :func:`from_system` raises :class:`OverBudget`, so
+a caller can keep it in expression form.  An OR of k positive literals
+is 2k - 1 nodes but 2^k - 1 monomials; on clause-like systems of such
+ORs the expression-tree search was measured faster, and on the
+quadratic systems of GF(2^k) curves and of planted MQ (0.1 to 0.5
+monomials per node) the polynomial search.  Every polynomial and
+product is also bounded by :data:`BUDGET`, so that substitution cannot
+blow up.
 
 An affine equation (every monomial of degree <= 1) is a row: its
 variable bits plus a constant bit above all of them.  Gauss-Jordan
@@ -23,6 +30,7 @@ from .boolalg import AND, CONST, NOT, VAR, XOR, BoolFunc, _check_cap, _var_patte
 
 #: Most monomials in one polynomial, and most monomial pairs in one
 #: product; past either the conversion or the elimination gives up.
+#: The benchmark's systems stay far below it (45 monomials at most).
 BUDGET = 1 << 10
 
 ZERO = frozenset()
@@ -30,7 +38,8 @@ ONE = frozenset((0,))
 
 
 class OverBudget(Exception):
-    """A polynomial or a product outgrew :data:`BUDGET`."""
+    """A polynomial or a product outgrew :data:`BUDGET`, or a system's
+    polynomials outgrew its expressions."""
 
 
 def _checked(out: set) -> frozenset:
@@ -90,6 +99,20 @@ def from_expr(f: BoolFunc, bit: Mapping[int, int], memo: dict) -> frozenset:
         memo[id(g)] = r
         stack.pop()
     return memo[id(f)]
+
+
+def from_system(equations, bit: Mapping[int, int]) -> tuple:
+    """The polynomials ``l ^ r`` of equations ``l = r``.
+
+    Raises OverBudget when they hold more monomials than the equations'
+    expressions have distinct nodes.
+    """
+    memo: dict = {}
+    eqs = tuple(from_expr(l, bit, memo) ^ from_expr(r, bit, memo) for l, r in equations)
+    size = sum(map(len, eqs))
+    if size > len(memo):
+        raise OverBudget(f"{size} monomials from {len(memo)} expression nodes")
+    return eqs
 
 
 def cofactor(e: frozenset, zeros: int, ones: int) -> frozenset:

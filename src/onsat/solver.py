@@ -18,13 +18,13 @@ Nodes take one of two forms, with the same walk (:func:`_search`):
   the number of monomials a variable occurs in, and leaves build their
   truth tables from the monomials.  Lifting solves the bindings in
   reverse, splitting a variable that a binding mentions and nothing
-  fixes.  A system is solved in this form when every polynomial and
-  every product met along the way fits the monomial budget
-  (``anf.BUDGET``).
-* Expression trees, for every other system (an OR of k literals alone
-  has 2^k - 1 monomials): trivial reductions (constant equations, unit
-  literals, literal equalities, forced sums/products), cofactoring, and
-  leaves over the expressions' truth tables.
+  fixes.  A system is solved in this form when its polynomials hold no
+  more monomials than its expressions have nodes, and every polynomial
+  and product met along the way fits ``anf.BUDGET``.
+* Expression trees, for every other system (an OR of k positive
+  literals has 2^k - 1 monomials): trivial reductions (constant
+  equations, unit literals, literal equalities, forced sums/products),
+  cofactoring, and leaves over the expressions' truth tables.
 
 The walk is serial and deterministic.  Solutions are reported
 compressed: an assignment of the constrained variables plus a list of
@@ -375,6 +375,14 @@ def decompose(system: BoolSystem, terms: OnSet) -> list:
 # ---------------------------------------------------------------------------
 # leaves: brute force over the constrained variables
 
+def _indices(table: int) -> Iterator[int]:
+    """The indices of a truth table's 1 bits, lowest first."""
+    while table:
+        low = table & -table
+        yield low.bit_length() - 1
+        table ^= low
+
+
 def _local_solutions(system: BoolSystem) -> tuple[list, list]:
     """Satisfying assignments over the occurring variables.
 
@@ -395,44 +403,87 @@ def _local_solutions(system: BoolSystem) -> tuple[list, list]:
         )
         if mask == 0:
             break
-    indices = []
-    m = mask
-    while m:
-        low = m & -m
-        indices.append(low.bit_length() - 1)
-        m ^= low
-    return occ, indices
+    return occ, list(_indices(mask))
 
 
-def _lift(system: BoolSystem, local: dict) -> Iterator[Solution]:
-    """Lift a leaf assignment to the root universe.
+class _Lifter:
+    """Lifts leaf points to solutions over a system's root universe.
 
-    Combines the trail, re-expands literal-equality bindings in reverse
-    order (splitting on the kept variable when it happens to be free),
-    and reports the remaining root variables as don't-cares.
+    Assignments are bitmasks: variable ``ids[j]`` is bit ``1 << j``, and
+    ``cbit``, above all of them, stands for the constant 1.  ``known``
+    holds the fixed bits and ``ones`` those fixed to 1.  A binding
+    (pivot, rest) reads pivot = rest, rest being variable bits plus
+    ``cbit`` for the constant; a literal equality v1 = v2 (or ~v2) is
+    the binding of one variable.  ``known``, ``ones`` and ``bindings``
+    start as the system's trail and literal-equality bindings.
     """
-    assignment = system.trail.as_dict()
-    assignment.update(local)
-    free = set(system.root_vars) - set(assignment)
-    for v, _, _ in system.bindings:
-        free.discard(v)
-    partials = [(assignment, free)]
-    for v1, v2, same_pol in reversed(system.bindings):
-        fresh = []
-        for assign, dc in partials:
-            if v2 in assign:
-                b = assign[v2] if same_pol else 1 - assign[v2]
-                assign[v1] = b
-                fresh.append((assign, dc))
-            else:
-                for b2 in (0, 1):
-                    branch = dict(assign)
-                    branch[v2] = b2
-                    branch[v1] = b2 if same_pol else 1 - b2
-                    fresh.append((branch, dc - {v2}))
-        partials = fresh
-    for assign, dc in partials:
-        yield Solution.make(assign, dc)
+
+    def __init__(self, system: BoolSystem):
+        self.ids = sorted(
+            system.root_vars | system.vars | set(system.trail.keys())
+            | {v for b in system.bindings for v in b[:2]}
+        )
+        self.bit = bit = {v: 1 << i for i, v in enumerate(self.ids)}
+        self.cbit = cbit = 1 << len(self.ids)
+        self.root_vars = system.root_vars
+        self.known = self.ones = 0
+        for v, b in system.trail.items():
+            self.known |= bit[v]
+            if b:
+                self.ones |= bit[v]
+        self.bindings = tuple(
+            (bit[v1], bit[v2] | (0 if same_pol else cbit))
+            for v1, v2, same_pol in system.bindings
+        )
+
+    def leaf(self, order, indices, known: int, ones: int, bindings) -> Iterator[Solution]:
+        """Lift each point of a leaf table over the bits of ``order``.
+
+        ``order`` lists the bits most significant point bit first, and
+        ``indices`` are the table indices of the satisfying points.
+        """
+        n = len(order)
+        known |= sum(order)
+        for idx in indices:
+            point = sum(b for i, b in enumerate(order) if idx >> (n - 1 - i) & 1)
+            yield from self.lift(known, ones | point, bindings)
+
+    def lift(self, known: int, ones: int, bindings) -> Iterator[Solution]:
+        """Solve the bindings in reverse, depth first.
+
+        A bit on the right of a binding that is neither fixed nor bound
+        gets both values, 0 first; root variables that nothing fixes
+        are don't-cares.  The stack holds one pending branch per split
+        bit.
+        """
+        cbit = self.cbit
+        stack = [(len(bindings), known | cbit, ones | cbit)]
+        while stack:
+            i, known, ones = stack.pop()
+            while i:
+                p, rest = bindings[i - 1]
+                free = rest & ~known
+                if free:
+                    low = free & -free
+                    stack.append((i, known | low, ones | low))
+                    known |= low
+                    continue
+                i -= 1
+                known |= p
+                if (rest & ones).bit_count() & 1:
+                    ones |= p
+            assignment = {
+                v: ones >> j & 1 for j, v in enumerate(self.ids) if known >> j & 1
+            }
+            yield Solution.make(assignment, self.root_vars - assignment.keys())
+
+
+def _leaf_solutions(system: BoolSystem) -> Iterator[Solution]:
+    """Each satisfying point of a leaf, lifted when it is reached."""
+    occ, indices = _local_solutions(system)
+    lifter = _Lifter(system)
+    order = [lifter.bit[v] for v in occ]
+    return lifter.leaf(order, indices, lifter.known, lifter.ones, lifter.bindings)
 
 
 def brute_force(system: BoolSystem) -> SolveOutcome:
@@ -443,14 +494,8 @@ def brute_force(system: BoolSystem) -> SolveOutcome:
     variables than the enumeration cap allows raise TooManyVariables
     before any table is built.
     """
-    occ, indices = _local_solutions(system)
-    n = len(occ)
-    solutions = []
-    for idx in indices:
-        local = {v: (idx >> (n - 1 - i)) & 1 for i, v in enumerate(occ)}
-        solutions.extend(_lift(system, local))
-    status = SAT if solutions else UNSAT
-    return SolveOutcome(status, solutions)
+    solutions = list(_leaf_solutions(system))
+    return SolveOutcome(SAT if solutions else UNSAT, solutions)
 
 
 # ---------------------------------------------------------------------------
@@ -459,36 +504,20 @@ def brute_force(system: BoolSystem) -> SolveOutcome:
 class _AnfSearch:
     """Search nodes over the ANF of the root equations.
 
-    Variable ids map to bits in id order; ``cbit``, above all of them,
-    stands for the constant in affine rows.  A node is (equations,
-    zeros, ones, bindings): the polynomials that must be 0, the bits
-    fixed to 0 and to 1 by splits, and the affine bindings
-    (pivot, rest) meaning pivot = rest, in the order they were made.
-    Raises OverBudget while converting a root equation that does not
-    fit :data:`anf.BUDGET`.
+    Variables map to bits as in :class:`_Lifter`.  A node is
+    (equations, known, ones, bindings): the polynomials that must be 0,
+    the bits fixed by the trail and by splits and those fixed to 1, and
+    the affine bindings in the order they were made, starting with the
+    root's literal equalities.  Raises OverBudget when the root system
+    is not converted (:func:`anf.from_system`).
     """
 
     def __init__(self, system: BoolSystem, cfg: SolverConfig):
         self.cfg = cfg
-        self.ids = sorted(
-            system.root_vars | system.vars
-            | {v for b in system.bindings for v in b[:2]}
-        )
-        self.cbit = cbit = 1 << len(self.ids)
-        bit = {v: 1 << i for i, v in enumerate(self.ids)}
-        memo: dict = {}
-        eqs = tuple(
-            anf.from_expr(l, bit, memo) ^ anf.from_expr(r, bit, memo)
-            for l, r in system.equations
-        )
-        # a literal equality v1 = v2 (or v2') is the affine binding it reads
-        bindings = tuple(
-            (bit[v1], bit[v2] | (0 if same_pol else cbit))
-            for v1, v2, same_pol in system.bindings
-        )
-        self.root = (eqs, 0, 0, bindings)
-        self.trail = system.trail.as_dict()
-        self.root_vars = system.root_vars
+        self.lifter = lifter = _Lifter(system)
+        self.cbit = lifter.cbit
+        eqs = anf.from_system(system.equations, lifter.bit)
+        self.root = (eqs, lifter.known, lifter.ones, lifter.bindings)
 
     def reduce(self, node):
         """Eliminate the affine equations to a fixpoint.
@@ -497,7 +526,7 @@ class _AnfSearch:
         into the rest; that may leave more equations affine.  An
         inconsistent affine system (1 = 0 included) is a Conflict.
         """
-        eqs, zeros, ones, bindings = node
+        eqs, known, ones, bindings = node
         cbit = self.cbit
         while True:
             affine, others = [], []
@@ -518,7 +547,7 @@ class _AnfSearch:
         for e in eqs:
             for m in e:
                 occ |= m
-        return eqs, zeros, ones, bindings, occ
+        return eqs, known, ones, bindings, occ
 
     def width(self, node) -> int:
         return node[4].bit_count()
@@ -530,7 +559,7 @@ class _AnfSearch:
         toward the lowest variable id.  A term sets the first i chosen
         bits to 1 and the next one to 0; the last term sets all to 1.
         """
-        eqs, zeros, ones, bindings, _ = node
+        eqs, known, ones, bindings, _ = node
         counts: dict = {}
         for e in eqs:
             for m in e:
@@ -543,51 +572,16 @@ class _AnfSearch:
             one = sum(chosen[:i])
             children.append((
                 tuple(anf.cofactor(e, zero, one) for e in eqs),
-                zeros | zero, ones | one, bindings,
+                known | zero | one, ones | one, bindings,
             ))
         return children
 
     def leaf(self, node) -> Iterator[Solution]:
         """Brute force over the occurring bits, then lift each point."""
-        eqs, zeros, ones, bindings, occ = node
+        eqs, known, ones, bindings, occ = node
         order = anf.bits_of(occ)
-        n = len(order)
-        mask = anf.zero_table(eqs, order)
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            idx = low.bit_length() - 1
-            local = sum(b for i, b in enumerate(order) if (idx >> (n - 1 - i)) & 1)
-            yield from self._lift(zeros | ones | occ, ones | local, bindings)
-
-    def _lift(self, known: int, ones: int, bindings) -> Iterator[Solution]:
-        """Solve the bindings in reverse, depth first.
-
-        A bit on the right of a binding that is neither fixed nor bound
-        gets both values, 0 first; bits that nothing mentions are
-        don't-cares.  The stack holds one pending branch per split bit.
-        """
-        cbit = self.cbit
-        stack = [(len(bindings), known | cbit, ones | cbit)]
-        while stack:
-            i, known, ones = stack.pop()
-            while i:
-                p, rest = bindings[i - 1]
-                free = rest & ~known
-                if free:
-                    low = free & -free
-                    stack.append((i, known | low, ones | low))
-                    known |= low
-                    continue
-                i -= 1
-                known |= p
-                if (rest & ones).bit_count() & 1:
-                    ones |= p
-            assignment = dict(self.trail)
-            for j, v in enumerate(self.ids):
-                if known >> j & 1:
-                    assignment[v] = ones >> j & 1
-            yield Solution.make(assignment, self.root_vars - assignment.keys())
+        table = anf.zero_table(eqs, order)
+        return self.lifter.leaf(order, _indices(table), known, ones, bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +602,8 @@ class _TreeSearch:
     def split(self, node: BoolSystem) -> list:
         return decompose(node, choose_split(node, self.cfg))
 
-    def leaf(self, node: BoolSystem) -> list:
-        return brute_force(node).solutions
+    def leaf(self, node: BoolSystem) -> Iterator[Solution]:
+        return _leaf_solutions(node)
 
 
 def _search(root, backend, n0: int) -> Iterator[Solution]:
@@ -633,7 +627,7 @@ def _system_solutions(system: BoolSystem, cfg: SolverConfig) -> Iterator[Solutio
 
 
 def _anf_solutions(system: BoolSystem, cfg: SolverConfig) -> Iterator[Solution]:
-    """The search over ANF equations; raises OverBudget past the budget."""
+    """The search over ANF equations; raises OverBudget (see bool_solve)."""
     backend = _AnfSearch(system, cfg)
     yield from _search(backend.root, backend, cfg.n0)
 
@@ -641,14 +635,15 @@ def _anf_solutions(system: BoolSystem, cfg: SolverConfig) -> Iterator[Solution]:
 def bool_solve(system: BoolSystem, cfg: Optional[SolverConfig] = None) -> SolveOutcome:
     """Solve a Boolean system by orthonormal-term decomposition.
 
-    Systems whose equations fit the ANF budget are searched as GF(2)
-    polynomials, with affine equations eliminated by Gauss-Jordan at
-    every node; any other system (or one whose elimination outgrows the
-    budget) is searched as expression trees, with trivial reductions at
-    every node.  Either way nodes above the n0 threshold split by a term
-    chain over the most frequent variables.  Decide mode stops at the
-    first witness; enumerate mode collects the complete, duplicate-free
-    solution set (compressed with don't-care lists).
+    Systems whose polynomials are no larger than their expressions are
+    searched as GF(2) polynomials, with affine equations eliminated by
+    Gauss-Jordan at every node; any other system (or one whose
+    elimination outgrows ``anf.BUDGET``) is searched as expression
+    trees, with trivial reductions at every node.  Either way nodes
+    above the n0 threshold split by a term chain over the most frequent
+    variables.  Decide mode stops at the first witness; enumerate mode
+    collects the complete, duplicate-free solution set (compressed with
+    don't-care lists).
     """
     if cfg is None:
         cfg = SolverConfig()

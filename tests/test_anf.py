@@ -83,6 +83,20 @@ class TestConversion:
         with pytest.raises(anf.OverBudget):
             convert(and_all(sums), range(2 * k + 2))
 
+    def test_system_is_converted_when_no_larger_than_its_expressions(self):
+        x, y, z, w = (var(i) for i in range(4))
+        bit = {v: 1 << v for v in range(4)}
+        # x | y = 1: x + y + xy + 1, four monomials from four nodes
+        (e,) = anf.from_system([(x | y, const(1))], bit)
+        assert e == {0, 0b01, 0b10, 0b11}
+        # x | y | z = 1: eight monomials from six nodes
+        with pytest.raises(anf.OverBudget):
+            anf.from_system([(x | y | z, const(1))], bit)
+        # nodes shared between equations count once
+        quad = (x & y) ^ (z & w) ^ x
+        eqs = anf.from_system([(quad, const(1)), (x | y, quad)], bit)
+        assert eqs[1] == {0b01, 0b10, 0b11} ^ eqs[0] ^ anf.ONE
+
 
 class TestPolynomialOps:
     def test_cofactor_agrees_with_evaluation(self):
@@ -184,6 +198,51 @@ class TestAnfSearch:
         assert reduced.bindings and reduced.trail.as_dict() == {2: 1}
         out = bool_solve(reduced, cfg())
         assert expanded_solution_set(out, s.root_vars) == oracle_system_solutions(s)
+
+    def test_trail_fixes_a_bindings_kept_variable(self):
+        from onsat.solver import _system_solutions, triv_solve
+
+        x, y, z, w = (var(i) for i in range(4))
+        s = BoolSystem.root([(x, y), (y, const(1)), (z ^ w, const(0))])
+        reduced, _ = triv_solve(s)
+        assert reduced.bindings == ((0, 1, True),)
+        assert reduced.trail.as_dict() == {1: 1}
+        oracle = oracle_system_solutions(s)
+        for mode in (DECIDE, ENUMERATE):
+            for found in (bool_solve(reduced, cfg(mode=mode)).solutions,
+                          list(_system_solutions(reduced, cfg(mode=mode)))):
+                got = {
+                    tuple(sorted(total.items()))
+                    for sol in found for total in sol.expand()
+                }
+                assert got == oracle if mode == ENUMERATE else got <= oracle
+
+    def test_reduced_roots_with_units_and_bindings(self):
+        from onsat.solver import Conflict, triv_solve
+
+        rng = random.Random(612)
+        checked = 0
+        for _ in range(60):
+            base = random_system(rng, 6, rng.randint(1, 3))
+            a, b, c = rng.sample(range(6), 3)
+            eqs = base.equations + (
+                (var(a), var(b) if rng.random() < 0.5 else ~var(b)),
+                (var(rng.choice((b, c))), const(rng.randint(0, 1))),
+            )
+            s = BoolSystem.root(eqs, range(6))
+            oracle = oracle_system_solutions(s)
+            try:
+                reduced, _ = triv_solve(s)
+            except Conflict:
+                assert not oracle
+                continue
+            for mode in (DECIDE, ENUMERATE):
+                out = bool_solve(reduced, cfg(mode=mode))
+                got = expanded_solution_set(out, s.root_vars)
+                assert got == oracle if mode == ENUMERATE else got <= oracle
+                assert out.status == (SAT if oracle else UNSAT)
+            checked += 1
+        assert checked > 30
 
     def test_elimination_over_budget_falls_back_to_the_tree(self, monkeypatch):
         # x_i = a_i + b_i substituted into x0 x1 x2 x3 x4 gives 2^5 monomials

@@ -17,6 +17,7 @@ from onsat.boolalg import (
     const,
     not_,
     or_,
+    or_all,
     substitute,
     truth_table,
     var,
@@ -117,6 +118,9 @@ class TestTrivSolve:
         out = bool_solve(s, cfg())
         got = expanded_solution_set(out, [0, 1])
         assert got == {((0, 1), (1, 0)), ((0, 0), (1, 1))}
+        # the split variable takes 0 first, on both backends
+        for found in (out.solutions, list(_system_solutions(s, cfg()))):
+            assert [sol.assignment for sol in found] == [((0, 1), (1, 0)), ((0, 0), (1, 1))]
 
     def test_chained_bindings_reassemble(self):
         # x = y', y = z: both eliminated, z decides everything
@@ -239,6 +243,24 @@ class TestBoolSolve:
                 assert len(out.solutions) == 1
                 got = expanded_solution_set(out, s.root_vars)
                 assert got <= oracle
+
+    def test_decide_lifts_one_point_of_a_tree_leaf(self, monkeypatch):
+        from onsat import anf, solver as mod
+
+        # a positive OR over the ANF budget: one tree leaf of 2^k - 1 points
+        k = anf.BUDGET.bit_length() + 1
+        s = BoolSystem.root([(or_all([var(v) for v in range(k)]), const(1))])
+        lifted = []
+        lift = mod._Lifter.lift
+
+        def counting(self, *args):
+            lifted.append(args)
+            return lift(self, *args)
+
+        monkeypatch.setattr(mod._Lifter, "lift", counting)
+        out = bool_solve(s, cfg(n0=k, mode=DECIDE))
+        assert len(out.solutions) == 1 and len(lifted) == 1
+        assert expanded_solution_set(out, s.root_vars) <= oracle_system_solutions(s)
 
     def test_free_variables_reported_symbolically(self):
         s = BoolSystem.root([(x, const(1))], [0, 1, 2])
