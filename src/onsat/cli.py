@@ -17,10 +17,10 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
-from typing import Optional
+from json.encoder import encode_basestring_ascii
+from typing import Iterator, Optional
 
 from . import boolalg, cnf, expansion, gf2k, onset, solver
 from .boolalg import BoolAlgError, VarTable
@@ -96,24 +96,115 @@ def _looks_like_dimacs(text: str) -> bool:
     return False
 
 
-def _emit_solutions(outcome, names: list, args, dimacs_style: bool) -> None:
-    """Print the solutions; ``names[v]`` is the output name of variable v."""
-    solutions = outcome.solutions
-    if args.expand_dont_cares:
-        solutions = (solver.Solution.make(total, ())
-                     for s in solutions for total in s.expand())
-    if dimacs_style:
-        print("s SATISFIABLE" if outcome.sat else "s UNSATISFIABLE")
-        for s in solutions:
-            lits = [(v + 1) if b else -(v + 1) for v, b in s.assignment]
-            print("v " + " ".join(str(l) for l in sorted(lits, key=abs)) + " 0")
-    else:
-        encode = json.JSONEncoder(sort_keys=True).encode
-        for s in solutions:
-            print(encode({
-                "assignment": {names[v]: b for v, b in s.assignment},
-                "dont_care": [names[v] for v in s.dont_care],
-            }))
+class _Literals(dict):
+    """DIMACS literal fragments (``-k``, ``k``) of variable k - 1, made on
+    first use: a decide run prints one line, whatever the variable count."""
+
+    def __missing__(self, v: int) -> tuple:
+        frag = self[v] = (f"-{v + 1}", f"{v + 1}")
+        return frag
+
+
+class _Cubes:
+    """Output lines of solution cubes, assembled from per-variable fragments.
+
+    Built once per solve.  Every variable has its two value fragments
+    (``"name": 0`` and ``"name": 1`` in JSON lines, ``-k`` and ``k`` in
+    DIMACS ``v`` lines) and a rank, the place of its fragment in a line:
+    JSON keys sort as strings, as ``json`` does with ``sort_keys`` (so
+    "x10" comes before "x2"), and DIMACS literals by variable.  The
+    JSON ``dont_care`` list is in variable order.  Per leaf block the
+    order of the fragments and the line's tail are built once; each
+    point then picks only the fragments of its occurring bits.
+    """
+
+    CHUNK = 256  # lines per write
+
+    def __init__(self, names: list, universe, dimacs: bool, expand: bool):
+        self.universe = sorted(universe)
+        self.dimacs = dimacs
+        self.expand = expand
+        if dimacs:
+            self.frags = _Literals()
+            self.rank = range(len(names))
+            self.head, self.sep = "v ", " "
+        else:
+            # what json.dumps gives a str, without its per-call set-up
+            self.quoted = [encode_basestring_ascii(name) for name in names]
+            self.frags = [(q + ": 0", q + ": 1") for q in self.quoted]
+            self.rank = [0] * len(names)
+            for r, v in enumerate(sorted(range(len(names)), key=names.__getitem__)):
+                self.rank[v] = r
+            self.head, self.sep = '{"assignment": {', ", "
+
+    def _tail(self, free: list) -> str:
+        if self.dimacs:
+            return " 0\n"
+        return '}, "dont_care": [' + ", ".join(self.quoted[v] for v in free) + "]}\n"
+
+    def text(self, fixed: dict, occ: list, mask: int) -> Iterator[str]:
+        """The lines of a block's points, a chunk of lines at a time.
+
+        The block is (fixed values, occurring variables, mask of
+        satisfying points) as :func:`onsat.cnf.leaf_blocks` gives it.
+        With ``expand`` the don't-cares become occurring bits too, each
+        point expanding to every value of them, first don't-care most
+        significant.
+        """
+        inside = set(occ)
+        free = [v for v in self.universe if v not in fixed and v not in inside]
+        points = solver._indices(mask)
+        slots = occ
+        if self.expand:
+            slots, d = occ + free, len(free)
+            points = ((idx << d) | j for idx in points for j in range(1 << d))
+            free = []
+        shift = {v: len(slots) - 1 - i for i, v in enumerate(slots)}
+        frags, sep = self.frags, self.sep
+        parts: list = []  # runs of fixed fragments, None where a slot goes
+        fill: list = []  # (index in parts, bit shift, fragments) per slot
+        run: list = []
+        for v in sorted([*fixed, *slots], key=self.rank.__getitem__):
+            if v in shift:
+                if run:
+                    parts.append(sep.join(run))
+                    run = []
+                fill.append((len(parts), shift[v], frags[v]))
+                parts.append(None)
+            else:
+                run.append(frags[v][fixed[v]])
+        if run:
+            parts.append(sep.join(run))
+        head, tail = self.head, self._tail(free)
+        lines: list = []
+        for idx in points:
+            for k, s, frag in fill:
+                parts[k] = frag[idx >> s & 1]
+            lines.append(head + sep.join(parts) + tail)
+            if len(lines) == self.CHUNK:
+                yield "".join(lines)
+                lines = []
+        if lines:
+            yield "".join(lines)
+
+
+def _emit_solutions(blocks, cubes: _Cubes) -> bool:
+    """Print each block's cubes as it comes; True when there was a block.
+
+    DIMACS style starts with the ``s`` status line, so it waits for the
+    first block (or the end) before printing anything.
+    """
+    write = sys.stdout.write
+    sat = False
+    for block in blocks:
+        if cubes.dimacs and not sat:
+            write("s SATISFIABLE\n")
+        sat = True
+        for text in cubes.text(*block):
+            write(text)
+    if cubes.dimacs and not sat:
+        write("s UNSATISFIABLE\n")
+    return sat
 
 
 def _run_solve(args, mode: str) -> int:
@@ -125,17 +216,24 @@ def _run_solve(args, mode: str) -> int:
     cfg = solver.SolverConfig(n0=args.n0, split_depth=args.split_depth, mode=mode)
     if input_fmt == "dimacs":
         problem = cnf.parse_dimacs(text, strict=args.strict_dimacs)
-        outcome = cnf.solve_sat(problem, cfg)
         # decide mode speaks the usual s/v protocol; enumerate mode
         # reports solution cubes as JSON lines
         dimacs_style = args.format != "json" and mode == solver.DECIDE
         names = [f"x{v + 1}" for v in range(problem.num_vars)]
-        _emit_solutions(outcome, names, args, dimacs_style=dimacs_style)
+        cubes = _Cubes(names, range(problem.num_vars), dimacs_style,
+                       args.expand_dont_cares)
+        # printed leaf by leaf as the search reaches them
+        sat = _emit_solutions(cnf.leaf_blocks(problem, cfg), cubes)
     else:
         system, table = solver.parse_system(text)
+        # collected before printing: a search that outgrows the ANF
+        # budget restarts on the expression trees (bool_solve), and
+        # streamed cubes of the first attempt would be printed twice
         outcome = solver.bool_solve(system, cfg)
-        _emit_solutions(outcome, table.names, args, dimacs_style=False)
-    return 10 if outcome.sat else 20
+        cubes = _Cubes(table.names, system.root_vars, False, args.expand_dont_cares)
+        sat = _emit_solutions(
+            ((s.as_dict(), [], 1) for s in outcome.solutions), cubes)
+    return 10 if sat else 20
 
 
 def _verify_identities(args) -> int:

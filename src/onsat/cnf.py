@@ -15,7 +15,7 @@ branches over the full pure-literal chain instead.
 The clause-level functions (``assign_and_reduce``, ``propagate_units``,
 ``assign_pure_round``, ``pure_literal_chain``, ``decompose_cnf``,
 ``choose_split_cnf``) state that loop one step at a time on clause
-copies.  ``solve_sat`` walks the same tree, node for node, without
+copies.  ``leaf_blocks`` walks the same tree, node for node, without
 copying: one assignment trail, per-literal occurrence lists, and per
 clause the counts of true and of free literals, plus per literal the
 count of unsatisfied clauses it still occurs in.  Assigning a literal
@@ -23,13 +23,14 @@ updates the counters of the clauses it touches and reports new units
 and conflicts; undo replays the trail backwards to a node's mark.  The
 literal counts give the pure literals, the occurring variables and the
 split frequencies without rescanning the clauses.  The walk is serial
-and depth-first, so its output is the same on every run.
+and depth-first, so its output is the same on every run.  It hands out
+one leaf's points at a time, so a caller that prints them needs memory
+for the depth of the tree only; ``solve_sat`` collects them in a list.
 """
 
 from __future__ import annotations
 
 import warnings
-from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 from .boolalg import (
@@ -51,6 +52,7 @@ from .solver import (
     Solution,
     SolveOutcome,
     SolverConfig,
+    _indices,
 )
 
 
@@ -316,8 +318,12 @@ def choose_split_cnf(c: CnfSet, cfg: SolverConfig) -> OnSet:
 # ---------------------------------------------------------------------------
 # the SAT engine
 
-def _brute_indices(clauses, occ: list) -> Iterator[int]:
-    """Indices of satisfying points over occ, via truth-table bitmasks."""
+def _brute_mask(clauses, occ: list) -> int:
+    """The satisfying points over occ, as a truth-table bitmask.
+
+    Bit idx is set when the point whose i-th variable takes bit
+    ``n - 1 - i`` of idx satisfies every clause.
+    """
     n = len(occ)
     full = (1 << (1 << n)) - 1
     pos = {v: i for i, v in enumerate(occ)}
@@ -335,23 +341,31 @@ def _brute_indices(clauses, occ: list) -> Iterator[int]:
         mask &= full ^ violate
         if mask == 0:
             break
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return mask
 
 
-def _leaf_solutions(fixed: dict, indices, occ: list, num_vars: int) -> list:
-    """One solution per leaf point: the fixed values plus occ's bits."""
+def _leaf_solutions(fixed: dict, trail: list, clauses: list, occ: list) -> tuple:
+    """A leaf's solutions as one block (fixed values, occ, mask).
+
+    The fixed values are ``fixed`` plus the trail's literals; the mask
+    holds the satisfying points over occ (see :func:`_brute_mask`).
+    """
+    fixed = dict(fixed)
+    for lit in trail:
+        fixed[abs(lit) - 1] = 1 if lit > 0 else 0
+    return fixed, occ, _brute_mask(clauses, occ)
+
+
+def _block_solutions(block: tuple, num_vars: int) -> Iterator[Solution]:
+    """One solution per point of a block, in ascending point order."""
+    fixed, occ, mask = block
     n = len(occ)
     dont_care = set(range(num_vars)) - fixed.keys() - set(occ)
-    out = []
-    for idx in indices:
+    for idx in _indices(mask):
         assignment = dict(fixed)
         for i, v in enumerate(occ):
             assignment[v] = (idx >> (n - 1 - i)) & 1
-        out.append(Solution.make(assignment, dont_care))
-    return out
+        yield Solution.make(assignment, dont_care)
 
 
 def _chain_terms(lits: list) -> list:
@@ -505,12 +519,11 @@ class _Engine:
         top = max((abs(l) for clause in c.clauses for l in clause), default=0)
         self.trail = _Trail(c.clauses, top)
         self.fixed = fixed
-        self.num_vars = c.num_vars
         self.cfg = cfg
         self.decide = cfg.mode == DECIDE
 
-    def _visit(self, out: list) -> Optional[list]:
-        """Process the node on the trail; its chain terms, or None at a leaf."""
+    def _visit(self) -> tuple:
+        """Process the node on the trail: (chain terms, None) or (None, leaf block)."""
         t = self.trail
         pures, occurring = t.scan()
         if self.decide:
@@ -520,36 +533,36 @@ class _Engine:
                         t.assign(lit)
                 pures, occurring = t.scan()
         elif pures:
-            return _chain_terms(pures)
+            return _chain_terms(pures), None
         if len(occurring) > self.cfg.n0:
             count = t.count
             ranked = sorted(occurring, key=lambda v: (-count[v] - count[-v], v))
             lits = [v if count[v] >= count[-v] else -v
                     for v in ranked[:self.cfg.split_depth]]
-            return _chain_terms(lits)
+            return _chain_terms(lits), None
         _check_cap(len(occurring), None)
         occ = [v - 1 for v in occurring]
-        fixed = dict(self.fixed)
-        for lit in t.trail:
-            fixed[abs(lit) - 1] = 1 if lit > 0 else 0
-        indices = _brute_indices(t.reduced_clauses(), occ)
-        if self.decide:
-            indices = islice(indices, 1)
-        out.extend(_leaf_solutions(fixed, indices, occ, self.num_vars))
-        return None
+        return None, _leaf_solutions(self.fixed, t.trail, t.reduced_clauses(), occ)
 
-    def run(self) -> list:
+    def run(self) -> Iterator[tuple]:
+        """The leaf blocks that hold a point, depth first, left to right.
+
+        Decide mode keeps only the first point and stops there.
+        """
         t = self.trail
-        out: list = []
         stack: list = []  # frames [mark, chain terms, next term]
         entered = True
         while True:
             if entered and t.propagate():
-                terms = self._visit(out)
-                if self.decide and out:
-                    return out
+                terms, block = self._visit()
                 if terms:
                     stack.append([len(t.trail), terms, 0])
+                elif block[2]:
+                    if self.decide:
+                        fixed, occ, mask = block
+                        yield fixed, occ, mask & -mask
+                        return
+                    yield block
             while stack:
                 frame = stack[-1]
                 t.undo(frame[0])
@@ -560,24 +573,42 @@ class _Engine:
                     break
                 stack.pop()
             else:
-                return out
+                return
 
 
-def solve_sat(c: CnfSet, cfg: Optional[SolverConfig] = None) -> SolveOutcome:
-    """Decide or enumerate satisfiability of a clause set.
+def leaf_blocks(c: CnfSet, cfg: Optional[SolverConfig] = None) -> Iterator[tuple]:
+    """The solutions of a clause set as leaf blocks, one leaf at a time.
+
+    A block is (fixed values, occurring variables, mask): the leaf's
+    dict of fixed variable values, its occurring variables in ascending
+    order, and the bitmask of its satisfying points over them, bit idx
+    giving variable ``occ[i]`` the value of bit ``len(occ) - 1 - i`` of
+    idx.  Variables in neither are don't-cares.  Only blocks with a
+    point come out; in decide mode that is one block of one point.
 
     The root's unit clauses are propagated by :func:`propagate_units`,
     which also rejects an empty clause; the rest of the tree is walked
-    by the trail engine, depth-first in a fixed order.  Decide mode
-    stops at the first leaf point.
+    by the trail engine, depth-first in a fixed order, so memory is
+    bounded by the depth of the tree and not by the number of points.
     """
     if cfg is None:
         cfg = SolverConfig()
     try:
         c, units = propagate_units(c)
     except Conflict:
-        return SolveOutcome(UNSAT, [])
-    solutions = _Engine(c, units.as_dict(), cfg).run()
+        return iter(())
+    return _Engine(c, units.as_dict(), cfg).run()
+
+
+def solve_sat(c: CnfSet, cfg: Optional[SolverConfig] = None) -> SolveOutcome:
+    """Decide or enumerate satisfiability of a clause set.
+
+    The list form of :func:`leaf_blocks`: one solution per point, in
+    the order the blocks and their points come.  Decide mode stops at
+    the first point.
+    """
+    solutions = [s for block in leaf_blocks(c, cfg)
+                 for s in _block_solutions(block, c.num_vars)]
     return SolveOutcome(SAT if solutions else UNSAT, solutions)
 
 

@@ -141,11 +141,27 @@ class Field:
         return range(self.size)
 
     def artin_schreier_root(self, s: int) -> Optional[int]:
-        """Some u with u^2 + u = s, or None (exists iff trace is 0)."""
-        for u in self.elements():
-            if self.square(u) ^ u == s:
-                return u
-        return None
+        """The least u with u^2 + u = s, or None (exists iff trace is 0).
+
+        u -> u^2 + u is GF(2)-linear with kernel {0, 1}, so the images
+        of theta^1 .. theta^(k-1) are independent and span the image;
+        eliminating s against them gives the root with bit 0 clear, the
+        lesser of the two roots u and u + 1.
+        """
+        basis: dict = {}  # leading bit -> (image, preimage)
+        for i in range(1, self.k):
+            image, pre = self.square(1 << i) ^ (1 << i), 1 << i
+            while image.bit_length() - 1 in basis:
+                b_image, b_pre = basis[image.bit_length() - 1]
+                image, pre = image ^ b_image, pre ^ b_pre
+            basis[image.bit_length() - 1] = (image, pre)
+        u = 0
+        while s:
+            top = basis.get(s.bit_length() - 1)
+            if top is None:
+                return None
+            s, u = s ^ top[0], u ^ top[1]
+        return u
 
     def solve_quadratic(self, p: int, q: int, r: int) -> set:
         """All T with p T^2 + q T + r = 0.

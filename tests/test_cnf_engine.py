@@ -14,7 +14,7 @@ import pytest
 
 from onsat.cnf import (
     CnfSet,
-    _brute_indices,
+    _brute_mask,
     _chain_terms,
     assign_pure_round,
     choose_split_cnf,
@@ -25,7 +25,7 @@ from onsat.cnf import (
     solve_sat,
 )
 from onsat.onset import term_chain
-from onsat.solver import DECIDE, ENUMERATE, Conflict, Solution, SolverConfig
+from onsat.solver import DECIDE, ENUMERATE, Conflict, Solution, SolverConfig, _indices
 from conftest import random_clauses
 
 
@@ -51,7 +51,7 @@ def reference(c: CnfSet, cfg: SolverConfig) -> list:
             chain = pure_literal_chain(c)
         occ = sorted(c.occurring())
         if chain is None and len(occ) <= cfg.n0:
-            for idx in _brute_indices(c.clauses, occ):
+            for idx in _indices(_brute_mask(c.clauses, occ)):
                 point = {v: (idx >> (len(occ) - 1 - i)) & 1
                          for i, v in enumerate(occ)}
                 assignment = {**fixed, **point}

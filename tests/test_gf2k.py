@@ -11,6 +11,7 @@ from onsat.gf2k import (
     Field,
     NotQuadratic,
     SymbolicElement,
+    _is_irreducible,
     curve_points_at_x,
     enumerate_curve,
     lower_to_boolean,
@@ -95,6 +96,19 @@ class TestTrace:
                 assert u is not None and F8.square(u) ^ u == s
             else:
                 assert u is None
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_artin_schreier_matches_exhaustive_scan(self, k):
+        # the least root by scanning every element, for every s, in a few
+        # random irreducible fields of each degree
+        rng = random.Random(k)
+        moduli = [m for m in range(1 << k, 1 << (k + 1)) if _is_irreducible(m)]
+        for modulus in rng.sample(moduli, min(3, len(moduli))):
+            field = Field(modulus)
+            for s in field.elements():
+                least = next((u for u in field.elements()
+                              if field.square(u) ^ u == s), None)
+                assert field.artin_schreier_root(s) == least, (modulus, s)
 
 
 class TestQuadratic:

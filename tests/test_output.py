@@ -1,0 +1,191 @@
+"""What ``onsat solve|enumerate`` prints, and when.
+
+The CLI writes cube lines from per-variable fragments as the CNF search
+reaches each leaf.  ``old_rendering`` is the rendering those lines must
+reproduce byte for byte: one dict per cube, encoded by
+``json.JSONEncoder(sort_keys=True)``, over the ``solve_sat`` or
+``bool_solve`` solution list.
+"""
+
+import contextlib
+import io
+import json
+import random
+import tracemalloc
+
+import pytest
+
+from onsat.cli import main
+from onsat.cnf import parse_dimacs, solve_sat
+from onsat.solver import DECIDE, ENUMERATE, Solution, SolverConfig, bool_solve, parse_system
+
+
+def old_rendering(outcome, names: list, expand: bool, dimacs_style: bool) -> str:
+    solutions = outcome.solutions
+    if expand:
+        solutions = [Solution.make(total, ())
+                     for s in solutions for total in s.expand()]
+    lines = []
+    if dimacs_style:
+        lines.append("s SATISFIABLE" if outcome.sat else "s UNSATISFIABLE")
+        for s in solutions:
+            lits = [(v + 1) if b else -(v + 1) for v, b in s.assignment]
+            lines.append("v " + " ".join(str(l) for l in sorted(lits, key=abs)) + " 0")
+    else:
+        encode = json.JSONEncoder(sort_keys=True).encode
+        for s in solutions:
+            lines.append(encode({
+                "assignment": {names[v]: b for v, b in s.assignment},
+                "dont_care": [names[v] for v in s.dont_care],
+            }))
+    return "".join(line + "\n" for line in lines)
+
+
+def run_cli(argv: list) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# (flags, n0, split_depth)
+FLAG_SETS = [([], 16, 3), (["--split-depth", "1", "--n0", "2"], 2, 1), (["--n0", "4"], 4, 3)]
+
+
+def check_cnf(path, text: str) -> None:
+    """Every mode and output style of one CNF file against the oracle."""
+    path.write_text(text)
+    problem = parse_dimacs(text)
+    names = [f"x{v + 1}" for v in range(problem.num_vars)]
+    for flags, n0, depth in FLAG_SETS:
+        for command, mode in (("solve", DECIDE), ("enumerate", ENUMERATE)):
+            outcome = solve_sat(problem, SolverConfig(n0=n0, split_depth=depth, mode=mode))
+            for extra in ([], ["--format", "json"], ["--expand-dont-cares"]):
+                dimacs_style = mode == DECIDE and "--format" not in extra
+                expected = old_rendering(outcome, names, "--expand-dont-cares" in extra,
+                                         dimacs_style)
+                code, out, _ = run_cli([command, str(path), *flags, *extra])
+                assert code == (10 if outcome.sat else 20)
+                assert out == expected, (command, flags, extra)
+
+
+class TestFormatterMatchesJsonEncoder:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_cnfs_over_ten_variables(self, tmp_path, seed):
+        # with more than 9 variables "x10" sorts before "x2"; header
+        # variables beyond the used ones are don't-cares
+        rng = random.Random(seed)
+        for i in range(6):
+            n = rng.randint(11, 14)
+            clauses = [[v if rng.random() < 0.5 else -v
+                        for v in rng.sample(range(1, n + 1), 3)]
+                       for _ in range(rng.randint(n, 3 * n))]
+            declared = n + rng.randint(0, 2)
+            text = f"p cnf {declared} {len(clauses)}\n" + "".join(
+                " ".join(map(str, c)) + " 0\n" for c in clauses)
+            check_cnf(tmp_path / f"r{seed}-{i}.cnf", text)
+
+    def test_empty_assignment(self, tmp_path):
+        # no clauses: every variable is a don't-care
+        check_cnf(tmp_path / "free.cnf", "p cnf 12 0\n")
+
+    def test_empty_dont_care(self, tmp_path):
+        # every variable fixed by a unit clause
+        units = "".join(f"{v if v % 3 else -v} 0\n" for v in range(1, 13))
+        check_cnf(tmp_path / "fixed.cnf", f"p cnf 12 12\n{units}")
+
+    def test_unsatisfiable(self, tmp_path):
+        check_cnf(tmp_path / "unsat.cnf", "p cnf 11 3\n1 0\n-1 11 0\n-11 0\n")
+
+    def test_system_names_out_of_id_order(self, tmp_path):
+        # ids follow first mention; names sort otherwise, and the
+        # don't-care list stays in id order; a non-ASCII name is escaped
+        text = ("vars: zeta, b10, b2, alpha, spare, Q, _u, \u00f1u\n"
+                "zeta ^ b2 = alpha\n"
+                "b10 | Q = 1\n"
+                "alpha & _u = 0\n")
+        path = tmp_path / "names.sys"
+        path.write_text(text)
+        system, table = parse_system(text)
+        for flags, n0, depth in FLAG_SETS:
+            for command, mode in (("solve", DECIDE), ("enumerate", ENUMERATE)):
+                outcome = bool_solve(system, SolverConfig(n0=n0, split_depth=depth, mode=mode))
+                for expand in (False, True):
+                    extra = ["--expand-dont-cares"] if expand else []
+                    code, out, _ = run_cli([command, str(path), *flags, *extra])
+                    assert code == 10
+                    assert out == old_rendering(outcome, table.names, expand, False)
+
+
+class LineCounter:
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestStreaming:
+    def test_cnf_enumerate_memory_is_bounded_by_depth(self, tmp_path):
+        # 16 pairs a = ~b: 65,536 cubes of 32 variables over 4,096 leaves
+        # (n0 = 8), each printed when its leaf is reached instead of being
+        # gathered in a list of solutions first
+        pairs = 16
+        clauses = []
+        for i in range(pairs):
+            a, b = 2 * i + 1, 2 * i + 2
+            clauses += [f"{a} {b} 0", f"-{a} -{b} 0"]
+        path = tmp_path / "pairs.cnf"
+        path.write_text(f"p cnf {2 * pairs} {len(clauses)}\n" + "\n".join(clauses) + "\n")
+        sink = LineCounter()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["enumerate", str(path), "--n0", "8"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, sink.lines) == (10, 1 << pairs)
+        assert peak < 2 << 20
+
+
+class TestCapAfterOutput:
+    """A later leaf over the 2^24 cap ends an enumeration already printing."""
+
+    @pytest.fixture
+    def late_wide_leaf(self, tmp_path):
+        # x1 = 0 leaves an alternating chain over x2..x28 (2 solutions,
+        # reached first); x1 = 1 leaves one over x29..x53: 25 variables,
+        # no unit or pure literal, so a leaf over the cap at --n0 26
+        clauses = []
+        for lo, hi, s in ((2, 28, 1), (29, 53, -1)):
+            for x in range(lo, hi):
+                clauses += [(s, x, x + 1), (s, -x, -(x + 1))]
+        path = tmp_path / "late.cnf"
+        path.write_text(f"p cnf 53 {len(clauses)}\n" + "".join(
+            " ".join(map(str, c)) + " 0\n" for c in clauses))
+        return path, clauses
+
+    def test_enumerate_keeps_the_complete_lines_before_the_error(self, late_wide_leaf):
+        path, clauses = late_wide_leaf
+        code, out, err = run_cli(["enumerate", str(path), "--n0", "26"])
+        assert code == 1
+        assert err.startswith("onsat: 2^25 evaluations exceed the cap")
+        assert out.endswith("\n")
+        lines = out.splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            record = json.loads(line)
+            fixed = {int(name[1:]): b for name, b in record["assignment"].items()}
+            # a true cube: every clause has a literal made true by it
+            for clause in clauses:
+                assert any(fixed.get(abs(l)) == (l > 0) for l in clause), (clause, line)
+
+    def test_decide_stops_before_the_wide_leaf(self, late_wide_leaf):
+        path, _ = late_wide_leaf
+        code, out, _ = run_cli(["solve", str(path), "--n0", "26"])
+        assert code == 10
+        assert out.startswith("s SATISFIABLE\nv -1 ")
