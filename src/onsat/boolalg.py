@@ -638,11 +638,6 @@ def index_to_assignment(index: int, order: Sequence[int]) -> Assignment:
     return Assignment({v: (index >> (n - 1 - i)) & 1 for i, v in enumerate(order)})
 
 
-def all_assignments(order: Sequence[int]) -> Iterator[Assignment]:
-    for idx in range(1 << len(order)):
-        yield index_to_assignment(idx, order)
-
-
 def _resolve_universe(f: BoolFunc, over: Optional[Iterable[int]]) -> list:
     if over is None:
         return sorted(f.vars)
@@ -692,15 +687,6 @@ def semantically_equal(
     """Exhaustive equality over the union of the two variable sets."""
     order = sorted(set(over) if over is not None else (f.vars | g.vars))
     return truth_table(f, order, cap) == truth_table(g, order, cap)
-
-
-def is_zero(f: BoolFunc, cap: Optional[int] = None) -> bool:
-    return truth_table(f, sorted(f.vars), cap) == 0
-
-
-def is_one(f: BoolFunc, cap: Optional[int] = None) -> bool:
-    order = sorted(f.vars)
-    return truth_table(f, order, cap) == (1 << (1 << len(order))) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,8 @@ class _Cubes:
         """The lines of a block's points, a chunk of lines at a time.
 
         The block is (fixed values, occurring variables, mask of
-        satisfying points) as :func:`onsat.cnf.leaf_blocks` gives it.
+        satisfying points) as :func:`onsat.cnf.leaf_blocks` and
+        :func:`onsat.solver.leaf_blocks` give it.
         With ``expand`` the don't-cares become occurring bits too, each
         point expanding to every value of them, first don't-care most
         significant.
@@ -220,19 +221,16 @@ def _run_solve(args, mode: str) -> int:
         # reports solution cubes as JSON lines
         dimacs_style = args.format != "json" and mode == solver.DECIDE
         names = [f"x{v + 1}" for v in range(problem.num_vars)]
-        cubes = _Cubes(names, range(problem.num_vars), dimacs_style,
-                       args.expand_dont_cares)
-        # printed leaf by leaf as the search reaches them
-        sat = _emit_solutions(cnf.leaf_blocks(problem, cfg), cubes)
+        universe = range(problem.num_vars)
+        blocks = cnf.leaf_blocks(problem, cfg)
     else:
         system, table = solver.parse_system(text)
-        # collected before printing: a search that outgrows the ANF
-        # budget restarts on the expression trees (bool_solve), and
-        # streamed cubes of the first attempt would be printed twice
-        outcome = solver.bool_solve(system, cfg)
-        cubes = _Cubes(table.names, system.root_vars, False, args.expand_dont_cares)
-        sat = _emit_solutions(
-            ((s.as_dict(), [], 1) for s in outcome.solutions), cubes)
+        dimacs_style = False
+        names, universe = table.names, system.root_vars
+        blocks = solver.leaf_blocks(system, cfg)
+    cubes = _Cubes(names, universe, dimacs_style, args.expand_dont_cares)
+    # printed leaf by leaf as the search reaches them
+    sat = _emit_solutions(blocks, cubes)
     return 10 if sat else 20
 
 

@@ -22,10 +22,12 @@ count of unsatisfied clauses it still occurs in.  Assigning a literal
 updates the counters of the clauses it touches and reports new units
 and conflicts; undo replays the trail backwards to a node's mark.  The
 literal counts give the pure literals, the occurring variables and the
-split frequencies without rescanning the clauses.  The walk is serial
-and depth-first, so its output is the same on every run.  It hands out
-one leaf's points at a time, so a caller that prints them needs memory
-for the depth of the tree only; ``solve_sat`` collects them in a list.
+split frequencies without rescanning the clauses.  The trail is a
+backend of the search driver that the system path uses too
+(:func:`onsat.solver._search`), serial and depth-first, so the output
+is the same on every run.  It hands out one leaf's points at a time, so
+a caller that prints them needs memory for the depth of the tree only;
+``solve_sat`` collects them in a list.
 """
 
 from __future__ import annotations
@@ -49,10 +51,10 @@ from .solver import (
     SAT,
     UNSAT,
     BoolSystem,
-    Solution,
     SolveOutcome,
     SolverConfig,
-    _indices,
+    _search,
+    _solutions,
 )
 
 
@@ -356,18 +358,6 @@ def _leaf_solutions(fixed: dict, trail: list, clauses: list, occ: list) -> tuple
     return fixed, occ, _brute_mask(clauses, occ)
 
 
-def _block_solutions(block: tuple, num_vars: int) -> Iterator[Solution]:
-    """One solution per point of a block, in ascending point order."""
-    fixed, occ, mask = block
-    n = len(occ)
-    dont_care = set(range(num_vars)) - fixed.keys() - set(occ)
-    for idx in _indices(mask):
-        assignment = dict(fixed)
-        for i, v in enumerate(occ):
-            assignment[v] = (idx >> (n - 1 - i)) & 1
-        yield Solution.make(assignment, dont_care)
-
-
 def _chain_terms(lits: list) -> list:
     """The terms of the ON chain over signed literals, as literal lists.
 
@@ -502,15 +492,15 @@ class _Trail:
 
 
 class _Engine:
-    """Depth-first walk of the generalised DPLL tree on one trail.
+    """The CNF backend of the search driver: one trail for every node.
 
     Each node propagates units to a fixpoint, handles pure literals
     (decide: assign them, round by round; enumerate: branch on their
     chain), then brute-forces the occurring variables if there are at
     most n0 of them, else branches on the chain over the split_depth
-    most frequent variables.  A child is entered by assigning its
-    chain term on top of the parent's trail and left by undoing to the
-    parent's mark.
+    most frequent variables.  A child is entered by undoing to the
+    parent's mark and assigning its chain term; a node is the trail
+    itself.
     """
 
     def __init__(self, c: CnfSet, fixed: dict, cfg: SolverConfig):
@@ -522,9 +512,11 @@ class _Engine:
         self.cfg = cfg
         self.decide = cfg.mode == DECIDE
 
-    def _visit(self) -> tuple:
-        """Process the node on the trail: (chain terms, None) or (None, leaf block)."""
+    def visit(self, node) -> tuple:
+        """(mark, chain terms, ()) at a split, (None, None, (block,)) at a leaf."""
         t = self.trail
+        if not t.propagate():
+            return None, None, ()
         pures, occurring = t.scan()
         if self.decide:
             while pures:
@@ -533,47 +525,21 @@ class _Engine:
                         t.assign(lit)
                 pures, occurring = t.scan()
         elif pures:
-            return _chain_terms(pures), None
+            return len(t.trail), _chain_terms(pures), ()
         if len(occurring) > self.cfg.n0:
             count = t.count
             ranked = sorted(occurring, key=lambda v: (-count[v] - count[-v], v))
             lits = [v if count[v] >= count[-v] else -v
                     for v in ranked[:self.cfg.split_depth]]
-            return _chain_terms(lits), None
+            return len(t.trail), _chain_terms(lits), ()
         _check_cap(len(occurring), None)
         occ = [v - 1 for v in occurring]
-        return None, _leaf_solutions(self.fixed, t.trail, t.reduced_clauses(), occ)
+        return None, None, (_leaf_solutions(self.fixed, t.trail, t.reduced_clauses(), occ),)
 
-    def run(self) -> Iterator[tuple]:
-        """The leaf blocks that hold a point, depth first, left to right.
-
-        Decide mode keeps only the first point and stops there.
-        """
+    def enter(self, mark: int, term: list):
         t = self.trail
-        stack: list = []  # frames [mark, chain terms, next term]
-        entered = True
-        while True:
-            if entered and t.propagate():
-                terms, block = self._visit()
-                if terms:
-                    stack.append([len(t.trail), terms, 0])
-                elif block[2]:
-                    if self.decide:
-                        fixed, occ, mask = block
-                        yield fixed, occ, mask & -mask
-                        return
-                    yield block
-            while stack:
-                frame = stack[-1]
-                t.undo(frame[0])
-                terms, i = frame[1], frame[2]
-                if i < len(terms):
-                    frame[2] = i + 1
-                    entered = all(t.assign(lit) for lit in terms[i])
-                    break
-                stack.pop()
-            else:
-                return
+        t.undo(mark)
+        return t if all(t.assign(lit) for lit in term) else None
 
 
 def leaf_blocks(c: CnfSet, cfg: Optional[SolverConfig] = None) -> Iterator[tuple]:
@@ -588,8 +554,9 @@ def leaf_blocks(c: CnfSet, cfg: Optional[SolverConfig] = None) -> Iterator[tuple
 
     The root's unit clauses are propagated by :func:`propagate_units`,
     which also rejects an empty clause; the rest of the tree is walked
-    by the trail engine, depth-first in a fixed order, so memory is
-    bounded by the depth of the tree and not by the number of points.
+    by the search driver (:func:`onsat.solver._search`) on the trail
+    engine, depth-first in a fixed order, so memory is bounded by the
+    depth of the tree and not by the number of points.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -597,7 +564,8 @@ def leaf_blocks(c: CnfSet, cfg: Optional[SolverConfig] = None) -> Iterator[tuple
         c, units = propagate_units(c)
     except Conflict:
         return iter(())
-    return _Engine(c, units.as_dict(), cfg).run()
+    engine = _Engine(c, units.as_dict(), cfg)
+    return _search(engine, engine.trail, cfg.mode == DECIDE)
 
 
 def solve_sat(c: CnfSet, cfg: Optional[SolverConfig] = None) -> SolveOutcome:
@@ -607,8 +575,7 @@ def solve_sat(c: CnfSet, cfg: Optional[SolverConfig] = None) -> SolveOutcome:
     the order the blocks and their points come.  Decide mode stops at
     the first point.
     """
-    solutions = [s for block in leaf_blocks(c, cfg)
-                 for s in _block_solutions(block, c.num_vars)]
+    solutions = list(_solutions(leaf_blocks(c, cfg), range(c.num_vars)))
     return SolveOutcome(SAT if solutions else UNSAT, solutions)
 
 

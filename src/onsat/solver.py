@@ -7,7 +7,9 @@ brute-force threshold and becomes a leaf, or splits by an orthonormal
 chain of positive-literal terms over its most frequent variables, which
 partitions its solutions among independent children.
 
-Nodes take one of two forms, with the same walk (:func:`_search`):
+One driver, :func:`_search`, walks the trees of both paths (the CNF
+trail is a backend in :mod:`onsat.cnf`).  System nodes take one of two
+forms:
 
 * ANF (algebraic normal form, :mod:`onsat.anf`): each equation
   ``l = r`` becomes the GF(2) polynomial ``l ^ r``, an XOR of
@@ -19,22 +21,23 @@ Nodes take one of two forms, with the same walk (:func:`_search`):
   truth tables from the monomials.  Lifting solves the bindings in
   reverse, splitting a variable that a binding mentions and nothing
   fixes.  A system is solved in this form when its polynomials hold no
-  more monomials than its expressions have nodes, and every polynomial
-  and product met along the way fits ``anf.BUDGET``.
+  more monomials than its expressions have nodes.  A node whose
+  elimination outgrows ``anf.BUDGET`` is solved on the trees instead,
+  from the root equations cofactored by its split bits.
 * Expression trees, for every other system (an OR of k positive
   literals has 2^k - 1 monomials): trivial reductions (constant
   equations, unit literals, literal equalities, forced sums/products),
   cofactoring, and leaves over the expressions' truth tables.
 
-The walk is serial and deterministic.  Solutions are reported
-compressed: an assignment of the constrained variables plus a list of
-don't-care variables, every expansion of which satisfies the system.
+The walk is serial and deterministic and hands out one leaf at a time
+(:func:`leaf_blocks`).  Solutions are reported compressed: an
+assignment of the constrained variables plus a list of don't-care
+variables, every expansion of which satisfies the system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 from .boolalg import (
@@ -109,12 +112,6 @@ class BoolSystem:
         self.trail = trail
         self.bindings = tuple(bindings)
         self.root_vars = frozenset(root_vars)
-        mentioned = self.occurring()
-        if not mentioned <= self.vars:
-            missing = min(mentioned - self.vars)
-            raise ValueError(f"equation mentions undeclared variable x{missing}")
-        if set(trail.keys()) & self.vars:
-            raise ValueError("trail overlaps the open variable set")
 
     @classmethod
     def root(
@@ -122,13 +119,19 @@ class BoolSystem:
         equations: Sequence[tuple[BoolFunc, BoolFunc]],
         variables: Optional[Sequence[int]] = None,
     ) -> "BoolSystem":
+        """A system over ``variables`` (default: those mentioned); the
+        one place where an undeclared variable raises ValueError."""
         eqs = [(l, r) for l, r in equations]
         mentioned = set()
         for l, r in eqs:
             mentioned |= l.vars | r.vars
-        universe = (
-            frozenset(variables) if variables is not None else frozenset(mentioned)
-        )
+        if variables is None:
+            universe = frozenset(mentioned)
+        else:
+            universe = frozenset(variables)
+            if not mentioned <= universe:
+                missing = min(mentioned - universe)
+                raise ValueError(f"equation mentions undeclared variable x{missing}")
         return cls(eqs, universe, PartialAssignment(), (), universe)
 
     def occurring(self) -> frozenset:
@@ -336,6 +339,21 @@ def choose_split(system: BoolSystem, cfg: SolverConfig) -> OnSet:
     return term_chain([(v, True) for v in candidates[:depth]])
 
 
+def _cofactored(system: BoolSystem, q: PartialAssignment) -> BoolSystem:
+    """The system with q's variables fixed (one memo for all equations)."""
+    mapping = q.as_dict()
+    memo: dict = {}
+    eqs = []
+    for l, r in system.equations:
+        if not l.vars.isdisjoint(mapping):
+            l = cofactor(l, q, memo)
+        if not r.vars.isdisjoint(mapping):
+            r = cofactor(r, q, memo)
+        eqs.append((l, r))
+    return BoolSystem(eqs, system.vars - set(mapping), system.trail.merge(q),
+                      system.bindings, system.root_vars)
+
+
 def decompose(system: BoolSystem, terms: OnSet) -> list:
     """One subsystem per term of an ON chain.
 
@@ -351,24 +369,7 @@ def decompose(system: BoolSystem, terms: OnSet) -> list:
         if not set(q.keys()) <= system.vars:
             stray = min(set(q.keys()) - system.vars)
             raise ValueError(f"split variable x{stray} is not open")
-        mapping = q.as_dict()
-        memo: dict = {}
-        eqs = []
-        for l, r in system.equations:
-            if not l.vars.isdisjoint(mapping):
-                l = cofactor(l, q, memo)
-            if not r.vars.isdisjoint(mapping):
-                r = cofactor(r, q, memo)
-            eqs.append((l, r))
-        out.append(
-            BoolSystem(
-                eqs,
-                system.vars - set(q.keys()),
-                system.trail.merge(q),
-                system.bindings,
-                system.root_vars,
-            )
-        )
+        out.append(_cofactored(system, q))
     return out
 
 
@@ -407,7 +408,7 @@ def _local_solutions(system: BoolSystem) -> tuple[list, list]:
 
 
 class _Lifter:
-    """Lifts leaf points to solutions over a system's root universe.
+    """Lifts leaf points to one-point blocks over a system's variables.
 
     Assignments are bitmasks: variable ``ids[j]`` is bit ``1 << j``, and
     ``cbit``, above all of them, stands for the constant 1.  ``known``
@@ -425,7 +426,6 @@ class _Lifter:
         )
         self.bit = bit = {v: 1 << i for i, v in enumerate(self.ids)}
         self.cbit = cbit = 1 << len(self.ids)
-        self.root_vars = system.root_vars
         self.known = self.ones = 0
         for v, b in system.trail.items():
             self.known |= bit[v]
@@ -436,7 +436,7 @@ class _Lifter:
             for v1, v2, same_pol in system.bindings
         )
 
-    def leaf(self, order, indices, known: int, ones: int, bindings) -> Iterator[Solution]:
+    def leaf(self, order, indices, known: int, ones: int, bindings) -> Iterator[tuple]:
         """Lift each point of a leaf table over the bits of ``order``.
 
         ``order`` lists the bits most significant point bit first, and
@@ -448,13 +448,13 @@ class _Lifter:
             point = sum(b for i, b in enumerate(order) if idx >> (n - 1 - i) & 1)
             yield from self.lift(known, ones | point, bindings)
 
-    def lift(self, known: int, ones: int, bindings) -> Iterator[Solution]:
+    def lift(self, known: int, ones: int, bindings) -> Iterator[tuple]:
         """Solve the bindings in reverse, depth first.
 
         A bit on the right of a binding that is neither fixed nor bound
-        gets both values, 0 first; root variables that nothing fixes
-        are don't-cares.  The stack holds one pending branch per split
-        bit.
+        gets both values, 0 first.  Each result is a one-point block of
+        the fixed values; variables that nothing fixes are don't-cares.
+        The stack holds one pending branch per split bit.
         """
         cbit = self.cbit
         stack = [(len(bindings), known | cbit, ones | cbit)]
@@ -472,18 +472,30 @@ class _Lifter:
                 known |= p
                 if (rest & ones).bit_count() & 1:
                     ones |= p
-            assignment = {
-                v: ones >> j & 1 for j, v in enumerate(self.ids) if known >> j & 1
-            }
-            yield Solution.make(assignment, self.root_vars - assignment.keys())
+            fixed = {v: ones >> j & 1 for j, v in enumerate(self.ids) if known >> j & 1}
+            yield fixed, [], 1
 
 
-def _leaf_solutions(system: BoolSystem) -> Iterator[Solution]:
-    """Each satisfying point of a leaf, lifted when it is reached."""
+def _tree_leaf(system: BoolSystem) -> Iterator[tuple]:
+    """A leaf's table; each of its points is lifted when it is reached."""
     occ, indices = _local_solutions(system)
     lifter = _Lifter(system)
     order = [lifter.bit[v] for v in occ]
     return lifter.leaf(order, indices, lifter.known, lifter.ones, lifter.bindings)
+
+
+def _solutions(blocks, universe) -> Iterator[Solution]:
+    """One Solution per point of each block, in order; the variables of
+    ``universe`` in neither ``fixed`` nor ``occ`` are don't-cares."""
+    universe = frozenset(universe)
+    for fixed, occ, mask in blocks:
+        n = len(occ)
+        dont_care = universe.difference(fixed, occ)
+        for idx in _indices(mask):
+            assignment = dict(fixed)
+            for i, v in enumerate(occ):
+                assignment[v] = idx >> (n - 1 - i) & 1
+            yield Solution.make(assignment, dont_care)
 
 
 def brute_force(system: BoolSystem) -> SolveOutcome:
@@ -494,15 +506,69 @@ def brute_force(system: BoolSystem) -> SolveOutcome:
     variables than the enumeration cap allows raise TooManyVariables
     before any table is built.
     """
-    solutions = list(_leaf_solutions(system))
+    solutions = list(_solutions(_tree_leaf(system), system.root_vars))
     return SolveOutcome(SAT if solutions else UNSAT, solutions)
 
 
 # ---------------------------------------------------------------------------
-# the ANF backend: polynomial equations, Gauss-Jordan bindings
+# the search driver and its system backends
+
+def _search(backend, root, decide: bool) -> Iterator[tuple]:
+    """Leaf blocks that hold a point, depth first, left to right.
+
+    The backend owns the nodes.  ``visit(node)`` returns (parent,
+    children, blocks): a split gives the state its children are entered
+    from and its chain terms, a leaf its blocks, a conflict neither.
+    ``enter(parent, child)`` returns the child's node, or None on a
+    conflict.  Decide mode stops after the first point.
+    """
+    stack: list = []  # frames [parent, children, next child]
+    node = root
+    while True:
+        if node is not None:
+            parent, children, blocks = backend.visit(node)
+            if children:
+                stack.append([parent, children, 0])
+            for fixed, occ, mask in blocks:
+                if mask:
+                    if decide:
+                        yield fixed, occ, mask & -mask
+                        return
+                    yield fixed, occ, mask
+        while stack:
+            frame = stack[-1]
+            parent, children, i = frame
+            if i < len(children):
+                frame[2] = i + 1
+                node = backend.enter(parent, children[i])
+                break
+            stack.pop()
+        else:
+            return
+
+
+class _TreeSearch:
+    """Nodes are expression-tree BoolSystems: trivial reductions, then a
+    leaf or the ``decompose`` children of the split chain."""
+
+    def __init__(self, cfg: SolverConfig):
+        self.cfg = cfg
+
+    def visit(self, node: BoolSystem) -> tuple:
+        try:
+            node = triv_solve(node)[0]
+        except Conflict:
+            return None, None, ()
+        if len(node.occurring()) <= self.cfg.n0:
+            return None, None, _tree_leaf(node)
+        return None, decompose(node, choose_split(node, self.cfg)), ()
+
+    def enter(self, parent, child: BoolSystem) -> BoolSystem:
+        return child
+
 
 class _AnfSearch:
-    """Search nodes over the ANF of the root equations.
+    """Nodes over the ANF of the root equations.
 
     Variables map to bits as in :class:`_Lifter`.  A node is
     (equations, known, ones, bindings): the polynomials that must be 0,
@@ -513,28 +579,53 @@ class _AnfSearch:
     """
 
     def __init__(self, system: BoolSystem, cfg: SolverConfig):
+        self.system = system
         self.cfg = cfg
         self.lifter = lifter = _Lifter(system)
-        self.cbit = lifter.cbit
         eqs = anf.from_system(system.equations, lifter.bit)
         self.root = (eqs, lifter.known, lifter.ones, lifter.bindings)
 
-    def reduce(self, node):
+    def visit(self, node) -> tuple:
+        """Eliminate, then a leaf over the occurring bits or a split."""
+        eqs, known, ones, bindings = node
+        try:
+            eqs, bindings = self._eliminate(eqs, bindings)
+        except Conflict:
+            return None, None, ()
+        except anf.OverBudget:
+            return None, None, self._on_trees(known, ones)
+        occ = 0
+        for e in eqs:
+            for m in e:
+                occ |= m
+        if occ.bit_count() <= self.cfg.n0:
+            order = anf.bits_of(occ)
+            points = _indices(anf.zero_table(eqs, order))
+            return None, None, self.lifter.leaf(order, points, known, ones, bindings)
+        return (eqs, known, ones, bindings), self._chain(eqs), ()
+
+    def enter(self, parent, term: tuple) -> tuple:
+        """The child of a chain term (bits set to 0, bits set to 1)."""
+        eqs, known, ones, bindings = parent
+        zeros, one = term
+        return (tuple(anf.cofactor(e, zeros, one) for e in eqs),
+                known | zeros | one, ones | one, bindings)
+
+    def _eliminate(self, eqs, bindings) -> tuple:
         """Eliminate the affine equations to a fixpoint.
 
         Gauss-Jordan turns them into bindings, which are substituted
         into the rest; that may leave more equations affine.  An
         inconsistent affine system (1 = 0 included) is a Conflict.
         """
-        eqs, known, ones, bindings = node
-        cbit = self.cbit
+        cbit = self.lifter.cbit
         while True:
             affine, others = [], []
             for e in eqs:
                 if e:
                     (affine if anf.is_affine(e) else others).append(e)
             if not affine:
-                break
+                return eqs, bindings
             pivots = anf.gauss_jordan([anf.row_of(e, cbit) for e in affine], cbit)
             if pivots is None:
                 raise Conflict("inconsistent affine equations")
@@ -543,118 +634,66 @@ class _AnfSearch:
                 others = [anf.substitute(e, p, rest, cbit) for e in others]
                 bindings += ((p, rest),)
             eqs = others
-        occ = 0
-        for e in eqs:
-            for m in e:
-                occ |= m
-        return eqs, known, ones, bindings, occ
 
-    def width(self, node) -> int:
-        return node[4].bit_count()
-
-    def split(self, node) -> list:
-        """One child per term of a chain over the most frequent bits.
+    def _chain(self, eqs) -> list:
+        """The chain over the most frequent bits, as (zeros, ones) terms.
 
         Frequency is the number of monomials a bit occurs in; ties break
         toward the lowest variable id.  A term sets the first i chosen
         bits to 1 and the next one to 0; the last term sets all to 1.
         """
-        eqs, known, ones, bindings, _ = node
         counts: dict = {}
         for e in eqs:
             for m in e:
                 for b in anf.bits_of(m):
                     counts[b] = counts.get(b, 0) + 1
         chosen = sorted(counts, key=lambda b: (-counts[b], b))[: self.cfg.split_depth]
-        children = []
-        for i in range(len(chosen) + 1):
-            zero = chosen[i] if i < len(chosen) else 0
-            one = sum(chosen[:i])
-            children.append((
-                tuple(anf.cofactor(e, zero, one) for e in eqs),
-                known | zero | one, ones | one, bindings,
-            ))
-        return children
+        return [(chosen[i] if i < len(chosen) else 0, sum(chosen[:i]))
+                for i in range(len(chosen) + 1)]
 
-    def leaf(self, node) -> Iterator[Solution]:
-        """Brute force over the occurring bits, then lift each point."""
-        eqs, known, ones, bindings, occ = node
-        order = anf.bits_of(occ)
-        table = anf.zero_table(eqs, order)
-        return self.lifter.leaf(order, _indices(table), known, ones, bindings)
+    def _on_trees(self, known: int, ones: int) -> Iterator[tuple]:
+        """The blocks of a node whose elimination outgrew ``anf.BUDGET``.
 
-
-# ---------------------------------------------------------------------------
-# the search
-
-class _TreeSearch:
-    """Search nodes are expression-tree BoolSystems."""
-
-    def __init__(self, cfg: SolverConfig):
-        self.cfg = cfg
-
-    def reduce(self, node: BoolSystem) -> BoolSystem:
-        return triv_solve(node)[0]
-
-    def width(self, node: BoolSystem) -> int:
-        return len(node.occurring())
-
-    def split(self, node: BoolSystem) -> list:
-        return decompose(node, choose_split(node, self.cfg))
-
-    def leaf(self, node: BoolSystem) -> Iterator[Solution]:
-        return _leaf_solutions(node)
+        They come from the tree search of the root system cofactored by
+        the node's split bits.  The node's bindings follow from the root
+        equations under those bits, so both have the same solutions.
+        """
+        lifter = self.lifter
+        split = known & ~lifter.known
+        q = PartialAssignment({
+            v: ones >> j & 1 for j, v in enumerate(lifter.ids) if split >> j & 1
+        })
+        return _search(_TreeSearch(self.cfg), _cofactored(self.system, q), False)
 
 
-def _search(root, backend, n0: int) -> Iterator[Solution]:
-    """Leaf solutions in depth-first, left-to-right order of the split tree."""
-    stack = [root]
-    while stack:
-        try:
-            node = backend.reduce(stack.pop())
-        except Conflict:
-            continue
-        if backend.width(node) <= n0:
-            yield from backend.leaf(node)
-        else:
-            # keep left-to-right order under LIFO popping
-            stack.extend(reversed(backend.split(node)))
+def leaf_blocks(system: BoolSystem, cfg: Optional[SolverConfig] = None) -> Iterator[tuple]:
+    """The solutions of a system as leaf blocks, one leaf at a time.
 
-
-def _system_solutions(system: BoolSystem, cfg: SolverConfig) -> Iterator[Solution]:
-    """The search over expression trees (trivial reductions, cofactors)."""
-    return _search(system, _TreeSearch(cfg), cfg.n0)
-
-
-def _anf_solutions(system: BoolSystem, cfg: SolverConfig) -> Iterator[Solution]:
-    """The search over ANF equations; raises OverBudget (see bool_solve)."""
-    backend = _AnfSearch(system, cfg)
-    yield from _search(backend.root, backend, cfg.n0)
+    Blocks are as in :func:`onsat.cnf.leaf_blocks`, root variables in
+    neither part of a block being its don't-cares.  A system whose
+    polynomials are no larger than its expressions is searched in ANF,
+    any other on the expression trees; so is the subtree of a node
+    whose elimination outgrows ``anf.BUDGET``.  Memory is bounded by
+    the depth of the tree, not by the number of solutions.
+    """
+    if cfg is None:
+        cfg = SolverConfig()
+    try:
+        backend = _AnfSearch(system, cfg)
+        root = backend.root
+    except anf.OverBudget:
+        backend, root = _TreeSearch(cfg), system
+    return _search(backend, root, cfg.mode == DECIDE)
 
 
 def bool_solve(system: BoolSystem, cfg: Optional[SolverConfig] = None) -> SolveOutcome:
     """Solve a Boolean system by orthonormal-term decomposition.
 
-    Systems whose polynomials are no larger than their expressions are
-    searched as GF(2) polynomials, with affine equations eliminated by
-    Gauss-Jordan at every node; any other system (or one whose
-    elimination outgrows ``anf.BUDGET``) is searched as expression
-    trees, with trivial reductions at every node.  Either way nodes
-    above the n0 threshold split by a term chain over the most frequent
-    variables.  Decide mode stops at the first witness; enumerate mode
-    collects the complete, duplicate-free solution set (compressed with
-    don't-care lists).
+    The list form of :func:`leaf_blocks`: decide mode gives the first
+    witness, enumerate mode the complete, duplicate-free solution set,
+    compressed with don't-care lists.
     """
-    if cfg is None:
-        cfg = SolverConfig()
-
-    def take(found):
-        return list(islice(found, 1) if cfg.mode == DECIDE else found)
-
-    try:
-        solutions = take(_anf_solutions(system, cfg))
-    except anf.OverBudget:
-        solutions = take(_system_solutions(system, cfg))
+    solutions = list(_solutions(leaf_blocks(system, cfg), system.root_vars))
     return SolveOutcome(SAT if solutions else UNSAT, solutions)
 
 

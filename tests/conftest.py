@@ -90,6 +90,14 @@ def oracle_system_solutions(system) -> set:
     return out
 
 
+def tree_solutions(system, cfg) -> list:
+    """The solutions of the expression-tree search alone, in its order."""
+    from onsat.solver import DECIDE, _TreeSearch, _search, _solutions
+
+    blocks = _search(_TreeSearch(cfg), system, cfg.mode == DECIDE)
+    return list(_solutions(blocks, system.root_vars))
+
+
 def oracle_cnf_solutions(clauses, num_vars: int) -> set:
     """Satisfying assignments of DIMACS-style clauses, as sorted tuples."""
     order = list(range(num_vars))

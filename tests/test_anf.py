@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from onsat import anf
 from onsat.boolalg import Assignment, and_all, const, or_all, truth_table, var
+from onsat.cli import main
 from onsat.solver import (
     DECIDE,
     ENUMERATE,
@@ -13,14 +15,17 @@ from onsat.solver import (
     BoolSystem,
     SolverConfig,
     _AnfSearch,
-    _anf_solutions,
+    _TreeSearch,
     bool_solve,
+    parse_system,
+    triv_solve,
 )
 from conftest import (
     expanded_solution_set,
     oracle_system_solutions,
     random_shared_funcs,
     random_system,
+    tree_solutions,
 )
 
 
@@ -190,8 +195,6 @@ class TestAnfSearch:
         assert bool_solve(s, cfg(mode=DECIDE)).status == UNSAT
 
     def test_root_trail_and_literal_bindings_are_lifted(self):
-        from onsat.solver import triv_solve
-
         x, y, z, w = (var(i) for i in range(4))
         s = BoolSystem.root([(x, ~y), (z, const(1)), ((y & w) ^ x, const(0))])
         reduced, _ = triv_solve(s)
@@ -200,8 +203,6 @@ class TestAnfSearch:
         assert expanded_solution_set(out, s.root_vars) == oracle_system_solutions(s)
 
     def test_trail_fixes_a_bindings_kept_variable(self):
-        from onsat.solver import _system_solutions, triv_solve
-
         x, y, z, w = (var(i) for i in range(4))
         s = BoolSystem.root([(x, y), (y, const(1)), (z ^ w, const(0))])
         reduced, _ = triv_solve(s)
@@ -210,7 +211,7 @@ class TestAnfSearch:
         oracle = oracle_system_solutions(s)
         for mode in (DECIDE, ENUMERATE):
             for found in (bool_solve(reduced, cfg(mode=mode)).solutions,
-                          list(_system_solutions(reduced, cfg(mode=mode)))):
+                          tree_solutions(reduced, cfg(mode=mode))):
                 got = {
                     tuple(sorted(total.items()))
                     for sol in found for total in sol.expand()
@@ -218,7 +219,7 @@ class TestAnfSearch:
                 assert got == oracle if mode == ENUMERATE else got <= oracle
 
     def test_reduced_roots_with_units_and_bindings(self):
-        from onsat.solver import Conflict, triv_solve
+        from onsat.solver import Conflict
 
         rng = random.Random(612)
         checked = 0
@@ -245,22 +246,100 @@ class TestAnfSearch:
         assert checked > 30
 
     def test_elimination_over_budget_falls_back_to_the_tree(self, monkeypatch):
-        # x_i = a_i + b_i substituted into x0 x1 x2 x3 x4 gives 2^5 monomials
         monkeypatch.setattr(anf, "BUDGET", 16)
+        s = late_overflow_system()
+        _AnfSearch(s, cfg())
+        visited = []
+        visit = _TreeSearch.visit
+
+        def recording(self, node):
+            visited.append(node.trail.as_dict())
+            return visit(self, node)
+
+        monkeypatch.setattr(_TreeSearch, "visit", recording)
+        oracle = oracle_system_solutions(s)
+        for mode in (DECIDE, ENUMERATE):
+            out = bool_solve(s, cfg(n0=2, split_depth=1, mode=mode))
+            got = expanded_solution_set(out, s.root_vars)
+            if mode == ENUMERATE:
+                assert got == oracle
+                assert sum(x.expanded_count() for x in out.solutions) == len(got)
+            else:
+                # the c = 0 branch gives the witness before any overflow
+                assert len(out.solutions) == 1 and got <= oracle
+                assert not visited
+        # the tree search starts from the root cofactored by c = 1, the
+        # overflowing node's split, and stays below it
+        assert visited[0] == {C: 1}
+        assert all(trail[C] == 1 for trail in visited)
+        # a root with a trail (here z = 1 from triv_solve): the fallback
+        # cofactors by the split bits only, not by the trail
+        s = BoolSystem.root(s.equations + ((var(16), const(1)),))
+        reduced, _ = triv_solve(s)
+        assert reduced.trail.as_dict() == {16: 1}
+        out = bool_solve(reduced, cfg(n0=2, split_depth=1))
+        assert expanded_solution_set(out, s.root_vars) == oracle_system_solutions(s)
+        assert visited[-1][16] == 1
+        # an overflow at the root node itself: there the trees start
         xs = [var(i) for i in range(5)]
         eqs = [(and_all(xs), const(1))]
         eqs += [(xs[i], var(5 + 2 * i) ^ var(6 + 2 * i)) for i in range(5)]
         s = BoolSystem.root(eqs)
-        _AnfSearch(s, cfg())
-        with pytest.raises(anf.OverBudget):
-            list(_anf_solutions(s, cfg()))
+        visited.clear()
+        oracle = oracle_system_solutions(s)
         for mode in (DECIDE, ENUMERATE):
             out = bool_solve(s, cfg(mode=mode))
             got = expanded_solution_set(out, s.root_vars)
-            if mode == ENUMERATE:
-                assert got == oracle_system_solutions(s)
-            else:
-                assert len(out.solutions) == 1 and got <= oracle_system_solutions(s)
+            assert got == oracle if mode == ENUMERATE else got <= oracle
+            assert len(out.solutions) == 1 or mode == ENUMERATE
+        assert visited[0] == {}
+
+    def test_cli_prints_each_cube_once_across_the_fallback(self, monkeypatch, tmp_path,
+                                                           capsys):
+        monkeypatch.setattr(anf, "BUDGET", 16)
+        names = [f"x{i}" for i in range(5)]
+        names += [f"{ab}{i}" for i in range(5) for ab in "ab"] + ["c"]
+        text = f"vars: {', '.join(names)}\nc & x0 & x1 & x2 & x3 & x4 = c\n" + "".join(
+            f"x{i} = (c & a{i}) ^ (c & b{i})\n" for i in range(5))
+        path = tmp_path / "late.sys"
+        path.write_text(text)
+        system, table = parse_system(text)
+        assert table.names == names
+        visited = []
+        visit = _TreeSearch.visit
+        monkeypatch.setattr(_TreeSearch, "visit",
+                            lambda self, node: visited.append(node) or visit(self, node))
+        code = main(["enumerate", str(path), "--n0", "2", "--split-depth", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 10 and visited
+        assert len(set(lines)) == len(lines)
+        points = []
+        for line in lines:
+            record = json.loads(line)
+            fixed = {table.id_of(k): b for k, b in record["assignment"].items()}
+            free = [table.id_of(k) for k in record["dont_care"]]
+            for bits in itertools.product((0, 1), repeat=len(free)):
+                total = {**fixed, **dict(zip(free, bits))}
+                points.append(tuple(sorted(total.items())))
+        assert len(points) == len(set(points))
+        assert set(points) == oracle_system_solutions(system)
+
+
+#: The split variable of :func:`late_overflow_system`.
+C = 15
+
+
+def late_overflow_system():
+    """Solved on the ANF under c = 0; over a budget of 16 under c = 1.
+
+    c is in the most monomials, so the root splits on it.  Under c = 1,
+    x_i = a_i + b_i substituted into x0 x1 x2 x3 x4 gives 2^5 monomials.
+    """
+    xs = [var(i) for i in range(5)]
+    c = var(C)
+    eqs = [(c & and_all(xs), c)]
+    eqs += [(xs[i], (c & var(5 + 2 * i)) ^ (c & var(6 + 2 * i))) for i in range(5)]
+    return BoolSystem.root(eqs)
 
 
 def differential_systems():

@@ -1,10 +1,10 @@
 """What ``onsat solve|enumerate`` prints, and when.
 
-The CLI writes cube lines from per-variable fragments as the CNF search
-reaches each leaf.  ``old_rendering`` is the rendering those lines must
-reproduce byte for byte: one dict per cube, encoded by
-``json.JSONEncoder(sort_keys=True)``, over the ``solve_sat`` or
-``bool_solve`` solution list.
+The CLI writes cube lines from per-variable fragments as the search
+reaches each leaf, on the CNF and on the system path.  ``old_rendering``
+is the rendering those lines must reproduce byte for byte: one dict per
+cube, encoded by ``json.JSONEncoder(sort_keys=True)``, over the
+``solve_sat`` or ``bool_solve`` solution list.
 """
 
 import contextlib
@@ -15,6 +15,7 @@ import tracemalloc
 
 import pytest
 
+from onsat.boolalg import CONST, cofactor
 from onsat.cli import main
 from onsat.cnf import parse_dimacs, solve_sat
 from onsat.solver import DECIDE, ENUMERATE, Solution, SolverConfig, bool_solve, parse_system
@@ -151,6 +152,23 @@ class TestStreaming:
         assert (code, sink.lines) == (10, 1 << pairs)
         assert peak < 2 << 20
 
+    def test_system_enumerate_memory_is_bounded_by_depth(self, tmp_path):
+        # 16 lines a_i = ~b_i: one leaf whose 16 bindings lift to 65,536
+        # one-point cubes, each printed as it is lifted
+        pairs = 16
+        path = tmp_path / "pairs.sys"
+        path.write_text("".join(f"a{i} = ~b{i}\n" for i in range(pairs)))
+        sink = LineCounter()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["enumerate", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, sink.lines) == (10, 1 << pairs)
+        assert peak < 2 << 20
+
 
 class TestCapAfterOutput:
     """A later leaf over the 2^24 cap ends an enumeration already printing."""
@@ -189,3 +207,39 @@ class TestCapAfterOutput:
         code, out, _ = run_cli(["solve", str(path), "--n0", "26"])
         assert code == 10
         assert out.startswith("s SATISFIABLE\nv -1 ")
+
+    @pytest.fixture
+    def late_wide_system(self, tmp_path):
+        # the root splits on c (in 29 monomials): c = 0 leaves z1 | z2 = 1
+        # (3 cubes, reached first), c = 1 a sum of 24 products over
+        # y1..y25: one 25-variable ANF leaf, over the cap at --n0 26
+        chain = " ^ ".join(f"y{i} & y{i + 1}" for i in range(1, 25))
+        text = f"c & ({chain}) = c\n~c & (z1 | z2) = ~c\n"
+        path = tmp_path / "late.sys"
+        path.write_text(text)
+        return path, text
+
+    def test_system_enumerate_keeps_the_complete_lines_before_the_error(
+            self, late_wide_system):
+        path, text = late_wide_system
+        system, table = parse_system(text)
+        code, out, err = run_cli(["enumerate", str(path), "--n0", "26", "--split-depth", "1"])
+        assert code == 1
+        assert err.startswith("onsat: 2^25 evaluations exceed the cap")
+        assert out.endswith("\n")
+        lines = out.splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            record = json.loads(line)
+            fixed = {table.id_of(name): b for name, b in record["assignment"].items()}
+            assert fixed[table.id_of("c")] == 0
+            # a true cube: every equation folds to a true constant one
+            for l, r in system.equations:
+                l, r = cofactor(l, fixed), cofactor(r, fixed)
+                assert l.kind == r.kind == CONST and l.value == r.value, line
+
+    def test_system_decide_stops_before_the_wide_leaf(self, late_wide_system):
+        path, _ = late_wide_system
+        code, out, _ = run_cli(["solve", str(path), "--n0", "26", "--split-depth", "1"])
+        assert code == 10
+        assert len(out.splitlines()) == 1 and '"c": 0' in out

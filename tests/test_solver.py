@@ -1,6 +1,5 @@
 import itertools
 import random
-from itertools import islice
 
 import pytest
 
@@ -35,7 +34,6 @@ from onsat.solver import (
     Conflict,
     SolverConfig,
     _local_solutions,
-    _system_solutions,
     bool_solve,
     brute_force,
     choose_split,
@@ -50,6 +48,7 @@ from conftest import (
     random_shared_funcs,
     random_system,
     random_term_chain,
+    tree_solutions,
 )
 
 x, y, z, w = var(0), var(1), var(2), var(3)
@@ -119,7 +118,7 @@ class TestTrivSolve:
         got = expanded_solution_set(out, [0, 1])
         assert got == {((0, 1), (1, 0)), ((0, 0), (1, 1))}
         # the split variable takes 0 first, on both backends
-        for found in (out.solutions, list(_system_solutions(s, cfg()))):
+        for found in (out.solutions, tree_solutions(s, cfg())):
             assert [sol.assignment for sol in found] == [((0, 1), (1, 0)), ((0, 0), (1, 1))]
 
     def test_chained_bindings_reassemble(self):
@@ -302,6 +301,11 @@ class TestSystemFormat:
         with pytest.raises(ParseError):
             parse_system("vars: 0bad\n")
 
+    def test_root_rejects_an_undeclared_variable(self):
+        with pytest.raises(ValueError, match="undeclared variable x2"):
+            BoolSystem.root([(x ^ z, const(1))], [0, 1])
+        assert BoolSystem.root([(x ^ z, const(1))], [0, 2, 5]).vars == {0, 2, 5}
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(n0=0)
@@ -478,6 +482,4 @@ class TestSameTree:
         for s in systems:
             for n0, depth in itertools.product(range(1, 5), range(1, 4)):
                 config = cfg(n0=n0, split_depth=depth, mode=mode)
-                found = _system_solutions(s, config)
-                got = list(islice(found, 1) if mode == DECIDE else found)
-                assert got == reference_solve(s, config)
+                assert tree_solutions(s, config) == reference_solve(s, config)
