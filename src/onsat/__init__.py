@@ -14,7 +14,6 @@ from .boolalg import (
     DEFAULT_CAP,
     DuplicateVariable,
     ParseError,
-    PartialAssignment,
     Term,
     TooManyVariables,
     UndeclaredVariable,

@@ -205,7 +205,7 @@ def zero_table(eqs: Sequence[frozenset], order: Sequence[int]) -> int:
     polynomial the XOR of its monomials.
     """
     n = len(order)
-    _check_cap(n, None)
+    _check_cap(n)
     full = (1 << (1 << n)) - 1
     patterns = {b: _var_pattern(n, i) for i, b in enumerate(order)}
     monomials = {0: full}

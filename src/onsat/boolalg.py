@@ -28,7 +28,11 @@ DEFAULT_CAP = 1 << 24
 
 
 class BoolAlgError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``solver.Conflict`` and ``anf.OverBudget`` are not errors: they are
+    control-flow signals that the search raises and catches itself.
+    """
 
 
 class UndeclaredVariable(BoolAlgError, KeyError):
@@ -57,11 +61,10 @@ class ParseError(BoolAlgError):
         self.line = line
 
 
-def _check_cap(n_vars: int, cap: Optional[int]) -> None:
-    limit = DEFAULT_CAP if cap is None else cap
-    if n_vars >= limit.bit_length() or (1 << n_vars) > limit:
+def _check_cap(n_vars: int) -> None:
+    if n_vars >= DEFAULT_CAP.bit_length() or (1 << n_vars) > DEFAULT_CAP:
         raise TooManyVariables(
-            f"2^{n_vars} evaluations exceed the cap of {limit}"
+            f"2^{n_vars} evaluations exceed the cap of {DEFAULT_CAP}"
         )
 
 
@@ -70,18 +73,41 @@ def _check_cap(n_vars: int, cap: Optional[int]) -> None:
 
 
 class Assignment:
-    """A total map from variable ids to {0, 1} over a declared set."""
+    """A map from variable ids to {0, 1}: a point over the variables it
+    covers, or the partial assignment forced by a term.
+
+    Extension (`merge`) requires disjoint variable sets so that composing
+    assignments stays associative and never reorders bindings.
+    """
 
     __slots__ = ("_d", "_hash")
 
-    def __init__(self, values: Mapping[int, int]):
+    def __init__(self, values: Mapping[int, int] = ()):
         d = {}
-        for v, b in values.items():
+        for v, b in dict(values).items():
             if b not in (0, 1):
                 raise ValueError(f"assignment value for x{v} must be 0 or 1")
             d[int(v)] = int(b)
         self._d = d
         self._hash = None
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Assignment":
+        d = {}
+        for v, b in pairs:
+            if v in d:
+                raise ConflictingAssignment(f"x{v} assigned twice")
+            d[v] = b
+        return cls(d)
+
+    def merge(self, other: "Assignment") -> "Assignment":
+        overlap = self._d.keys() & other._d.keys()
+        if overlap:
+            v = min(overlap)
+            raise ConflictingAssignment(f"x{v} assigned twice")
+        d = dict(self._d)
+        d.update(other._d)
+        return Assignment(d)
 
     def __getitem__(self, var: int) -> int:
         try:
@@ -120,78 +146,6 @@ class Assignment:
     def __repr__(self) -> str:
         inner = ", ".join(f"x{v}={b}" for v, b in sorted(self._d.items()))
         return f"Assignment({inner})"
-
-
-class PartialAssignment:
-    """A map from variable ids to {0, 1} covering any subset of variables.
-
-    Extension (`merge`) requires disjoint variable sets so that composing
-    partial assignments stays associative and never reorders bindings.
-    """
-
-    __slots__ = ("_d",)
-
-    def __init__(self, values: Mapping[int, int] = ()):
-        d = {}
-        for v, b in dict(values).items():
-            if b not in (0, 1):
-                raise ValueError(f"assignment value for x{v} must be 0 or 1")
-            d[int(v)] = int(b)
-        self._d = d
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "PartialAssignment":
-        d = {}
-        for v, b in pairs:
-            if v in d:
-                raise ConflictingAssignment(f"x{v} assigned twice")
-            d[v] = b
-        return cls(d)
-
-    def merge(self, other: "PartialAssignment") -> "PartialAssignment":
-        overlap = self._d.keys() & other._d.keys()
-        if overlap:
-            v = min(overlap)
-            raise ConflictingAssignment(f"x{v} assigned twice")
-        d = dict(self._d)
-        d.update(other._d)
-        return PartialAssignment(d)
-
-    def __getitem__(self, var: int) -> int:
-        try:
-            return self._d[var]
-        except KeyError:
-            raise UndeclaredVariable(var) from None
-
-    def __contains__(self, var: int) -> bool:
-        return var in self._d
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._d)
-
-    def __len__(self) -> int:
-        return len(self._d)
-
-    def items(self):
-        return self._d.items()
-
-    def keys(self):
-        return self._d.keys()
-
-    def as_dict(self) -> dict:
-        return dict(self._d)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PartialAssignment):
-            return NotImplemented
-        return self._d == other._d
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._d.items()))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"x{v}={b}" for v, b in sorted(self._d.items()))
-        return f"PartialAssignment({inner})"
 
 
 def star(a: Assignment) -> Assignment:
@@ -512,8 +466,8 @@ class Term:
     def __len__(self) -> int:
         return len(self._lits)
 
-    def partial_assignment(self) -> PartialAssignment:
-        return PartialAssignment({v: 1 if p else 0 for v, p in self._lits.items()})
+    def partial_assignment(self) -> Assignment:
+        return Assignment({v: 1 if p else 0 for v, p in self._lits.items()})
 
     def func(self) -> BoolFunc:
         """The term as an expression (AND of its literals)."""
@@ -580,7 +534,6 @@ def _var_pattern(n: int, pos: int) -> int:
 def truth_table(
     f: BoolFunc,
     order: Sequence[int],
-    cap: Optional[int] = None,
     memo: Optional[dict] = None,
     patterns: Optional[dict] = None,
 ) -> int:
@@ -594,7 +547,7 @@ def truth_table(
     """
     order = list(order)
     n = len(order)
-    _check_cap(n, cap)
+    _check_cap(n)
     missing = f.vars - set(order)
     if missing:
         raise UndeclaredVariable(min(missing))
@@ -648,16 +601,14 @@ def _resolve_universe(f: BoolFunc, over: Optional[Iterable[int]]) -> list:
     return universe
 
 
-def zero_set(
-    f: BoolFunc, over: Optional[Iterable[int]] = None, cap: Optional[int] = None
-) -> set:
+def zero_set(f: BoolFunc, over: Optional[Iterable[int]] = None) -> set:
     """All points where f evaluates to 0, over the given variable universe.
 
     ``over`` defaults to the variables the expression mentions; pass a
     larger universe to enumerate over declared-but-unused variables.
     """
     order = _resolve_universe(f, over)
-    table = truth_table(f, order, cap)
+    table = truth_table(f, order)
     n = len(order)
     return {
         index_to_assignment(idx, order)
@@ -666,27 +617,19 @@ def zero_set(
     }
 
 
-def support(
-    f: BoolFunc, over: Optional[Iterable[int]] = None, cap: Optional[int] = None
-) -> set:
+def support(f: BoolFunc, over: Optional[Iterable[int]] = None) -> set:
     """All points where f evaluates to 1; the complement of zero_set."""
-    order = _resolve_universe(f, over)
-    table = truth_table(f, order, cap)
-    n = len(order)
-    return {
-        index_to_assignment(idx, order) for idx in range(1 << n) if (table >> idx) & 1
-    }
+    return zero_set(not_(f), over)
 
 
 def semantically_equal(
     f: BoolFunc,
     g: BoolFunc,
     over: Optional[Iterable[int]] = None,
-    cap: Optional[int] = None,
 ) -> bool:
     """Exhaustive equality over the union of the two variable sets."""
     order = sorted(set(over) if over is not None else (f.vars | g.vars))
-    return truth_table(f, order, cap) == truth_table(g, order, cap)
+    return truth_table(f, order) == truth_table(g, order)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +680,7 @@ def substitute(
 
 def cofactor(
     f: BoolFunc,
-    p: Union[PartialAssignment, Mapping[int, int], Term],
+    p: Union[Assignment, Mapping[int, int], Term],
     memo: Optional[dict] = None,
 ) -> BoolFunc:
     """f with the partial assignment substituted and constants folded.
@@ -747,8 +690,8 @@ def cofactor(
     """
     if isinstance(p, Term):
         p = p.partial_assignment()
-    elif not isinstance(p, PartialAssignment):
-        p = PartialAssignment.from_pairs(dict(p).items())
+    elif not isinstance(p, Assignment):
+        p = Assignment(p)
     return substitute(f, p, memo)
 
 

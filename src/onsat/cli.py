@@ -2,11 +2,12 @@
 
 Subcommands:
 
-* ``solve`` decides or enumerates a problem file (DIMACS CNF or the
-  equation-per-line system format, auto-detected).  Exit code 10 means
-  satisfiable, 20 unsatisfiable, 1 usage or parse error, or a
-  brute-force leaf over the enumeration cap.
-* ``enumerate`` is ``solve --mode enumerate``.
+* ``solve`` decides a problem file (DIMACS CNF or the equation-per-line
+  system format, auto-detected).  Exit code 10 means satisfiable, 20
+  unsatisfiable, 1 usage or parse error, or a brute-force leaf over the
+  enumeration cap.
+* ``enumerate`` prints every solution of a problem file, with the
+  same flags and exit codes.
 * ``verify`` runs the expansion identity suite on random functions and
   ON sets, or on a user-supplied pair.  Exit 0 when every identity
   holds.
@@ -36,8 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_solver_flags(p):
         p.add_argument("input", nargs="?", default="-",
                        help="problem file, - for stdin")
-        p.add_argument("--mode", choices=[solver.DECIDE, solver.ENUMERATE],
-                       default=None)
         p.add_argument("--n0", type=int, default=16,
                        help="brute-force threshold (variables)")
         p.add_argument("--split-depth", type=int, default=3,
@@ -92,7 +91,7 @@ def _looks_like_dimacs(text: str) -> bool:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        return line.startswith("p cnf") or line.startswith("p ")
+        return line.split()[:2] == ["p", "cnf"]
     return False
 
 
@@ -235,6 +234,8 @@ def _run_solve(args, mode: str) -> int:
 
 
 def _verify_identities(args) -> int:
+    if args.n < 1:
+        raise ValueError("--n must be at least 1")
     rng = random.Random(args.seed)
     table = VarTable()
     failures = []
@@ -367,11 +368,9 @@ def main(argv: Optional[list] = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         if args.command == "solve":
-            mode = args.mode or solver.DECIDE
-            return _run_solve(args, mode)
+            return _run_solve(args, solver.DECIDE)
         if args.command == "enumerate":
-            mode = args.mode or solver.ENUMERATE
-            return _run_solve(args, mode)
+            return _run_solve(args, solver.ENUMERATE)
         if args.command == "verify":
             return _verify_identities(args)
         if args.command == "curve":

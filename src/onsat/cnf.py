@@ -36,7 +36,8 @@ import warnings
 from typing import Iterator, Optional, Sequence
 
 from .boolalg import (
-    PartialAssignment,
+    Assignment,
+    BoolAlgError,
     ParseError,
     _check_cap,
     _var_pattern,
@@ -58,7 +59,7 @@ from .solver import (
 )
 
 
-class NoPureLiterals(Exception):
+class NoPureLiterals(BoolAlgError):
     """A pure-literal chain was requested but no literal is pure."""
 
 
@@ -193,7 +194,7 @@ def assign_and_reduce(c: CnfSet, p) -> CnfSet:
     Raises Conflict as soon as a clause loses all its literals.  This is
     the clause-level counterpart of cofactoring.
     """
-    if isinstance(p, PartialAssignment):
+    if isinstance(p, Assignment):
         p = p.as_dict()
     out = []
     for clause in c.clauses:
@@ -219,7 +220,7 @@ def unit_literals(c: CnfSet) -> list:
     return [next(iter(clause)) for clause in c.clauses if len(clause) == 1]
 
 
-def propagate_units(c: CnfSet) -> tuple[CnfSet, PartialAssignment]:
+def propagate_units(c: CnfSet) -> tuple[CnfSet, Assignment]:
     """Assign every unit clause's literal true, to a fixpoint."""
     assigned: dict = {}
     while True:
@@ -236,7 +237,7 @@ def propagate_units(c: CnfSet) -> tuple[CnfSet, PartialAssignment]:
                 raise Conflict(f"contradictory unit clauses on variable {v + 1}")
         assigned.update(step)
         c = assign_and_reduce(c, step)
-    return c, PartialAssignment(assigned)
+    return c, Assignment(assigned)
 
 
 def find_pure_literals(c: CnfSet) -> list:
@@ -254,7 +255,7 @@ def find_pure_literals(c: CnfSet) -> list:
     return [(v, pol) for v, pol in sorted(seen.items()) if pol != "mixed"]
 
 
-def assign_pure_round(c: CnfSet) -> tuple[CnfSet, PartialAssignment]:
+def assign_pure_round(c: CnfSet) -> tuple[CnfSet, Assignment]:
     """One round of pure-literal assignments, lowest variable first.
 
     The pures detected at the start of the round are assigned true in
@@ -269,7 +270,7 @@ def assign_pure_round(c: CnfSet) -> tuple[CnfSet, PartialAssignment]:
             continue
         assigned[v] = 1 if pol else 0
         c = assign_and_reduce(c, {v: assigned[v]})
-    return c, PartialAssignment(assigned)
+    return c, Assignment(assigned)
 
 
 def pure_literal_chain(c: CnfSet) -> OnSet:
@@ -532,7 +533,7 @@ class _Engine:
             lits = [v if count[v] >= count[-v] else -v
                     for v in ranked[:self.cfg.split_depth]]
             return len(t.trail), _chain_terms(lits), ()
-        _check_cap(len(occurring), None)
+        _check_cap(len(occurring))
         occ = [v - 1 for v in occurring]
         return None, None, (_leaf_solutions(self.fixed, t.trail, t.reduced_clauses(), occ),)
 

@@ -21,23 +21,22 @@ from typing import Iterable, Optional, Sequence
 
 from .boolalg import (
     Assignment,
+    BoolAlgError,
     BoolFunc,
     cofactor,
-    _check_cap,
+    conjugate,
     index_to_assignment,
     not_,
     substitute,
     truth_table,
-    var,
 )
-from .boolalg import conjugate as _conjugate_func
 from .onset import OnSet
 
 CANONICAL = "canonical"
 RATIO = "ratio"
 
 
-class ExpansionError(Exception):
+class ExpansionError(BoolAlgError):
     """Base class for expansion errors."""
 
 
@@ -162,7 +161,7 @@ def compose(f: BoolFunc, inner: Sequence[OnExpansion]) -> OnExpansion:
     return OnExpansion(composed, base, coeffs, "derived")
 
 
-def necessary_condition(e: OnExpansion, cap: Optional[int] = None) -> list:
+def necessary_condition(e: OnExpansion) -> list:
     """Indices whose coefficient can vanish somewhere.
 
     If f = 0 is consistent some index must appear here; the converse
@@ -172,16 +171,13 @@ def necessary_condition(e: OnExpansion, cap: Optional[int] = None) -> list:
     out = []
     for i, a in enumerate(e.coefficients):
         order = sorted(a.vars)
-        _check_cap(len(order), cap)
-        table = truth_table(a, order, cap)
+        table = truth_table(a, order)
         if table != (1 << (1 << len(order))) - 1:
             out.append(i)
     return out
 
 
-def sufficient_condition(
-    e: OnExpansion, cap: Optional[int] = None
-) -> Optional[Assignment]:
+def sufficient_condition(e: OnExpansion) -> Optional[Assignment]:
     """A point where every coefficient vanishes, if one exists.
 
     Such a point always satisfies f = 0; absence of one proves nothing.
@@ -190,11 +186,10 @@ def sufficient_condition(
     """
     coeff_vars = sorted(set().union(*(a.vars for a in e.coefficients))
                         if e.coefficients else set())
-    _check_cap(len(coeff_vars), cap)
     n = len(coeff_vars)
     acc = 0
     for a in e.coefficients:
-        acc |= truth_table(a, coeff_vars, cap)
+        acc |= truth_table(a, coeff_vars)
     full = (1 << (1 << n)) - 1
     if acc == full:
         return None
@@ -206,9 +201,7 @@ def sufficient_condition(
     return Assignment(witness)
 
 
-def minterm_consistency(
-    f: BoolFunc, x1: Iterable[int], cap: Optional[int] = None
-) -> bool:
+def minterm_consistency(f: BoolFunc, x1: Iterable[int]) -> bool:
     """Exact consistency of f = 0 via the minterm basis over x1.
 
     The coefficients of the minterm expansion are the cofactors of f at
@@ -221,8 +214,7 @@ def minterm_consistency(
         raise VariableAbsent(f"x{missing} not in function")
     x2 = sorted(f.vars - set(x1))
     order = x1 + x2
-    _check_cap(len(order), cap)
-    table = truth_table(f, order, cap)
+    table = truth_table(f, order)
     block = 1 << len(x2)
     ones = (1 << block) - 1
     product = ones
@@ -233,19 +225,16 @@ def minterm_consistency(
     return product != ones
 
 
-def consistency_via_support(
-    e: OnExpansion, cap: Optional[int] = None
-) -> Optional[tuple[int, Assignment]]:
+def consistency_via_support(e: OnExpansion) -> Optional[tuple[int, Assignment]]:
     """Exact consistency test for f = 0 through the member supports.
 
     Returns (k, q) with q in the support of member k and f(q) = 0, or
     None exactly when f = 0 is inconsistent.
     """
     universe = sorted(e.func.vars | e.base.vars)
-    _check_cap(len(universe), cap)
-    f_table = truth_table(e.func, universe, cap)
+    f_table = truth_table(e.func, universe)
     for k, phi in enumerate(e.base.members):
-        phi_table = truth_table(phi, universe, cap)
+        phi_table = truth_table(phi, universe)
         hit = phi_table & ~f_table
         if hit:
             idx = (hit & -hit).bit_length() - 1
@@ -266,13 +255,8 @@ def eliminant(f: BoolFunc, x: int) -> BoolFunc:
     return and_(cofactor(f, {x: 1}), cofactor(f, {x: 0}))
 
 
-def conjugate(f: BoolFunc) -> BoolFunc:
-    """f at the complemented point; zeros move to their star images."""
-    return _conjugate_func(f)
-
-
 def conjugate_expansion(e: OnExpansion) -> OnExpansion:
     """Conjugate the function, the base and every coefficient."""
-    base = OnSet([_conjugate_func(phi) for phi in e.base.members])
-    coeffs = [_conjugate_func(a) for a in e.coefficients]
-    return OnExpansion(_conjugate_func(e.func), base, coeffs, "derived")
+    base = OnSet([conjugate(phi) for phi in e.base.members])
+    coeffs = [conjugate(a) for a in e.coefficients]
+    return OnExpansion(conjugate(e.func), base, coeffs, "derived")

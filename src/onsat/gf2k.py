@@ -16,9 +16,9 @@ through the Boolean route, and the two must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .boolalg import BoolFunc, const, var, xor_all
+from .boolalg import BoolAlgError, const, var, xor_all
 from .onset import term_chain
 from .solver import (
     ENUMERATE,
@@ -29,7 +29,7 @@ from .solver import (
 )
 
 
-class NotQuadratic(Exception):
+class NotQuadratic(BoolAlgError):
     """The leading coefficient of a quadratic is zero."""
 
 

@@ -13,9 +13,9 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .boolalg import (
     Assignment,
+    BoolAlgError,
     BoolFunc,
     DuplicateVariable,
-    PartialAssignment,
     Term,
     VarTable,
     and_,
@@ -26,11 +26,10 @@ from .boolalg import (
     or_all,
     parse_expr,
     truth_table,
-    var,
 )
 
 
-class OnSetError(Exception):
+class OnSetError(BoolAlgError):
     """Base class for ON set validation failures."""
 
 
@@ -104,9 +103,7 @@ class OnSet:
         return f"OnSet(order={self.order})"
 
 
-def validate_on(
-    candidate: Sequence[BoolFunc], cap: Optional[int] = None
-) -> OnSet:
+def validate_on(candidate: Sequence[BoolFunc]) -> OnSet:
     """Check orthogonality, normality and reducedness exhaustively.
 
     Verification enumerates the union of the appearing variables, so the
@@ -114,9 +111,9 @@ def validate_on(
     """
     members = list(candidate)
     union = sorted(set().union(*(f.vars for f in members)) if members else set())
-    _check_cap(len(union), cap)
+    _check_cap(len(union))
     full = (1 << (1 << len(union))) - 1
-    tables = [truth_table(f, union, cap) for f in members]
+    tables = [truth_table(f, union) for f in members]
     for i, t in enumerate(tables):
         if t == 0:
             raise NotReduced(i)
@@ -132,7 +129,7 @@ def validate_on(
     return OnSet(members)
 
 
-def chain_from_elements(elements: Sequence[BoolFunc], cap: Optional[int] = None) -> OnSet:
+def chain_from_elements(elements: Sequence[BoolFunc]) -> OnSet:
     """Build the chain ON set generated by m-1 elements.
 
     The first member complements the first element, each middle member
@@ -150,9 +147,8 @@ def chain_from_elements(elements: Sequence[BoolFunc], cap: Optional[int] = None)
         prefix = and_(prefix, u)
     members.append(prefix)
     union = sorted(set().union(*(f.vars for f in members)))
-    _check_cap(len(union), cap)
     for i, f in enumerate(members):
-        if truth_table(f, union, cap) == 0:
+        if truth_table(f, union) == 0:
             raise NotReduced(i)
     return OnSet(members)
 
@@ -246,7 +242,7 @@ def coarsen(s: OnSet, grouping: Sequence[Iterable[int]]) -> OnSet:
     return OnSet(members)
 
 
-def product_onset(s1: OnSet, s2: OnSet, cap: Optional[int] = None) -> OnSet:
+def product_onset(s1: OnSet, s2: OnSet) -> OnSet:
     """All pairwise products; order m1*m2.
 
     The factors may share variables, in which case some products can be
@@ -254,11 +250,10 @@ def product_onset(s1: OnSet, s2: OnSet, cap: Optional[int] = None) -> OnSet:
     """
     members = []
     union = sorted(s1.vars | s2.vars)
-    _check_cap(len(union), cap)
     for k, f in enumerate(s1.members):
         for l, g in enumerate(s2.members):
             prod = and_(f, g)
-            if truth_table(prod, union, cap) == 0:
+            if truth_table(prod, union) == 0:
                 raise NotReduced(k, l)
             members.append(prod)
     return OnSet(members)
@@ -269,7 +264,7 @@ class TermSupport:
 
     __slots__ = ("partial", "free")
 
-    def __init__(self, partial: PartialAssignment, free: tuple):
+    def __init__(self, partial: Assignment, free: tuple):
         self.partial = partial
         self.free = free
 
@@ -287,11 +282,7 @@ class TermSupport:
             yield Assignment(d)
 
 
-def support_stream(
-    member: Union[BoolFunc, Term],
-    over: Optional[Iterable[int]] = None,
-    cap: Optional[int] = None,
-):
+def support_stream(member: Union[BoolFunc, Term], over: Optional[Iterable[int]] = None):
     """Enumerate the support of an ON set member.
 
     For a term, returns a :class:`TermSupport` carrying the unique
@@ -305,8 +296,7 @@ def support_stream(
         return TermSupport(member.partial_assignment(), free)
 
     order = sorted(set(over) if over is not None else member.vars)
-    _check_cap(len(order), cap)
-    table = truth_table(member, order, cap)
+    table = truth_table(member, order)
 
     def points() -> Iterator[Assignment]:
         for idx in range(1 << len(order)):

@@ -41,9 +41,9 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .boolalg import (
+    Assignment,
     BoolFunc,
     CONST,
-    PartialAssignment,
     ParseError,
     VarTable,
     _check_cap,
@@ -103,7 +103,7 @@ class BoolSystem:
         self,
         equations: Sequence[tuple[BoolFunc, BoolFunc]],
         vars: frozenset,
-        trail: PartialAssignment,
+        trail: Assignment,
         bindings: tuple,
         root_vars: frozenset,
     ):
@@ -132,7 +132,7 @@ class BoolSystem:
             if not mentioned <= universe:
                 missing = min(mentioned - universe)
                 raise ValueError(f"equation mentions undeclared variable x{missing}")
-        return cls(eqs, universe, PartialAssignment(), (), universe)
+        return cls(eqs, universe, Assignment(), (), universe)
 
     def occurring(self) -> frozenset:
         out = set()
@@ -230,7 +230,7 @@ def _forced_dict(lits, value: int) -> dict:
     return out
 
 
-def triv_solve(system: BoolSystem) -> tuple[BoolSystem, PartialAssignment]:
+def triv_solve(system: BoolSystem) -> tuple[BoolSystem, Assignment]:
     """Apply trivial reductions to a fixpoint.
 
     Handles constant equations, unit literals (l = 0 / l = 1), literal
@@ -307,7 +307,7 @@ def triv_solve(system: BoolSystem) -> tuple[BoolSystem, PartialAssignment]:
             g = var(v2) if same_pol else not_(var(v2))
             rewrite({v1: g})
 
-    made = PartialAssignment(assigned)
+    made = Assignment(assigned)
     reduced = BoolSystem(
         equations,
         frozenset(open_vars),
@@ -339,7 +339,7 @@ def choose_split(system: BoolSystem, cfg: SolverConfig) -> OnSet:
     return term_chain([(v, True) for v in candidates[:depth]])
 
 
-def _cofactored(system: BoolSystem, q: PartialAssignment) -> BoolSystem:
+def _cofactored(system: BoolSystem, q: Assignment) -> BoolSystem:
     """The system with q's variables fixed (one memo for all equations)."""
     mapping = q.as_dict()
     memo: dict = {}
@@ -392,15 +392,15 @@ def _local_solutions(system: BoolSystem) -> tuple[list, list]:
     """
     occ = sorted(system.occurring())
     n = len(occ)
-    _check_cap(n, None)
+    _check_cap(n)
     full = (1 << (1 << n)) - 1
     mask = full
     memo: dict = {}
     patterns: dict = {}
     for l, r in system.equations:
         mask &= full ^ (
-            truth_table(l, occ, None, memo, patterns)
-            ^ truth_table(r, occ, None, memo, patterns)
+            truth_table(l, occ, memo, patterns)
+            ^ truth_table(r, occ, memo, patterns)
         )
         if mask == 0:
             break
@@ -660,7 +660,7 @@ class _AnfSearch:
         """
         lifter = self.lifter
         split = known & ~lifter.known
-        q = PartialAssignment({
+        q = Assignment({
             v: ones >> j & 1 for j, v in enumerate(lifter.ids) if split >> j & 1
         })
         return _search(_TreeSearch(self.cfg), _cofactored(self.system, q), False)

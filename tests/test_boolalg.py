@@ -1,18 +1,18 @@
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onsat import boolalg
+from onsat import anf, boolalg
 from onsat.boolalg import (
     Assignment,
     ConflictingAssignment,
     DuplicateVariable,
     ParseError,
-    PartialAssignment,
     Term,
     TooManyVariables,
     UndeclaredVariable,
@@ -114,9 +114,27 @@ class TestZeroSet:
             assert len(zs) + len(su) == 1 << len(ids)
 
     def test_cap_is_enforced(self):
-        f = x & y & z
-        with pytest.raises(TooManyVariables):
-            zero_set(f, cap=4)
+        # 2^25 points exceed the fixed cap of 2^24, and each call raises
+        # before it builds a table (one 2^25-point table is 4 MB)
+        calls = (
+            lambda: truth_table(x, range(25)),
+            lambda: zero_set(x, over=range(25)),
+            lambda: anf.zero_table([frozenset({1})], [1 << i for i in range(25)]),
+        )
+        tracemalloc.start()
+        try:
+            for call in calls:
+                with pytest.raises(TooManyVariables, match=re.escape(
+                        "2^25 evaluations exceed the cap of 16777216")):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cap_admits_24_variables(self):
+        half = 1 << 23
+        assert truth_table(x, range(24)) == ((1 << half) - 1) << half
 
 
 class TestAlgebraRelations:
@@ -189,7 +207,7 @@ class TestCofactor:
 
     def test_conflicting_partial_assignment(self):
         with pytest.raises(ConflictingAssignment):
-            PartialAssignment.from_pairs([(0, 1), (0, 0)])
+            Assignment.from_pairs([(0, 1), (0, 0)])
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -376,15 +394,15 @@ class TestAssignments:
             Assignment({0: 2})
 
     def test_merge_requires_disjoint(self):
-        p = PartialAssignment({0: 1})
-        q = PartialAssignment({0: 1})
+        p = Assignment({0: 1})
+        q = Assignment({0: 1})
         with pytest.raises(ConflictingAssignment):
             p.merge(q)
-        merged = p.merge(PartialAssignment({1: 0}))
+        merged = p.merge(Assignment({1: 0}))
         assert merged.as_dict() == {0: 1, 1: 0}
 
     def test_merge_is_associative(self):
-        p1 = PartialAssignment({0: 1})
-        p2 = PartialAssignment({1: 0})
-        p3 = PartialAssignment({2: 1})
+        p1 = Assignment({0: 1})
+        p2 = Assignment({1: 0})
+        p3 = Assignment({2: 1})
         assert p1.merge(p2).merge(p3) == p1.merge(p2.merge(p3))

@@ -59,6 +59,29 @@ class TestSolve:
         record = json.loads(out.splitlines()[0])
         assert record["assignment"] == {"a": 1, "b": 1}
 
+    def test_system_whose_first_variable_is_p(self, run, tmp_path):
+        path = tmp_path / "sys.txt"
+        path.write_text("p ^ q = 1\n")
+        code, out, _ = run("solve", str(path))
+        assert code == 10
+        record = json.loads(out)
+        point = dict.fromkeys(record["dont_care"], 0)
+        point.update(record["assignment"])
+        assert point["p"] ^ point["q"] == 1
+
+        path.write_text("p = 1\n")
+        code, out, _ = run("enumerate", str(path))
+        assert code == 10
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"assignment": {"p": 1}, "dont_care": []}]
+
+    def test_spaced_problem_line_is_dimacs(self, run, tmp_path):
+        path = tmp_path / "spaced.cnf"
+        path.write_text("c header with two spaces\np  cnf 2 1\n1 -2 0\n")
+        code, out, _ = run("solve", str(path))
+        assert code == 10
+        assert out.splitlines()[0] == "s SATISFIABLE"
+
     def test_enumerate_json_lines(self, run, tmp_path):
         path = tmp_path / "sys.txt"
         path.write_text("vars: a, b\na | b = 1\n")
@@ -258,6 +281,18 @@ class TestVerify:
         code, _, err = run("verify", "--func", "a")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("--n", "0"),
+        ("--n", "-2"),
+        ("--func", "x", "--onset", "funcs: x, x"),  # not orthogonal
+        ("--func", "x", "--onset", "funcs: x"),  # not normal
+    ])
+    def test_bad_input_is_one_line_of_error(self, run, argv):
+        code, _, err = run("verify", *argv)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("onsat: ")
+        assert "Traceback" not in err
+
 
 class TestCurve:
     def test_field_method(self, run):
@@ -288,3 +323,9 @@ class TestUsage:
     def test_unknown_flag(self, run):
         code, _, _ = run("solve", "--frobnicate")
         assert code == 1
+
+    def test_mode_flag_is_gone(self, run, cnf_file):
+        # the subcommand is the mode
+        for command in ("solve", "enumerate"):
+            code, out, _ = run(command, cnf_file, "--mode", "enumerate")
+            assert code == 1 and out == ""
