@@ -236,6 +236,8 @@ def _run_solve(args, mode: str) -> int:
 def _verify_identities(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be at least 1")
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     rng = random.Random(args.seed)
     table = VarTable()
     failures = []

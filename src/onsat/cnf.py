@@ -16,12 +16,14 @@ The clause-level functions (``assign_and_reduce``, ``propagate_units``,
 ``assign_pure_round``, ``pure_literal_chain``, ``decompose_cnf``,
 ``choose_split_cnf``) state that loop one step at a time on clause
 copies.  ``leaf_blocks`` walks the same tree, node for node, without
-copying: one assignment trail, per-literal occurrence lists, and per
-clause the counts of true and of free literals, plus per literal the
-count of unsatisfied clauses it still occurs in.  Assigning a literal
-updates the counters of the clauses it touches and reports new units
-and conflicts; undo replays the trail backwards to a node's mark.  The
-literal counts give the pure literals, the occurring variables and the
+copying: one assignment trail whose clause state is a few bitsets over
+clause indices (the clauses each literal occurs in, the satisfied
+clauses, and the clauses by number of free literals).  Assigning a
+literal is a few big-integer operations that also expose the units and
+conflicts; each assignment saves the state it replaces, so undo to a
+node's mark restores one snapshot.  A literal's count of unsatisfied
+clauses is the population count of its occurrences minus the satisfied
+ones, which gives the pure literals, the occurring variables and the
 split frequencies without rescanning the clauses.  The trail is a
 backend of the search driver that the system path uses too
 (:func:`onsat.solver._search`), serial and depth-first, so the output
@@ -371,113 +373,95 @@ def _chain_terms(lits: list) -> list:
 
 
 class _Trail:
-    """One assignment trail with undo over a fixed clause list.
+    """One assignment trail with snapshot undo over a fixed clause list.
 
-    Literals are DIMACS ints and index the per-literal lists directly: in
-    a list of length 2n+1, +k sits at index k and -k at index -k.  The
-    counters describe the clause set reduced by the trail:
+    The clause state is a handful of Python ints used as bitsets over
+    clause indices; per-literal lists of length 2n+1 are indexed by the
+    DIMACS literal itself (+k at index k, -k at index -k):
 
-    * ``sat[c]``: true literals in clause c (c is satisfied when > 0);
-    * ``free[c]``: unassigned literals in clause c, kept only while c is
-      unsatisfied (a satisfied clause's count is frozen until undo
-      unsatisfies it again, when it is right once more);
-    * ``count[l]``: unsatisfied clauses in which literal l is unassigned.
+    * ``occ[l]``: the clauses that contain literal l (fixed);
+    * ``sat``: the clauses that some assigned literal satisfies;
+    * ``free[k]``: the clauses with exactly k unassigned literals, read
+      only where a clause is unsatisfied (a satisfied clause stays in
+      the class it had when it was satisfied);
+    * ``known``: bit v set when variable v is assigned.
 
-    So a variable occurs in the reduced set when either of its literals
-    has a nonzero count, it is pure when exactly one has, and the counts
-    are the split frequencies.  ``units`` collects the clauses that an
-    assignment left unsatisfied with one free literal.  Undo runs newest
-    first, so every counter returns to its value before the assignment.
+    So ``free[0] & ~sat`` are the conflicts, ``free[1] & ~sat`` the
+    units, and a free literal's count of unsatisfied clauses, which gives
+    the pure literals, the occurring variables and the split
+    frequencies, is ``(occ[l] & ~sat).bit_count()``.  Each assignment
+    saves the state it replaces, so undo restores one snapshot instead
+    of replaying the trail.
     """
 
-    __slots__ = ("n", "clauses", "occ", "sat", "free", "count", "value",
-                 "trail", "units")
+    __slots__ = ("n", "clauses", "occ", "sat", "free", "known",
+                 "trail", "saved")
 
     def __init__(self, clauses, n: int):
         self.n = n
         self.clauses = [list(c) for c in clauses]
-        self.occ = [[] for _ in range(2 * n + 1)]
-        self.count = [0] * (2 * n + 1)
+        self.occ = [0] * (2 * n + 1)
+        # at least the conflict and unit classes, even with no clause
+        free = [0] * max(2, max(map(len, self.clauses), default=0) + 1)
         for ci, clause in enumerate(self.clauses):
             for lit in clause:
-                self.occ[lit].append(ci)
-                self.count[lit] += 1
-        self.sat = [0] * len(self.clauses)
-        self.free = [len(c) for c in self.clauses]
-        self.value = [None] * (2 * n + 1)  # truth of each literal, None if free
+                self.occ[lit] |= 1 << ci
+            free[len(clause)] |= 1 << ci
+        self.free = free
+        self.sat = 0
+        self.known = 0
         self.trail: list = []
-        self.units: list = []
+        self.saved: list = []  # (sat, free, known) before each assignment
 
     def assign(self, lit: int) -> bool:
         """Make lit true; False when some clause lost its last literal."""
-        clauses, sat, count, value = self.clauses, self.sat, self.count, self.value
-        neg = -lit
-        value[lit] = True
-        value[neg] = False
-        for ci in self.occ[lit]:
-            if sat[ci]:
-                sat[ci] += 1
-                continue
-            sat[ci] = 1
-            for other in clauses[ci]:
-                if value[other] is None:
-                    count[other] -= 1
-        count[lit] = count[neg] = 0
-        free, units = self.free, self.units
-        ok = True
-        for ci in self.occ[neg]:
-            if not sat[ci]:
-                left = free[ci] - 1
-                free[ci] = left
-                if left == 1:
-                    units.append(ci)
-                elif not left:
-                    ok = False
+        sat, free = self.sat, self.free
+        self.saved.append((sat, free, self.known))
         self.trail.append(lit)
-        return ok
+        self.known |= 1 << abs(lit)
+        sat |= self.occ[lit]
+        self.sat = sat
+        shrunk = self.occ[-lit] & ~sat
+        if not shrunk:
+            return True
+        free = list(free)  # a new list: the saved one stays as it was
+        for k in range(1, len(free)):  # each shrunk clause moves down a class
+            moved = free[k] & shrunk
+            if moved:
+                free[k] ^= moved
+                free[k - 1] |= moved
+        self.free = free
+        return not free[0] & shrunk
 
     def undo(self, mark: int) -> None:
-        """Unassign back to trail length mark, newest first."""
-        clauses, sat, free, count, value, occ = (
-            self.clauses, self.sat, self.free, self.count, self.value, self.occ)
-        for lit in reversed(self.trail[mark:]):
-            neg = -lit
-            unsat = 0
-            for ci in occ[neg]:
-                if not sat[ci]:
-                    free[ci] += 1
-                    unsat += 1
-            count[neg] = unsat
-            value[lit] = value[neg] = None
-            for ci in occ[lit]:
-                sat[ci] -= 1
-                if not sat[ci]:
-                    for other in clauses[ci]:
-                        if value[other] is None:
-                            count[other] += 1
-        del self.trail[mark:]
-        self.units.clear()
+        """Unassign back to trail length mark."""
+        if mark < len(self.trail):
+            self.sat, self.free, self.known = self.saved[mark]
+            del self.saved[mark:]
+            del self.trail[mark:]
 
     def propagate(self) -> bool:
         """Assign unit literals to a fixpoint; False on a conflict."""
-        clauses, units, sat, value = self.clauses, self.units, self.sat, self.value
-        while units:
-            ci = units.pop()
-            if sat[ci]:
-                continue
-            for lit in clauses[ci]:
-                if value[lit] is None:
+        clauses = self.clauses
+        while True:
+            units = self.free[1] & ~self.sat
+            if not units:
+                return True
+            known = self.known
+            for lit in clauses[units.bit_length() - 1]:
+                if not known >> abs(lit) & 1:
                     break
             if not self.assign(lit):
                 return False
-        return True
 
     def scan(self) -> tuple[list, list]:
         """Pure literals and occurring variables, ascending by variable."""
-        count = self.count
+        occ, known, unsat = self.occ, self.known, ~self.sat
         pures, occurring = [], []
         for v in range(1, self.n + 1):
-            p, q = count[v], count[-v]
+            if known >> v & 1:
+                continue
+            p, q = occ[v] & unsat, occ[-v] & unsat
             if p or q:
                 occurring.append(v)
                 if not q:
@@ -487,9 +471,10 @@ class _Trail:
         return pures, occurring
 
     def reduced_clauses(self) -> list:
-        value = self.value
-        return [[l for l in clause if value[l] is None]
-                for clause, s in zip(self.clauses, self.sat) if not s]
+        known = self.known
+        sat = bin(self.sat)[:1:-1].ljust(len(self.clauses), "0")  # bit ci at ci
+        return [[l for l in clause if not known >> abs(l) & 1]
+                for clause, s in zip(self.clauses, sat) if s == "0"]
 
 
 class _Engine:
@@ -505,8 +490,8 @@ class _Engine:
     """
 
     def __init__(self, c: CnfSet, fixed: dict, cfg: SolverConfig):
-        # c holds no unit or empty clause: the trail reports units only
-        # as assignments create them
+        # c holds no empty clause, so every conflict on the trail is
+        # reported by the assignment that makes it
         top = max((abs(l) for clause in c.clauses for l in clause), default=0)
         self.trail = _Trail(c.clauses, top)
         self.fixed = fixed
@@ -522,13 +507,15 @@ class _Engine:
         if self.decide:
             while pures:
                 for lit in pures:
-                    if t.count[lit]:  # skip a variable that has vanished
+                    if t.occ[lit] & ~t.sat:  # skip a variable that has vanished
                         t.assign(lit)
                 pures, occurring = t.scan()
         elif pures:
             return len(t.trail), _chain_terms(pures), ()
         if len(occurring) > self.cfg.n0:
-            count = t.count
+            occ, unsat = t.occ, ~t.sat
+            count = {l: (occ[l] & unsat).bit_count()
+                     for v in occurring for l in (v, -v)}
             ranked = sorted(occurring, key=lambda v: (-count[v] - count[-v], v))
             lits = [v if count[v] >= count[-v] else -v
                     for v in ranked[:self.cfg.split_depth]]

@@ -51,6 +51,21 @@ class TestSolve:
         assert code == 20
         assert out.splitlines()[0] == "s UNSATISFIABLE"
 
+    @pytest.mark.parametrize("text", [
+        "",
+        "p cnf 3 0\n",
+        "p cnf 3 3\n1 0\n-2 0\n1 -2 3 0\n",  # the root's units satisfy all
+    ], ids=["empty file", "no clauses", "no clause left"])
+    def test_no_clause_left_is_sat(self, run, tmp_path, text):
+        path = tmp_path / "empty.cnf"
+        path.write_text(text)
+        code, out, _ = run("solve", str(path), "--format", "dimacs")
+        assert code == 10
+        assert out.splitlines()[0] == "s SATISFIABLE"
+        code, out, _ = run("enumerate", str(path), "--format", "dimacs")
+        assert code == 10
+        assert len(out.splitlines()) == 1
+
     def test_system_format_autodetected(self, run, tmp_path):
         path = tmp_path / "sys.txt"
         path.write_text("a = 1\na ^ b = 0\n")
@@ -292,6 +307,13 @@ class TestVerify:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("onsat: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_no_trials_is_an_error(self, run, trials):
+        code, out, err = run("verify", "--n", "2", "--trials", trials)
+        assert code == 1
+        assert out == ""
+        assert err == "onsat: --trials must be at least 1\n"
 
 
 class TestCurve:

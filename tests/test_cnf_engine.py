@@ -14,8 +14,10 @@ import pytest
 
 from onsat.cnf import (
     CnfSet,
+    _Trail,
     _brute_mask,
     _chain_terms,
+    assign_and_reduce,
     assign_pure_round,
     choose_split_cnf,
     decompose_cnf,
@@ -23,6 +25,7 @@ from onsat.cnf import (
     propagate_units,
     pure_literal_chain,
     solve_sat,
+    unit_literals,
 )
 from onsat.onset import term_chain
 from onsat.solver import DECIDE, ENUMERATE, Conflict, Solution, SolverConfig, _indices
@@ -77,11 +80,11 @@ def configs():
         yield SolverConfig(n0=n0, split_depth=depth, mode=mode)
 
 
-def random_cnfs(seed: int, count: int):
+def random_cnfs(seed: int, count: int, width: int = 4):
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(1, 12)
-        clauses = random_clauses(rng, n, rng.randint(0, 4 * n), width=4)
+        clauses = random_clauses(rng, n, rng.randint(0, 4 * n), width=width)
         yield CnfSet.from_clauses(clauses, n)
 
 
@@ -96,6 +99,8 @@ SPECIAL = {
     "extra variables are don't-cares": CnfSet.from_clauses(
         [[1, -2], [2, 3], [-1, -3], [-2, -3, 4]], num_vars=8),
     "no clauses": CnfSet.from_clauses([], num_vars=3),
+    "every clause satisfied by root units": CnfSet.from_clauses(
+        [[2], [-1, 2, 3], [-3], [2, -4], [3, -4, 2]], num_vars=5),
 }
 
 
@@ -122,6 +127,70 @@ def test_random_cnfs_match_reference(seed):
         for c in cases:
             assert solve_sat(c, cfg).solutions == reference(c, cfg), (
                 cfg, c.clauses)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_wide_clauses_match_reference(seed):
+    cases = list(random_cnfs(100 + seed, 25, width=8))
+    assert max(len(clause) for c in cases for clause in c.clauses) == 8
+    for cfg in configs():
+        for c in cases:
+            assert solve_sat(c, cfg).solutions == reference(c, cfg), (
+                cfg, c.clauses)
+
+
+def check_trail(t: _Trail, c: CnfSet) -> None:
+    """The trail's view against the clause copy reduced by its literals."""
+    point = {abs(l) - 1: int(l > 0) for l in t.trail}
+    conflict = bool(t.free[0] & ~t.sat)
+    try:
+        reduced = assign_and_reduce(c, point)
+    except Conflict:
+        assert conflict
+        return
+    assert not conflict
+    assert [set(clause) for clause in t.reduced_clauses()] == [
+        set(clause) for clause in reduced.clauses]
+    assert (t.free[1] & ~t.sat).bit_count() == len(unit_literals(reduced))
+    pures = [v + 1 if pol else -(v + 1) for v, pol in find_pure_literals(reduced)]
+    assert t.scan() == (pures, sorted(v + 1 for v in reduced.occurring()))
+    for l in [*range(1, c.num_vars + 1), *range(-c.num_vars, 0)]:
+        count = 0 if t.known >> abs(l) & 1 else (t.occ[l] & ~t.sat).bit_count()
+        assert count == sum(l in clause for clause in reduced.clauses), l
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trail_matches_clause_copies(seed):
+    """Random assigns, unit propagations and undos to random marks."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randint(1, 10)
+        c = CnfSet.from_clauses(random_clauses(
+            rng, n, rng.randint(0, 3 * n), width=rng.randint(1, 8)), n)
+        t = _Trail(c.clauses, n)
+        check_trail(t, c)
+        for _ in range(30):
+            conflict = bool(t.free[0] & ~t.sat)
+            unassigned = sorted(set(range(1, n + 1)) - {abs(l) for l in t.trail})
+            step = rng.random()
+            if t.trail and (conflict or not unassigned or step < 0.3):
+                t.undo(rng.randint(0, len(t.trail)))
+            elif step < 0.45:
+                before = {abs(l) - 1: int(l > 0) for l in t.trail}
+                ok = t.propagate()
+                try:
+                    _, units = propagate_units(assign_and_reduce(c, before))
+                except Conflict:
+                    assert not ok
+                else:
+                    assert ok
+                    assert {abs(l) - 1: int(l > 0) for l in t.trail} == {
+                        **before, **units.as_dict()}
+            else:
+                lit = rng.choice(unassigned) * rng.choice((1, -1))
+                ok = t.assign(lit)
+                assert ok == (not t.free[0] & ~t.sat)
+            check_trail(t, c)
 
 
 @pytest.mark.parametrize("lits", [
