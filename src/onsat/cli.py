@@ -21,7 +21,7 @@ import argparse
 import random
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import boolalg, cnf, expansion, gf2k, onset, solver
 from .boolalg import BoolAlgError, VarTable
@@ -109,31 +109,34 @@ class _Cubes:
 
     Built once per solve.  Every variable has its two value fragments
     (``"name": 0`` and ``"name": 1`` in JSON lines, ``-k`` and ``k`` in
-    DIMACS ``v`` lines) and a rank, the place of its fragment in a line:
-    JSON keys sort as strings, as ``json`` does with ``sort_keys`` (so
-    "x10" comes before "x2"), and DIMACS literals by variable.  The
-    JSON ``dont_care`` list is in variable order.  Per leaf block the
-    order of the fragments and the line's tail are built once; each
-    point then picks only the fragments of its occurring bits.
+    DIMACS ``v`` lines), and ``order`` lists the variables in the order
+    of their fragments in a line: JSON keys sort as strings, as ``json``
+    does with ``sort_keys`` (so "x10" comes before "x2"), and DIMACS
+    literals by variable.  The JSON ``dont_care`` list is in variable
+    order.  Per leaf block the order of the fragments and the line's
+    tail are built once; each point then picks only the fragments of
+    its occurring bits.  A one-point block (no occurring variable,
+    nothing to expand), such as a CNF leaf where no variable occurs or
+    any lifted system point, is joined into its one line directly.
     """
 
     CHUNK = 256  # lines per write
 
-    def __init__(self, names: list, universe, dimacs: bool, expand: bool):
+    def __init__(self, names: list, universe, dimacs: bool, expand: bool,
+                 decide: bool):
         self.universe = sorted(universe)
         self.dimacs = dimacs
         self.expand = expand
+        self.decide = decide
         if dimacs:
             self.frags = _Literals()
-            self.rank = range(len(names))
+            self.order = range(len(names))
             self.head, self.sep = "v ", " "
         else:
             # what json.dumps gives a str, without its per-call set-up
             self.quoted = [encode_basestring_ascii(name) for name in names]
             self.frags = [(q + ": 0", q + ": 1") for q in self.quoted]
-            self.rank = [0] * len(names)
-            for r, v in enumerate(sorted(range(len(names)), key=names.__getitem__)):
-                self.rank[v] = r
+            self.order = sorted(range(len(names)), key=names.__getitem__)
             self.head, self.sep = '{"assignment": {', ", "
 
     def _tail(self, free: list) -> str:
@@ -141,7 +144,7 @@ class _Cubes:
             return " 0\n"
         return '}, "dont_care": [' + ", ".join(self.quoted[v] for v in free) + "]}\n"
 
-    def text(self, fixed: dict, occ: list, mask: int) -> Iterator[str]:
+    def text(self, fixed: dict, occ: list, mask: int) -> Iterable[str]:
         """The lines of a block's points, a chunk of lines at a time.
 
         The block is (fixed values, occurring variables, mask of
@@ -149,29 +152,39 @@ class _Cubes:
         :func:`onsat.solver.leaf_blocks` give it.
         With ``expand`` the don't-cares become occurring bits too, each
         point expanding to every value of them, first don't-care most
-        significant.
+        significant; a decide run prints only the first of them.
         """
+        if occ or self.expand:
+            return self._points(fixed, occ, mask)
+        # one point: its line is the fixed fragments in order
+        frags = self.frags
+        body = self.sep.join([frags[v][fixed[v]] for v in self.order if v in fixed])
+        free = [v for v in self.universe if v not in fixed]
+        return [self.head + body + self._tail(free)]
+
+    def _points(self, fixed: dict, occ: list, mask: int) -> Iterator[str]:
         inside = set(occ)
         free = [v for v in self.universe if v not in fixed and v not in inside]
         points = solver._indices(mask)
         slots = occ
         if self.expand:
             slots, d = occ + free, len(free)
-            points = ((idx << d) | j for idx in points for j in range(1 << d))
+            ways = 1 if self.decide else 1 << d  # don't-cares at 0 first
+            points = ((idx << d) | j for idx in points for j in range(ways))
             free = []
         shift = {v: len(slots) - 1 - i for i, v in enumerate(slots)}
         frags, sep = self.frags, self.sep
         parts: list = []  # runs of fixed fragments, None where a slot goes
         fill: list = []  # (index in parts, bit shift, fragments) per slot
         run: list = []
-        for v in sorted([*fixed, *slots], key=self.rank.__getitem__):
+        for v in self.order:
             if v in shift:
                 if run:
                     parts.append(sep.join(run))
                     run = []
                 fill.append((len(parts), shift[v], frags[v]))
                 parts.append(None)
-            else:
+            elif v in fixed:
                 run.append(frags[v][fixed[v]])
         if run:
             parts.append(sep.join(run))
@@ -227,7 +240,8 @@ def _run_solve(args, mode: str) -> int:
         dimacs_style = False
         names, universe = table.names, system.root_vars
         blocks = solver.leaf_blocks(system, cfg)
-    cubes = _Cubes(names, universe, dimacs_style, args.expand_dont_cares)
+    cubes = _Cubes(names, universe, dimacs_style, args.expand_dont_cares,
+                   mode == solver.DECIDE)
     # printed leaf by leaf as the search reaches them
     sat = _emit_solutions(blocks, cubes)
     return 10 if sat else 20

@@ -29,7 +29,11 @@ backend of the search driver that the system path uses too
 (:func:`onsat.solver._search`), serial and depth-first, so the output
 is the same on every run.  It hands out one leaf's points at a time, so
 a caller that prints them needs memory for the depth of the tree only;
-``solve_sat`` collects them in a list.
+``solve_sat`` collects them in a list.  A leaf where no variable occurs
+has every clause satisfied, so it is the one point of its fixed values
+and reads no clause; the other leaves brute-force their reduced clauses
+on truth tables whose variable patterns are built once per solve and
+leaf size.
 """
 
 from __future__ import annotations
@@ -323,42 +327,50 @@ def choose_split_cnf(c: CnfSet, cfg: SolverConfig) -> OnSet:
 # ---------------------------------------------------------------------------
 # the SAT engine
 
-def _brute_mask(clauses, occ: list) -> int:
+def _brute_mask(clauses, occ: list, patterns: dict) -> int:
     """The satisfying points over occ, as a truth-table bitmask.
 
     Bit idx is set when the point whose i-th variable takes bit
-    ``n - 1 - i`` of idx satisfies every clause.
+    ``n - 1 - i`` of idx satisfies every clause.  ``patterns`` maps a
+    variable count n to the pattern of each position among n (see
+    :func:`onsat.boolalg._var_pattern`); a missing count is added, so
+    every leaf of one solve can share one table.
     """
     n = len(occ)
+    ones = patterns.get(n)
+    if ones is None:
+        ones = patterns[n] = [_var_pattern(n, i) for i in range(n)]
     full = (1 << (1 << n)) - 1
-    pos = {v: i for i, v in enumerate(occ)}
-    patterns: dict = {}
+    pat = {v + 1: p for v, p in zip(occ, ones)}  # by positive literal
     mask = full
     for clause in clauses:
-        violate = full
+        violate = full  # the points where every literal is false
         for lit in clause:
-            v = abs(lit) - 1
-            pat = patterns.get(v)
-            if pat is None:
-                pat = _var_pattern(n, pos[v])
-                patterns[v] = pat
-            violate &= pat if lit < 0 else full ^ pat
-        mask &= full ^ violate
+            violate &= pat[-lit] if lit < 0 else full ^ pat[lit]
+        mask &= ~violate
         if mask == 0:
             break
     return mask
 
 
-def _leaf_solutions(fixed: dict, trail: list, clauses: list, occ: list) -> tuple:
+def _leaf_solutions(fixed: dict, trail: list, clauses: list, occ: list,
+                    patterns: dict) -> tuple:
     """A leaf's solutions as one block (fixed values, occ, mask).
 
     The fixed values are ``fixed`` plus the trail's literals; the mask
-    holds the satisfying points over occ (see :func:`_brute_mask`).
+    holds the satisfying points of the reduced clauses over occ, from
+    :func:`_brute_mask` on the pattern table ``patterns``.  With no
+    occurring variable every clause is satisfied already, since an
+    unsatisfied clause without a free literal is a conflict, which the
+    trail reports; so the block is the one point ``(fixed, [], 1)`` and
+    no truth table is built.
     """
     fixed = dict(fixed)
     for lit in trail:
         fixed[abs(lit) - 1] = 1 if lit > 0 else 0
-    return fixed, occ, _brute_mask(clauses, occ)
+    if not occ:
+        return fixed, occ, 1
+    return fixed, occ, _brute_mask(clauses, occ, patterns)
 
 
 def _chain_terms(lits: list) -> list:
@@ -484,9 +496,12 @@ class _Engine:
     (decide: assign them, round by round; enumerate: branch on their
     chain), then brute-forces the occurring variables if there are at
     most n0 of them, else branches on the chain over the split_depth
-    most frequent variables.  A child is entered by undoing to the
-    parent's mark and assigning its chain term; a node is the trail
-    itself.
+    most frequent variables.  A leaf with no occurring variable is the
+    block ``(fixed, [], 1)`` at once: no clause is left unsatisfied
+    there.  ``patterns`` holds the brute force's variable patterns per
+    leaf size for this solve only, so it goes with the engine.  A child
+    is entered by undoing to the parent's mark and assigning its chain
+    term; a node is the trail itself.
     """
 
     def __init__(self, c: CnfSet, fixed: dict, cfg: SolverConfig):
@@ -497,13 +512,16 @@ class _Engine:
         self.fixed = fixed
         self.cfg = cfg
         self.decide = cfg.mode == DECIDE
+        self.patterns: dict = {}  # _brute_mask's table, for this solve only
+        self.every = (1 << len(c.clauses)) - 1  # the sat bits of all clauses
 
     def visit(self, node) -> tuple:
         """(mark, chain terms, ()) at a split, (None, None, (block,)) at a leaf."""
         t = self.trail
         if not t.propagate():
             return None, None, ()
-        pures, occurring = t.scan()
+        # with every clause satisfied no variable occurs: nothing to scan
+        pures, occurring = ([], []) if t.sat == self.every else t.scan()
         if self.decide:
             while pures:
                 for lit in pures:
@@ -521,8 +539,11 @@ class _Engine:
                     for v in ranked[:self.cfg.split_depth]]
             return len(t.trail), _chain_terms(lits), ()
         _check_cap(len(occurring))
+        # with no occurring variable no clause is left to reduce
+        clauses = t.reduced_clauses() if occurring else []
         occ = [v - 1 for v in occurring]
-        return None, None, (_leaf_solutions(self.fixed, t.trail, t.reduced_clauses(), occ),)
+        return None, None, (
+            _leaf_solutions(self.fixed, t.trail, clauses, occ, self.patterns),)
 
     def enter(self, mark: int, term: list):
         t = self.trail

@@ -22,6 +22,7 @@ from onsat.cnf import (
     choose_split_cnf,
     decompose_cnf,
     find_pure_literals,
+    leaf_blocks,
     propagate_units,
     pure_literal_chain,
     solve_sat,
@@ -54,7 +55,7 @@ def reference(c: CnfSet, cfg: SolverConfig) -> list:
             chain = pure_literal_chain(c)
         occ = sorted(c.occurring())
         if chain is None and len(occ) <= cfg.n0:
-            for idx in _indices(_brute_mask(c.clauses, occ)):
+            for idx in _indices(_brute_mask(c.clauses, occ, {})):
                 point = {v: (idx >> (len(occ) - 1 - i)) & 1
                          for i, v in enumerate(occ)}
                 assignment = {**fixed, **point}
@@ -206,3 +207,37 @@ def test_chain_order_is_term_chain_order(lits):
         for t in term_chain(lits).terms
     ]
     assert [set(t) for t in _chain_terms(signed)] == expected
+
+
+def test_brute_mask_shares_one_pattern_table():
+    """One table across leaves of interleaved sizes, over scattered ids."""
+    rng = random.Random(11)
+    patterns: dict = {}
+    for n in [3, 6, 3, 1, 6, 0, 4, 1, 6, 3]:
+        occ = sorted(rng.sample(range(20), n))
+        clauses = [[(v + 1) * rng.choice((1, -1))
+                    for v in rng.sample(occ, rng.randint(1, n))]
+                   for _ in range(rng.randint(0, 2 * n))] if n else []
+        expected = 0
+        for idx in range(1 << n):
+            value = {v + 1: idx >> (n - 1 - i) & 1 for i, v in enumerate(occ)}
+            if all(any(value[abs(l)] == (l > 0) for l in c) for c in clauses):
+                expected |= 1 << idx
+        assert _brute_mask(clauses, occ, patterns) == expected, (occ, clauses)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_no_variable_leaves_are_one_satisfying_point(seed):
+    seen = 0
+    for c in random_cnfs(200 + seed, 30):
+        for cfg in configs():
+            if cfg.mode != ENUMERATE:
+                continue
+            for fixed, occ, mask in leaf_blocks(c, cfg):
+                if occ:
+                    continue
+                seen += 1
+                assert mask == 1
+                for clause in c.clauses:
+                    assert any(fixed.get(abs(l) - 1) == (l > 0) for l in clause)
+    assert seen

@@ -4,7 +4,9 @@ The CLI writes cube lines from per-variable fragments as the search
 reaches each leaf, on the CNF and on the system path.  ``old_rendering``
 is the rendering those lines must reproduce byte for byte: one dict per
 cube, encoded by ``json.JSONEncoder(sort_keys=True)``, over the
-``solve_sat`` or ``bool_solve`` solution list.
+``solve_sat`` or ``bool_solve`` solution list.  With
+``--expand-dont-cares`` enumerate mode prints every total assignment
+and decide mode only the witness's first one, its don't-cares at 0.
 """
 
 import contextlib
@@ -16,16 +18,19 @@ import tracemalloc
 import pytest
 
 from onsat.boolalg import CONST, cofactor
-from onsat.cli import main
+from onsat.cli import _Cubes, main
 from onsat.cnf import parse_dimacs, solve_sat
 from onsat.solver import DECIDE, ENUMERATE, Solution, SolverConfig, bool_solve, parse_system
 
 
-def old_rendering(outcome, names: list, expand: bool, dimacs_style: bool) -> str:
+def old_rendering(outcome, names: list, expand: bool, dimacs_style: bool,
+                  decide: bool) -> str:
     solutions = outcome.solutions
     if expand:
         solutions = [Solution.make(total, ())
                      for s in solutions for total in s.expand()]
+        if decide:
+            solutions = solutions[:1]
     lines = []
     if dimacs_style:
         lines.append("s SATISFIABLE" if outcome.sat else "s UNSATISFIABLE")
@@ -64,7 +69,7 @@ def check_cnf(path, text: str) -> None:
             for extra in ([], ["--format", "json"], ["--expand-dont-cares"]):
                 dimacs_style = mode == DECIDE and "--format" not in extra
                 expected = old_rendering(outcome, names, "--expand-dont-cares" in extra,
-                                         dimacs_style)
+                                         dimacs_style, mode == DECIDE)
                 code, out, _ = run_cli([command, str(path), *flags, *extra])
                 assert code == (10 if outcome.sat else 20)
                 assert out == expected, (command, flags, extra)
@@ -95,6 +100,18 @@ class TestFormatterMatchesJsonEncoder:
         units = "".join(f"{v if v % 3 else -v} 0\n" for v in range(1, 13))
         check_cnf(tmp_path / "fixed.cnf", f"p cnf 12 12\n{units}")
 
+    @pytest.mark.parametrize("signs", [(1,), (1, -1)], ids=["positive", "mixed"])
+    def test_monotone_clauses(self, tmp_path, signs):
+        # clauses of one sign each: their literals are pure (at once, or
+        # after the split when both signs occur), so enumerate branches on
+        # pure chains down to leaves where no variable occurs
+        rng = random.Random(len(signs))
+        clauses = [[s * v for v in rng.sample(range(1, 13), 3)]
+                   for s in signs for _ in range(8)]
+        text = f"p cnf 12 {len(clauses)}\n" + "".join(
+            " ".join(map(str, c)) + " 0\n" for c in clauses)
+        check_cnf(tmp_path / "monotone.cnf", text)
+
     def test_unsatisfiable(self, tmp_path):
         check_cnf(tmp_path / "unsat.cnf", "p cnf 11 3\n1 0\n-1 11 0\n-11 0\n")
 
@@ -115,7 +132,35 @@ class TestFormatterMatchesJsonEncoder:
                     extra = ["--expand-dont-cares"] if expand else []
                     code, out, _ = run_cli([command, str(path), *flags, *extra])
                     assert code == 10
-                    assert out == old_rendering(outcome, table.names, expand, False)
+                    assert out == old_rendering(outcome, table.names, expand, False,
+                                                mode == DECIDE)
+
+
+class TestOnePointBlocks:
+    """A block with no occurring variable is one line, rendered directly;
+    it must equal the general path's rendering of the same block."""
+
+    NAMES = ["x1", "x2", "x10", "\u00f1u", "x3", "b"]  # "x10" sorts before "x2"
+
+    @pytest.mark.parametrize("dimacs", [True, False], ids=["dimacs", "json"])
+    @pytest.mark.parametrize("fixed", [
+        {},
+        {0: 1, 1: 0, 2: 1, 3: 0, 4: 1, 5: 1},
+        {5: 1, 2: 0, 3: 1},
+        {1: 1, 2: 1, 0: 0},
+    ], ids=["empty", "all fixed", "names out of id order", "some fixed"])
+    def test_matches_general_path(self, dimacs, fixed):
+        cubes = _Cubes(self.NAMES, range(len(self.NAMES)), dimacs, False, False)
+        direct = "".join(cubes.text(fixed, [], 1))
+        assert direct == "".join(cubes._points(fixed, [], 1))
+        assert direct.count("\n") == 1
+        if not dimacs:
+            encode = json.JSONEncoder(sort_keys=True).encode
+            assert direct == encode({
+                "assignment": {self.NAMES[v]: b for v, b in fixed.items()},
+                "dont_care": [self.NAMES[v] for v in range(len(self.NAMES))
+                              if v not in fixed],
+            }) + "\n"
 
 
 class LineCounter:
@@ -127,6 +172,33 @@ class LineCounter:
 
     def flush(self):
         pass
+
+
+class ShortOutput(io.StringIO):
+    """Keeps what is written; fails as soon as it exceeds two lines."""
+
+    def write(self, text):
+        n = super().write(text)
+        assert self.getvalue().count("\n") <= 2, "more than one witness line"
+        return n
+
+
+def test_decide_expands_one_witness(tmp_path):
+    # 40 don't-cares: 2^40 totals; decide prints the first, all at 0
+    path = tmp_path / "wide.cnf"
+    path.write_text("p cnf 41 1\n1 0\n")
+    for extra in ([], ["--format", "json"]):
+        out = ShortOutput()
+        with contextlib.redirect_stdout(out):
+            code = main(["solve", str(path), "--expand-dont-cares", *extra])
+        assert code == 10
+        if extra:
+            record = json.loads(out.getvalue())
+            assert record["assignment"] == {f"x{v}": int(v == 1) for v in range(1, 42)}
+            assert record["dont_care"] == []
+        else:
+            assert out.getvalue() == "s SATISFIABLE\nv 1 " + "".join(
+                f"-{v} " for v in range(2, 42)) + "0\n"
 
 
 class TestStreaming:
