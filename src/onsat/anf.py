@@ -20,13 +20,21 @@ An affine equation (every monomial of degree <= 1) is a row: its
 variable bits plus a constant bit above all of them.  Gauss-Jordan
 elimination turns a set of rows into bindings ``pivot = row ^ pivot``,
 each pivot being absent from every other binding.
+
+The search's operations touch only what they change.
+:func:`cofactor` and :func:`substitute` find the monomials that a fixed
+or substituted bit meets in one pass, return the polynomial itself when
+there are none, and fold only those into the rest.  :func:`zero_table`
+takes its variable patterns from a table that the caller keeps for one
+solve, so a leaf builds no pattern, and starts each monomial from its
+first variable's pattern.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from .boolalg import AND, CONST, NOT, VAR, XOR, BoolFunc, _check_cap, _var_pattern
+from .boolalg import AND, CONST, NOT, VAR, XOR, BoolFunc, _check_cap, _var_patterns
 
 #: Most monomials in one polynomial, and most monomial pairs in one
 #: product; past either the conversion or the elimination gives up.
@@ -116,13 +124,18 @@ def from_system(equations, bit: Mapping[int, int]) -> tuple:
 
 
 def cofactor(e: frozenset, zeros: int, ones: int) -> frozenset:
-    """e with the bits of ``zeros`` set to 0 and those of ``ones`` to 1."""
+    """e with the bits of ``zeros`` set to 0 and those of ``ones`` to 1.
+
+    Only the monomials that meet a fixed bit are folded; with none, e
+    itself is returned.
+    """
     fixed = zeros | ones
-    if not any(m & fixed for m in e):
+    hit = [m for m in e if m & fixed]
+    if not hit:
         return e
     out: set = set()
     keep = ~ones
-    for m in e:
+    for m in hit:
         if m & zeros:
             continue
         m &= keep
@@ -130,31 +143,34 @@ def cofactor(e: frozenset, zeros: int, ones: int) -> frozenset:
             out.remove(m)
         else:
             out.add(m)
-    return frozenset(out)
+    return e.difference(hit) ^ out
 
 
 def substitute(e: frozenset, pivot: int, rest: int, cbit: int) -> frozenset:
     """e with the pivot bit replaced by the affine form ``rest``.
 
     ``rest`` is a row without the pivot: variable bits, plus ``cbit``
-    for the constant 1.
+    for the constant 1.  Only the monomials that hold the pivot are
+    folded; with none, e itself is returned.
     """
-    if not any(m & pivot for m in e):
+    hit = [m for m in e if m & pivot]
+    if not hit:
         return e
     terms = [0 if t == cbit else t for t in bits_of(rest)]
     out: set = set()
-    for m in e:
-        products = [(m ^ pivot) | t for t in terms] if m & pivot else (m,)
-        for p in products:
+    for m in hit:
+        m ^= pivot
+        for t in terms:
+            p = m | t
             if p in out:
                 out.remove(p)
             else:
                 out.add(p)
-    return _checked(out)
+    return _checked(e.difference(hit) ^ out)
 
 
 def is_affine(e: frozenset) -> bool:
-    return all(m & (m - 1) == 0 for m in e)
+    return not [m for m in e if m & (m - 1)]
 
 
 def row_of(e: frozenset, cbit: int) -> int:
@@ -196,18 +212,20 @@ def bits_of(mask: int) -> list:
     return out
 
 
-def zero_table(eqs: Sequence[frozenset], order: Sequence[int]) -> int:
+def zero_table(eqs: Sequence[frozenset], order: Sequence[int], patterns: dict) -> int:
     """Truth table of the points where every polynomial is 0.
 
     ``order`` lists the variable bits, most significant point bit
     first, as in :func:`boolalg.truth_table`; the polynomials mention no
-    other bits.  A monomial is the AND of its variables' patterns, a
-    polynomial the XOR of its monomials.
+    other bits.  ``patterns`` is the solve's pattern table (see
+    :func:`boolalg._var_patterns`), shared by every leaf.  A monomial
+    is the AND of its variables' patterns, a polynomial the XOR of its
+    monomials.
     """
     n = len(order)
     _check_cap(n)
     full = (1 << (1 << n)) - 1
-    patterns = {b: _var_pattern(n, i) for i, b in enumerate(order)}
+    pattern = dict(zip(order, _var_patterns(patterns, n)))
     monomials = {0: full}
     mask = full
     for e in eqs:
@@ -215,12 +233,16 @@ def zero_table(eqs: Sequence[frozenset], order: Sequence[int]) -> int:
         for m in e:
             t = monomials.get(m)
             if t is None:
-                t = full
-                for b in bits_of(m):
-                    t &= patterns[b]
+                low = m & -m
+                t = pattern[low]
+                rest = m ^ low
+                while rest:
+                    low = rest & -rest
+                    t &= pattern[low]
+                    rest ^= low
                 monomials[m] = t
             table ^= t
-        mask &= ~table
+        mask &= full ^ table
         if not mask:
             break
     return mask

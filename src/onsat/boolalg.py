@@ -531,6 +531,18 @@ def _var_pattern(n: int, pos: int) -> int:
     return pat
 
 
+def _var_patterns(table: dict, n: int) -> list:
+    """The :func:`_var_pattern` of each position among n, from ``table``.
+
+    ``table`` maps a variable count to that list and gains a missing
+    count, so every truth table of one solve can share it.
+    """
+    patterns = table.get(n)
+    if patterns is None:
+        patterns = table[n] = [_var_pattern(n, i) for i in range(n)]
+    return patterns
+
+
 def truth_table(
     f: BoolFunc,
     order: Sequence[int],
@@ -543,7 +555,8 @@ def truth_table(
     assign the variables in ``order``.  The first variable in ``order``
     is the most significant bit, matching the minterm index convention.
     ``memo`` (node id -> table) and ``patterns`` (variable -> table) may
-    be shared between calls with the same ``order``.
+    be shared between calls with the same ``order``.  A post-order walk
+    of the DAG without recursion, so any depth is fine.
     """
     order = list(order)
     n = len(order)
@@ -558,31 +571,35 @@ def truth_table(
     if memo is None:
         memo = {}
 
-    def go(g: BoolFunc) -> int:
-        key = id(g)
-        got = memo.get(key)
-        if got is not None:
-            return got
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in memo:
+            stack.pop()
+            continue
         k = g.kind
         if k == VAR:
             r = patterns.get(g.var)
             if r is None:
-                r = _var_pattern(n, pos[g.var])
-                patterns[g.var] = r
+                r = patterns[g.var] = _var_pattern(n, pos[g.var])
         elif k == CONST:
             r = full if g.value else 0
-        elif k == NOT:
-            r = full ^ go(g.left)
-        elif k == AND:
-            r = go(g.left) & go(g.right)
-        elif k == OR:
-            r = go(g.left) | go(g.right)
         else:
-            r = go(g.left) ^ go(g.right)
-        memo[key] = r
-        return r
-
-    return go(f)
+            a = memo.get(id(g.left))
+            if a is None:
+                stack.append(g.left)
+                continue
+            if k == NOT:
+                r = full ^ a
+            else:
+                b = memo.get(id(g.right))
+                if b is None:
+                    stack.append(g.right)
+                    continue
+                r = a & b if k == AND else a | b if k == OR else a ^ b
+        memo[id(g)] = r
+        stack.pop()
+    return memo[id(f)]
 
 
 def index_to_assignment(index: int, order: Sequence[int]) -> Assignment:
@@ -802,8 +819,8 @@ class VarTable:
 _TOKEN_RE = re.compile(r"[A-Za-z_]\w*|[01&|^~()']|\S")
 
 #: Deepest nesting of parentheses and prefix ``~`` the parser accepts.
-#: The parser, ``truth_table`` and ``substitute`` recurse once per
-#: level, so this keeps them well inside Python's recursion limit.
+#: The parser and ``substitute`` recurse once per level, so this keeps
+#: them well inside Python's recursion limit.
 MAX_NESTING = 100
 
 

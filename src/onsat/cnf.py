@@ -46,7 +46,7 @@ from .boolalg import (
     BoolAlgError,
     ParseError,
     _check_cap,
-    _var_pattern,
+    _var_patterns,
     not_,
     or_all,
     var,
@@ -331,23 +331,20 @@ def _brute_mask(clauses, occ: list, patterns: dict) -> int:
     """The satisfying points over occ, as a truth-table bitmask.
 
     Bit idx is set when the point whose i-th variable takes bit
-    ``n - 1 - i`` of idx satisfies every clause.  ``patterns`` maps a
-    variable count n to the pattern of each position among n (see
-    :func:`onsat.boolalg._var_pattern`); a missing count is added, so
-    every leaf of one solve can share one table.
+    ``n - 1 - i`` of idx satisfies every clause.  ``patterns`` is the
+    solve's pattern table (see :func:`onsat.boolalg._var_patterns`),
+    shared by every leaf.
     """
     n = len(occ)
-    ones = patterns.get(n)
-    if ones is None:
-        ones = patterns[n] = [_var_pattern(n, i) for i in range(n)]
     full = (1 << (1 << n)) - 1
+    ones = _var_patterns(patterns, n)
     pat = {v + 1: p for v, p in zip(occ, ones)}  # by positive literal
     mask = full
     for clause in clauses:
         violate = full  # the points where every literal is false
         for lit in clause:
             violate &= pat[-lit] if lit < 0 else full ^ pat[lit]
-        mask &= ~violate
+        mask &= full ^ violate
         if mask == 0:
             break
     return mask

@@ -37,6 +37,7 @@ variables, every expansion of which satisfies the system.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -574,8 +575,11 @@ class _AnfSearch:
     (equations, known, ones, bindings): the polynomials that must be 0,
     the bits fixed by the trail and by splits and those fixed to 1, and
     the affine bindings in the order they were made, starting with the
-    root's literal equalities.  Raises OverBudget when the root system
-    is not converted (:func:`anf.from_system`).
+    root's literal equalities.  ``patterns`` holds the leaves' variable
+    patterns per leaf size for this solve only (see
+    :func:`anf.zero_table`), so it goes with the search.  Raises
+    OverBudget when the root system is not converted
+    (:func:`anf.from_system`).
     """
 
     def __init__(self, system: BoolSystem, cfg: SolverConfig):
@@ -584,6 +588,7 @@ class _AnfSearch:
         self.lifter = lifter = _Lifter(system)
         eqs = anf.from_system(system.equations, lifter.bit)
         self.root = (eqs, lifter.known, lifter.ones, lifter.bindings)
+        self.patterns: dict = {}
 
     def visit(self, node) -> tuple:
         """Eliminate, then a leaf over the occurring bits or a split."""
@@ -600,7 +605,7 @@ class _AnfSearch:
                 occ |= m
         if occ.bit_count() <= self.cfg.n0:
             order = anf.bits_of(occ)
-            points = _indices(anf.zero_table(eqs, order))
+            points = _indices(anf.zero_table(eqs, order, self.patterns))
             return None, None, self.lifter.leaf(order, points, known, ones, bindings)
         return (eqs, known, ones, bindings), self._chain(eqs), ()
 
@@ -639,14 +644,20 @@ class _AnfSearch:
         """The chain over the most frequent bits, as (zeros, ones) terms.
 
         Frequency is the number of monomials a bit occurs in; ties break
-        toward the lowest variable id.  A term sets the first i chosen
-        bits to 1 and the next one to 0; the last term sets all to 1.
+        toward the lowest variable id.  Each distinct monomial is counted
+        once, and its count added to each of its bits.  A term sets the
+        first i chosen bits to 1 and the next one to 0; the last term
+        sets all to 1.
         """
-        counts: dict = {}
+        monomials: Counter = Counter()
         for e in eqs:
-            for m in e:
-                for b in anf.bits_of(m):
-                    counts[b] = counts.get(b, 0) + 1
+            monomials.update(e)
+        counts: dict = {}
+        for m, c in monomials.items():
+            while m:
+                b = m & -m
+                counts[b] = counts.get(b, 0) + c
+                m ^= b
         chosen = sorted(counts, key=lambda b: (-counts[b], b))[: self.cfg.split_depth]
         return [(chosen[i] if i < len(chosen) else 0, sum(chosen[:i]))
                 for i in range(len(chosen) + 1)]

@@ -58,7 +58,7 @@ class TestConversion:
             want = truth_table(f, ids)
             assert anf_table(e, bits) == want
             full = (1 << (1 << len(ids))) - 1
-            assert anf.zero_table([e], bits) == full ^ want
+            assert anf.zero_table([e], bits, {}) == full ^ want
 
     def test_one_memo_for_shared_expressions(self):
         rng = random.Random(607)
@@ -131,6 +131,48 @@ class TestPolynomialOps:
                 assert anf_value(got, point) == anf_value(e, point | value)
 
 
+    def test_untouched_polynomial_is_returned_as_is(self):
+        e = frozenset({0, 0b011, 0b100})
+        assert anf.cofactor(e, 0b01000, 0b10000) is e
+        assert anf.substitute(e, 0b01000, 0b00011 | 1 << 6, 1 << 6) is e
+
+    def test_folds_that_cancel_agree_with_evaluation(self):
+        cbit = 1 << 3
+        # x0 x1 + x0 under x1 = 1 is x0 + x0 = 0; + x2 leaves x2
+        for e, want in ((frozenset({0b011, 0b001}), anf.ZERO),
+                        (frozenset({0b011, 0b001, 0b100}), frozenset({0b100}))):
+            got = anf.cofactor(e, 0, 0b010)
+            assert got == want
+            for point in range(8):
+                if point & 0b010:
+                    assert anf_value(got, point) == anf_value(e, point)
+        # x0 x2 + x1 x2 under x0 := x1 is x1 x2 + x1 x2 = 0; under
+        # x0 := x1 + 1 it is x2
+        for rest, want in ((0b010, anf.ZERO), (0b010 | cbit, frozenset({0b100}))):
+            e = frozenset({0b101, 0b110})
+            got = anf.substitute(e, 0b001, rest, cbit)
+            assert got == want
+            for point in range(0, 8, 2):
+                value = (rest & (point | cbit)).bit_count() & 1
+                assert anf_value(got, point) == anf_value(e, point | value)
+
+    def test_zero_table_shares_one_pattern_table(self):
+        """One table across leaves of interleaved sizes and unsorted orders."""
+        rng = random.Random(611)
+        patterns: dict = {}
+        for n in [3, 6, 3, 1, 6, 4, 1, 3]:
+            order = [1 << b for b in rng.sample(range(12), n)]
+            eqs = [frozenset(sum(rng.sample(order, rng.randint(0, min(n, 3))))
+                             for _ in range(rng.randint(1, 5)))
+                   for _ in range(rng.randint(1, 3))]
+            full = (1 << (1 << n)) - 1
+            expected = full
+            for e in eqs:
+                expected &= full ^ anf_table(e, order)
+            assert anf.zero_table(eqs, order, patterns) == expected, (order, eqs)
+        assert sorted(patterns) == [1, 3, 4, 6]
+
+
 class TestGaussJordan:
     CBIT = 1 << 4
 
@@ -164,6 +206,46 @@ def cfg(**kw):
     base = dict(n0=2, split_depth=2, mode=ENUMERATE)
     base.update(kw)
     return SolverConfig(**base)
+
+
+def reference_chain(eqs, depth: int) -> list:
+    """Split terms from a count of every bit of every monomial."""
+    counts: dict = {}
+    for e in eqs:
+        for m in e:
+            for b in anf.bits_of(m):
+                counts[b] = counts.get(b, 0) + 1
+    chosen = sorted(counts, key=lambda b: (-counts[b], b))[:depth]
+    return [(chosen[i] if i < len(chosen) else 0, sum(chosen[:i]))
+            for i in range(len(chosen) + 1)]
+
+
+def test_chain_counts_each_monomial_of_each_equation():
+    """Same split bits as the reference, ties at the cut included."""
+    rng = random.Random(612)
+    ties = 0
+    for _ in range(300):
+        nbits = rng.randint(2, 7)
+        pool = [rng.randrange(1, 1 << nbits) for _ in range(6)]
+        eqs = [frozenset(rng.sample(pool, rng.randint(1, 4)))
+               for _ in range(rng.randint(1, 3))]
+        # a copy of each equation with bits a and b swapped ties them
+        a, b = rng.sample(range(nbits), 2)
+
+        def swap(m):
+            hi, lo = m >> a & 1, m >> b & 1
+            return m & ~(1 << a | 1 << b) | lo << a | hi << b
+
+        eqs += [frozenset(map(swap, e)) for e in eqs]
+        depth = rng.randint(1, 4)
+        search = _AnfSearch(BoolSystem.root([(var(0), const(1))]), cfg(split_depth=depth))
+        want = reference_chain(eqs, depth)
+        assert search._chain(eqs) == want, (eqs, depth)
+        counts = {1 << i: sum(1 for e in eqs for m in e if m >> i & 1)
+                  for i in range(nbits)}
+        ranked = sorted(counts.values(), reverse=True)
+        ties += depth < nbits and ranked[depth - 1] == ranked[depth] > 0
+    assert ties > 50
 
 
 def holds(system, total: dict) -> bool:

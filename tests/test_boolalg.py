@@ -119,7 +119,7 @@ class TestZeroSet:
         calls = (
             lambda: truth_table(x, range(25)),
             lambda: zero_set(x, over=range(25)),
-            lambda: anf.zero_table([frozenset({1})], [1 << i for i in range(25)]),
+            lambda: anf.zero_table([frozenset({1})], [1 << i for i in range(25)], {}),
         )
         tracemalloc.start()
         try:
@@ -131,6 +131,32 @@ class TestZeroSet:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_deep_library_expression_needs_no_recursion(self):
+        # 10,000 levels, alternating (f | x) & y and f ^ x, over 7
+        # variables; the expected table follows the same steps on ints
+        n = 7
+        pattern = [sum(1 << i for i in range(1 << n) if i >> (n - 1 - v) & 1)
+                   for v in range(n)]
+        f, want = var(0), pattern[0]
+        levels = []
+        for i in range(10_000):
+            a = i % n
+            if i % 2:
+                f, want = boolalg.xor(f, var(a)), want ^ pattern[a]
+            else:
+                b = (a + 3) % n
+                f = and_(boolalg.or_(f, var(a)), var(b))
+                want = (want | pattern[a]) & pattern[b]
+            levels.append((f, want))
+        memo, patterns = {}, {}
+        assert truth_table(f, range(n), memo, patterns) == want
+        assert patterns == dict(enumerate(pattern))
+        # every level is in the shared memo, and a later call reads it
+        assert all(memo[id(g)] == w for g, w in levels)
+        middle, middle_want = levels[5_000]
+        assert truth_table(middle, range(n), memo, patterns) == middle_want
+        assert truth_table(middle, range(n)) == middle_want
 
     def test_cap_admits_24_variables(self):
         half = 1 << 23
