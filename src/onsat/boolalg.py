@@ -434,17 +434,19 @@ def literal_of(f: BoolFunc) -> Optional[tuple[int, bool]]:
 # terms
 
 
-class Term:
-    """A product of literals over distinct variables.
+class Term(Assignment):
+    """A product of literals over distinct variables, held as the partial
+    assignment that makes it 1: a positive literal binds its variable to
+    1, a negative one to 0.
 
-    The empty term is the constant 1.  ``partial_assignment`` gives the
-    unique bindings that make the term evaluate to 1.
+    So a term is the :class:`Assignment` of its bindings, and equals
+    one with the same bindings.  The empty term is the constant 1.
     """
 
-    __slots__ = ("_lits",)
+    __slots__ = ()
 
     def __init__(self, literals: Mapping[int, bool] = ()):
-        self._lits = {int(v): bool(p) for v, p in dict(literals).items()}
+        super().__init__({v: 1 if p else 0 for v, p in dict(literals).items()})
 
     @classmethod
     def from_literals(cls, pairs: Iterable[tuple[int, bool]]) -> "Term":
@@ -457,62 +459,61 @@ class Term:
 
     @property
     def literals(self) -> dict:
-        return dict(self._lits)
+        return {v: bool(b) for v, b in self._d.items()}
 
     @property
     def vars(self) -> frozenset:
-        return frozenset(self._lits)
-
-    def __len__(self) -> int:
-        return len(self._lits)
+        return frozenset(self._d)
 
     def partial_assignment(self) -> Assignment:
-        return Assignment({v: 1 if p else 0 for v, p in self._lits.items()})
+        return Assignment(self._d)
 
     def func(self) -> BoolFunc:
         """The term as an expression (AND of its literals)."""
         lits = [
-            var(v) if p else not_(var(v)) for v, p in sorted(self._lits.items())
+            var(v) if b else not_(var(v)) for v, b in sorted(self._d.items())
         ]
         return and_all(lits)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Term):
-            return NotImplemented
-        return self._lits == other._lits
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._lits.items()))
-
     def __repr__(self) -> str:
-        if not self._lits:
+        if not self._d:
             return "Term(1)"
         body = "".join(
-            f"x{v}" if p else f"x{v}'" for v, p in sorted(self._lits.items())
+            f"x{v}" if b else f"x{v}'" for v, b in sorted(self._d.items())
         )
         return f"Term({body})"
 
 
-def as_term(f: BoolFunc) -> Optional[Term]:
-    """Recognize an AND-of-literals expression as a Term, else None."""
-    if f.kind == CONST:
-        return Term() if f.value == 1 else None
-    lits = {}
+def flat_literals(f: BoolFunc, kind: str) -> Optional[list]:
+    """The literals of a tree of ``kind`` (AND or OR) nodes over literals,
+    as (variable, polarity) pairs, or None if anything else is in it."""
+    lits = []
     stack = [f]
     while stack:
         g = stack.pop()
-        if g.kind == AND:
+        if g.kind == kind:
             stack.append(g.left)
             stack.append(g.right)
             continue
         lit = literal_of(g)
         if lit is None:
             return None
-        v, p = lit
-        if v in lits and lits[v] != p:
+        lits.append(lit)
+    return lits
+
+
+def as_term(f: BoolFunc) -> Optional[Term]:
+    """Recognize an AND-of-literals expression as a Term, else None."""
+    if f.kind == CONST:
+        return Term() if f.value == 1 else None
+    lits = flat_literals(f, AND)
+    if lits is None:
+        return None
+    d = {}
+    for v, p in lits:
+        if d.setdefault(v, p) != p:
             return None
-        lits[v] = p
-    return Term(lits)
+    return Term(d)
 
 
 # ---------------------------------------------------------------------------
@@ -697,17 +698,16 @@ def substitute(
 
 def cofactor(
     f: BoolFunc,
-    p: Union[Assignment, Mapping[int, int], Term],
+    p: Union[Assignment, Mapping[int, int]],
     memo: Optional[dict] = None,
 ) -> BoolFunc:
     """f with the partial assignment substituted and constants folded.
 
-    For a term t this computes the ratio f/t = f(t=1), a function of the
-    free variables only.  ``memo`` is passed on to :func:`substitute`.
+    A term is the partial assignment that makes it 1, so for a term t
+    this computes the ratio f/t = f(t=1), a function of the free
+    variables only.  ``memo`` is passed on to :func:`substitute`.
     """
-    if isinstance(p, Term):
-        p = p.partial_assignment()
-    elif not isinstance(p, Assignment):
+    if not isinstance(p, Assignment):
         p = Assignment(p)
     return substitute(f, p, memo)
 

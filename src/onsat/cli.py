@@ -247,6 +247,21 @@ def _run_solve(args, mode: str) -> int:
     return 10 if sat else 20
 
 
+def _expansion_holds(f, e, over) -> tuple:
+    """(reconstruction, coefficient-range) for an expansion e of f.
+
+    The reconstruction must equal f, and each coefficient a of a member
+    phi must lie between f phi and f + phi'.
+    """
+    recon = boolalg.semantically_equal(e.reconstruct(), f, over=over)
+    in_range = all(
+        boolalg.semantically_equal(f & phi & a, f & phi, over=over)
+        and boolalg.semantically_equal(a & (f | ~phi), a, over=over)
+        for a, phi in zip(e.coefficients, e.base.members)
+    )
+    return recon, in_range
+
+
 def _verify_identities(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be at least 1")
@@ -267,17 +282,10 @@ def _verify_identities(args) -> int:
             return 1
         f = boolalg.parse_expr(args.func, table)
         base = onset.parse_onset_spec(args.onset, table)
-        e = expansion.expand(f, base)
-        report("reconstruction", boolalg.semantically_equal(
-            e.reconstruct(), f, over=f.vars | base.vars))
-        ok_range = True
-        for a, phi in zip(e.coefficients, base.members):
-            low, high = f & phi, f | ~phi
-            over = f.vars | base.vars
-            if not (boolalg.semantically_equal(low & a, low, over=over)
-                    and boolalg.semantically_equal(a & high, a, over=over)):
-                ok_range = False
-        report("coefficient-range", ok_range)
+        recon, in_range = _expansion_holds(
+            f, expansion.expand(f, base), f.vars | base.vars)
+        report("reconstruction", recon)
+        report("coefficient-range", in_range)
         return 1 if failures else 0
 
     n = args.n
@@ -317,14 +325,9 @@ def _verify_identities(args) -> int:
         over = f.vars | g.vars | base.vars | set(ids)
         ef = expansion.expand(f, base)
         eg = expansion.expand(g, base)
-        if not boolalg.semantically_equal(ef.reconstruct(), f, over=over):
-            ok["reconstruction"] = False
-        for a, phi in zip(ef.coefficients, base.members):
-            low = f & phi
-            if not boolalg.semantically_equal(low & a, low, over=over):
-                ok["coefficient-range"] = False
-            if not boolalg.semantically_equal(a & (f | ~phi), a, over=over):
-                ok["coefficient-range"] = False
+        recon, in_range = _expansion_holds(f, ef, over)
+        ok["reconstruction"] &= recon
+        ok["coefficient-range"] &= in_range
         for op, pyop in (("and", lambda x, y: x & y),
                          ("or", lambda x, y: x | y),
                          ("xor", lambda x, y: x ^ y)):

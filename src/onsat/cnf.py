@@ -55,13 +55,11 @@ from .onset import OnSet, term_chain
 from .solver import (
     Conflict,
     DECIDE,
-    SAT,
-    UNSAT,
     BoolSystem,
     SolveOutcome,
     SolverConfig,
+    _outcome,
     _search,
-    _solutions,
 )
 
 
@@ -298,7 +296,7 @@ def decompose_cnf(c: CnfSet, terms: OnSet) -> list:
     out = []
     for t in terms.terms:
         try:
-            out.append(assign_and_reduce(c, t.partial_assignment()))
+            out.append(assign_and_reduce(c, t))
         except Conflict:
             out.append(None)
     return out
@@ -581,8 +579,7 @@ def solve_sat(c: CnfSet, cfg: Optional[SolverConfig] = None) -> SolveOutcome:
     the order the blocks and their points come.  Decide mode stops at
     the first point.
     """
-    solutions = list(_solutions(leaf_blocks(c, cfg), range(c.num_vars)))
-    return SolveOutcome(SAT if solutions else UNSAT, solutions)
+    return _outcome(leaf_blocks(c, cfg), range(c.num_vars))
 
 
 def to_system(c: CnfSet) -> BoolSystem:

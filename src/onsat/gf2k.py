@@ -234,8 +234,6 @@ class SymbolicElement:
                 raw[i + j].append(a & b)
         coords = [list(raw[i]) for i in range(k)]
         for i in range(k, 2 * k - 1):
-            if not raw[i]:
-                continue
             # theta^i folds into powers below k via the modulus
             reduction = _poly_mod(1 << i, self.field.modulus)
             folded = xor_all(raw[i])
@@ -243,9 +241,6 @@ class SymbolicElement:
                 if (reduction >> j) & 1:
                     coords[j].append(folded)
         return SymbolicElement(self.field, tuple(xor_all(cs) for cs in coords))
-
-    def scale(self, value: int) -> "SymbolicElement":
-        return self * SymbolicElement.from_constant(self.field, value)
 
     def _same_field(self, other: "SymbolicElement") -> None:
         if self.field is not other.field and self.field.modulus != other.field.modulus:
@@ -263,15 +258,11 @@ def lower_to_boolean(
 ) -> BoolSystem:
     """The Boolean system asserting that a symbolic element is zero.
 
-    One equation per basis coordinate; solutions of the system are in
-    bijection with the field solutions of the original equation.
+    One equation per basis coordinate, over ``variables`` (default: the
+    variables they mention); solutions of the system are in bijection
+    with the field solutions of the original equation.
     """
     equations = [(f, const(0)) for f in element.coords]
-    if variables is None:
-        mentioned = set()
-        for f in element.coords:
-            mentioned |= f.vars
-        variables = sorted(mentioned)
     return BoolSystem.root(equations, variables)
 
 

@@ -184,9 +184,7 @@ def minterm(index: int, variables: Sequence[int]) -> Term:
     n = len(variables)
     if not 0 <= index < (1 << n):
         raise ValueError("minterm index out of range")
-    return Term(
-        {v: bool((index >> (n - 1 - i)) & 1) for i, v in enumerate(variables)}
-    )
+    return Term(index_to_assignment(index, variables))
 
 
 def from_minterm_partition(
@@ -273,13 +271,8 @@ class TermSupport:
         yield self.free
 
     def assignments(self) -> Iterator[Assignment]:
-        base = self.partial.as_dict()
-        n = len(self.free)
-        for idx in range(1 << n):
-            d = dict(base)
-            for i, v in enumerate(self.free):
-                d[v] = (idx >> (n - 1 - i)) & 1
-            yield Assignment(d)
+        for idx in range(1 << len(self.free)):
+            yield self.partial.merge(index_to_assignment(idx, self.free))
 
 
 def support_stream(member: Union[BoolFunc, Term], over: Optional[Iterable[int]] = None):

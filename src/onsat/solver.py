@@ -42,13 +42,16 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .boolalg import (
+    AND,
     Assignment,
     BoolFunc,
     CONST,
+    OR,
     ParseError,
     VarTable,
     _check_cap,
     cofactor,
+    flat_literals,
     literal_of,
     not_,
     parse_expr,
@@ -200,23 +203,6 @@ class SolveOutcome:
 # ---------------------------------------------------------------------------
 # trivial reductions
 
-def _literal_sum(f: BoolFunc, op_kind: str) -> Optional[list]:
-    """Flatten an OR / AND tree of literals, or None if anything else."""
-    lits = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g.kind == op_kind:
-            stack.append(g.left)
-            stack.append(g.right)
-            continue
-        lit = literal_of(g)
-        if lit is None:
-            return None
-        lits.append(lit)
-    return lits
-
-
 def _forced_value(lit: tuple[int, bool], value: int) -> tuple[int, int]:
     v, pol = lit
     return v, value if pol else 1 - value
@@ -279,7 +265,7 @@ def triv_solve(system: BoolSystem) -> tuple[BoolSystem, Assignment]:
             for side, other in ((l, r), (r, l)):
                 if other.kind != CONST:
                     continue
-                lits = _literal_sum(side, "or" if other.value == 0 else "and")
+                lits = flat_literals(side, OR if other.value == 0 else AND)
                 if lits is not None and len(lits) > 1:
                     return ("assign", idx, _forced_dict(lits, other.value))
         return None
@@ -293,12 +279,8 @@ def triv_solve(system: BoolSystem) -> tuple[BoolSystem, Assignment]:
             del equations[idx]
         elif kind == "assign":
             del equations[idx]
-            for v, b in payload.items():
-                prev = assigned.get(v)
-                if prev is not None and prev != b:
-                    raise Conflict(f"x{v} forced both ways")
-                assigned[v] = b
-                open_vars.discard(v)
+            assigned.update(payload)
+            open_vars.difference_update(payload)
             rewrite(payload)
         else:
             v1, v2, same_pol = payload
@@ -366,11 +348,10 @@ def decompose(system: BoolSystem, terms: OnSet) -> list:
         raise ValueError("decomposition needs an ON set of terms")
     out = []
     for t in terms.terms:
-        q = t.partial_assignment()
-        if not set(q.keys()) <= system.vars:
-            stray = min(set(q.keys()) - system.vars)
+        if not set(t.keys()) <= system.vars:
+            stray = min(set(t.keys()) - system.vars)
             raise ValueError(f"split variable x{stray} is not open")
-        out.append(_cofactored(system, q))
+        out.append(_cofactored(system, t))
     return out
 
 
@@ -485,10 +466,12 @@ def _tree_leaf(system: BoolSystem) -> Iterator[tuple]:
     return lifter.leaf(order, indices, lifter.known, lifter.ones, lifter.bindings)
 
 
-def _solutions(blocks, universe) -> Iterator[Solution]:
-    """One Solution per point of each block, in order; the variables of
+def _outcome(blocks, universe) -> SolveOutcome:
+    """The list form of a block stream: one Solution per point of each
+    block, in order, and SAT if there is one.  The variables of
     ``universe`` in neither ``fixed`` nor ``occ`` are don't-cares."""
     universe = frozenset(universe)
+    solutions = []
     for fixed, occ, mask in blocks:
         n = len(occ)
         dont_care = universe.difference(fixed, occ)
@@ -496,7 +479,8 @@ def _solutions(blocks, universe) -> Iterator[Solution]:
             assignment = dict(fixed)
             for i, v in enumerate(occ):
                 assignment[v] = idx >> (n - 1 - i) & 1
-            yield Solution.make(assignment, dont_care)
+            solutions.append(Solution.make(assignment, dont_care))
+    return SolveOutcome(SAT if solutions else UNSAT, solutions)
 
 
 def brute_force(system: BoolSystem) -> SolveOutcome:
@@ -507,8 +491,7 @@ def brute_force(system: BoolSystem) -> SolveOutcome:
     variables than the enumeration cap allows raise TooManyVariables
     before any table is built.
     """
-    solutions = list(_solutions(_tree_leaf(system), system.root_vars))
-    return SolveOutcome(SAT if solutions else UNSAT, solutions)
+    return _outcome(_tree_leaf(system), system.root_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +687,7 @@ def bool_solve(system: BoolSystem, cfg: Optional[SolverConfig] = None) -> SolveO
     witness, enumerate mode the complete, duplicate-free solution set,
     compressed with don't-care lists.
     """
-    solutions = list(_solutions(leaf_blocks(system, cfg), system.root_vars))
-    return SolveOutcome(SAT if solutions else UNSAT, solutions)
+    return _outcome(leaf_blocks(system, cfg), system.root_vars)
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,10 @@ def oracle_system_solutions(system) -> set:
 
 def tree_solutions(system, cfg) -> list:
     """The solutions of the expression-tree search alone, in its order."""
-    from onsat.solver import DECIDE, _TreeSearch, _search, _solutions
+    from onsat.solver import DECIDE, _TreeSearch, _outcome, _search
 
     blocks = _search(_TreeSearch(cfg), system, cfg.mode == DECIDE)
-    return list(_solutions(blocks, system.root_vars))
+    return _outcome(blocks, system.root_vars).solutions
 
 
 def oracle_cnf_solutions(clauses, num_vars: int) -> set:

@@ -287,9 +287,25 @@ class TestTermsAndLiterals:
         q = Term({0: True, 3: False}).partial_assignment()
         assert q.as_dict() == {0: 1, 3: 0}
 
+    def test_term_is_the_assignment_that_makes_it_one(self):
+        t = Term({0: True, 3: False})
+        a = Assignment({0: 1, 3: 0})
+        assert isinstance(t, Assignment)
+        assert t == a and a == t and hash(t) == hash(a)
+        assert len({t, a}) == 1
+        assert t != Assignment({0: 1, 3: 1})
+        assert type(t.partial_assignment()) is Assignment
+        assert repr(t) == "Term(x0x3')" and repr(Term()) == "Term(1)"
+        assert t.literals == {0: True, 3: False}
+        assert all(type(p) is bool for p in t.literals.values())
+
     def test_as_term_roundtrip(self):
         t = Term({0: True, 1: False, 4: True})
         assert as_term(t.func()) == t
+        twice = var(0) & var(0)  # two distinct nodes, so no fold
+        assert twice.kind == "and"
+        assert as_term(twice) == Term({0: True})
+        assert as_term(x & ~x) is None
         assert as_term(x | y) is None
         assert as_term(x & (y | z)) is None
 

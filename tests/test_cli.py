@@ -4,8 +4,9 @@ import tracemalloc
 
 import pytest
 
+from onsat import expansion
 from onsat.anf import OverBudget, from_expr
-from onsat.boolalg import MAX_NESTING, VarTable, parse_expr
+from onsat.boolalg import MAX_NESTING, VarTable, const, parse_expr
 from onsat.cli import main
 
 
@@ -295,6 +296,21 @@ class TestVerify:
     def test_usage_error(self, run):
         code, _, err = run("verify", "--func", "a")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("--func", "a & b | c", "--onset", "chain: a, ~c"),
+        ("--n", "3", "--trials", "5", "--seed", "1"),
+    ])
+    def test_wrong_coefficients_fail(self, run, monkeypatch, argv):
+        def all_zero(f, base, choice=None):
+            return expansion.OnExpansion(f, base, [const(0)] * base.order)
+
+        monkeypatch.setattr(expansion, "expand", all_zero)
+        code, out, _ = run("verify", *argv)
+        assert code == 1
+        failed = {line.split()[1] for line in out.splitlines()
+                  if line.startswith("FAIL ")}
+        assert {"reconstruction", "coefficient-range"} <= failed
 
     @pytest.mark.parametrize("argv", [
         ("--n", "0"),
