@@ -20,8 +20,9 @@ copying: one assignment trail whose clause state is a few bitsets over
 clause indices (the clauses each literal occurs in, the satisfied
 clauses, and the clauses by number of free literals).  Assigning a
 literal is a few big-integer operations that also expose the units and
-conflicts; each assignment saves the state it replaces, so undo to a
-node's mark restores one snapshot.  A literal's count of unsatisfied
+conflicts.  A split saves its node's state once, and the chain's terms,
+which share their prefixes, start from one propagated prefix that moves
+forward a literal per child.  A literal's count of unsatisfied
 clauses is the population count of its occurrences minus the satisfied
 ones, which gives the pure literals, the occurring variables and the
 split frequencies without rescanning the clauses.  The trail is a
@@ -38,7 +39,9 @@ leaf size.
 
 from __future__ import annotations
 
+import itertools
 import warnings
+from operator import neg
 from typing import Iterator, Optional, Sequence
 
 from .boolalg import (
@@ -132,13 +135,14 @@ def parse_dimacs(text: str, strict: bool = False) -> CnfSet:
     pending: list = []
     pending_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        head = fields[0][0] if fields else "c"  # a blank line is skipped
+        if head == "c":
             continue
-        if line.startswith("%"):
+        if head == "%":
             break
-        if line.startswith("p"):
-            fields = line.split()
+        if head == "p":
+            line = raw.strip()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ParseError(f"bad problem line {line!r}", lineno)
             try:
@@ -147,7 +151,18 @@ def parse_dimacs(text: str, strict: bool = False) -> CnfSet:
             except ValueError:
                 raise ParseError(f"bad problem line {line!r}", lineno) from None
             continue
-        for tok in line.split():
+        if not pending and fields[-1] == "0":  # the usual line: one clause
+            try:
+                clause = frozenset(map(int, fields[:-1]))
+            except ValueError:
+                pass
+            else:
+                # -0 is 0: no complement also means no 0 inside
+                if clause.isdisjoint(map(neg, clause)):
+                    clauses.append(clause)
+                    continue
+        # any other line, or one to word an error for, token by token
+        for tok in fields:
             try:
                 lit = int(tok)
             except ValueError:
@@ -162,7 +177,7 @@ def parse_dimacs(text: str, strict: bool = False) -> CnfSet:
                 pending.append(lit)
     if pending:
         raise ParseError("last clause is not terminated by 0", pending_line)
-    top = max((abs(l) for c in clauses for l in c), default=0)
+    top = max(map(abs, itertools.chain.from_iterable(clauses)), default=0)
     num_vars = top if declared_vars is None else max(declared_vars, top)
     problems = []
     if declared_vars is not None and top > declared_vars:
@@ -368,19 +383,8 @@ def _leaf_solutions(fixed: dict, trail: list, clauses: list, occ: list,
     return fixed, occ, _brute_mask(clauses, occ, patterns)
 
 
-def _chain_terms(lits: list) -> list:
-    """The terms of the ON chain over signed literals, as literal lists.
-
-    Same order as :func:`term_chain`: for l1..lr the terms are [-l1],
-    [l1, -l2], ..., [l1, ..., l(r-1), -lr] and finally [l1, ..., lr].
-    """
-    terms = [lits[:i] + [-lits[i]] for i in range(len(lits))]
-    terms.append(list(lits))
-    return terms
-
-
 class _Trail:
-    """One assignment trail with snapshot undo over a fixed clause list.
+    """One assignment trail over a fixed clause list, with saved states.
 
     The clause state is a handful of Python ints used as bitsets over
     clause indices; per-literal lists of length 2n+1 are indexed by the
@@ -396,13 +400,13 @@ class _Trail:
     So ``free[0] & ~sat`` are the conflicts, ``free[1] & ~sat`` the
     units, and a free literal's count of unsatisfied clauses, which gives
     the pure literals, the occurring variables and the split
-    frequencies, is ``(occ[l] & ~sat).bit_count()``.  Each assignment
-    saves the state it replaces, so undo restores one snapshot instead
-    of replaying the trail.
+    frequencies, is ``(occ[l] & ~sat).bit_count()``.  ``free`` is one
+    live list that assignments edit in place; ``snapshot`` copies the
+    state into a tuple and ``restore`` puts such a copy back, so going
+    back to a saved node replays nothing.
     """
 
-    __slots__ = ("n", "clauses", "occ", "sat", "free", "known",
-                 "trail", "saved")
+    __slots__ = ("n", "clauses", "occ", "sat", "free", "known", "trail")
 
     def __init__(self, clauses, n: int):
         self.n = n
@@ -418,48 +422,62 @@ class _Trail:
         self.sat = 0
         self.known = 0
         self.trail: list = []
-        self.saved: list = []  # (sat, free, known) before each assignment
 
     def assign(self, lit: int) -> bool:
-        """Make lit true; False when some clause lost its last literal."""
-        sat, free = self.sat, self.free
-        self.saved.append((sat, free, self.known))
+        """Make lit true; False when some clause lost its last literal,
+        or when lit's variable is set already and lit is false."""
+        if self.known >> abs(lit) & 1:
+            return lit in self.trail
         self.trail.append(lit)
         self.known |= 1 << abs(lit)
-        sat |= self.occ[lit]
+        sat = self.sat | self.occ[lit]
         self.sat = sat
         shrunk = self.occ[-lit] & ~sat
         if not shrunk:
             return True
-        free = list(free)  # a new list: the saved one stays as it was
+        free = self.free
         for k in range(1, len(free)):  # each shrunk clause moves down a class
             moved = free[k] & shrunk
             if moved:
                 free[k] ^= moved
                 free[k - 1] |= moved
-        self.free = free
         return not free[0] & shrunk
 
-    def undo(self, mark: int) -> None:
-        """Unassign back to trail length mark."""
-        if mark < len(self.trail):
-            self.sat, self.free, self.known = self.saved[mark]
-            del self.saved[mark:]
-            del self.trail[mark:]
+    def snapshot(self) -> tuple:
+        """The state to come back to: (sat, free, known, trail length).
+
+        ``free`` is copied, since assignments edit the live list.
+        """
+        return self.sat, tuple(self.free), self.known, len(self.trail)
+
+    def restore(self, state: tuple) -> None:
+        """Go back to a state from :meth:`snapshot` taken on this trail."""
+        self.sat, free, self.known, mark = state
+        self.free[:] = free
+        del self.trail[mark:]
 
     def propagate(self) -> bool:
-        """Assign unit literals to a fixpoint; False on a conflict."""
-        clauses = self.clauses
+        """Assign unit literals to a fixpoint; False on a conflict.
+
+        Each pass assigns every current unit clause, highest index
+        first, skipping one that an earlier unit of the pass satisfied.
+        """
+        clauses, free = self.clauses, self.free
         while True:
-            units = self.free[1] & ~self.sat
+            units = free[1] & ~self.sat
             if not units:
                 return True
-            known = self.known
-            for lit in clauses[units.bit_length() - 1]:
-                if not known >> abs(lit) & 1:
-                    break
-            if not self.assign(lit):
-                return False
+            while units:
+                ci = units.bit_length() - 1
+                units ^= 1 << ci
+                if self.sat >> ci & 1:
+                    continue
+                known = self.known
+                for lit in clauses[ci]:
+                    if not known >> abs(lit) & 1:
+                        break
+                if not self.assign(lit):
+                    return False
 
     def scan(self) -> tuple[list, list]:
         """Pure literals and occurring variables, ascending by variable."""
@@ -494,9 +512,18 @@ class _Engine:
     most frequent variables.  A leaf with no occurring variable is the
     block ``(fixed, [], 1)`` at once: no clause is left unsatisfied
     there.  ``patterns`` holds the brute force's variable patterns per
-    leaf size for this solve only, so it goes with the engine.  A child
-    is entered by undoing to the parent's mark and assigning its chain
-    term; a node is the trail itself.
+    leaf size for this solve only, so it goes with the engine.  A node
+    is the trail itself.
+
+    The chain over l1..lr has the terms -l1, l1 -l2, ..., l1..l(r-1)
+    -lr and l1..lr, so consecutive terms share their prefixes.  A split
+    keeps the propagated state of one prefix in its frame, starting
+    from the node's own state, and moves it forward one literal per
+    child: child i is the prefix l1..li plus -l(i+1), or the prefix
+    itself for the last term.  Unit propagation reaches the same
+    fixpoint, or a conflict, in any order, so every child is the same
+    node as when its whole term is assigned at once; only the prefix is
+    propagated once for all the children that share it.
     """
 
     def __init__(self, c: CnfSet, fixed: dict, cfg: SolverConfig):
@@ -511,7 +538,7 @@ class _Engine:
         self.every = (1 << len(c.clauses)) - 1  # the sat bits of all clauses
 
     def visit(self, node) -> tuple:
-        """(mark, chain terms, ()) at a split, (None, None, (block,)) at a leaf."""
+        """(frame, child indices, ()) at a split, (None, None, (block,)) at a leaf."""
         t = self.trail
         if not t.propagate():
             return None, None, ()
@@ -524,15 +551,15 @@ class _Engine:
                         t.assign(lit)
                 pures, occurring = t.scan()
         elif pures:
-            return len(t.trail), _chain_terms(pures), ()
+            return self.split(pures)
         if len(occurring) > self.cfg.n0:
             occ, unsat = t.occ, ~t.sat
-            count = {l: (occ[l] & unsat).bit_count()
-                     for v in occurring for l in (v, -v)}
-            ranked = sorted(occurring, key=lambda v: (-count[v] - count[-v], v))
-            lits = [v if count[v] >= count[-v] else -v
-                    for v in ranked[:self.cfg.split_depth]]
-            return len(t.trail), _chain_terms(lits), ()
+            ranked = []  # (-count, variable, literal in its majority polarity)
+            for v in occurring:
+                p, q = (occ[v] & unsat).bit_count(), (occ[-v] & unsat).bit_count()
+                ranked.append((-p - q, v, v if p >= q else -v))
+            ranked.sort()
+            return self.split([lit for _, _, lit in ranked[:self.cfg.split_depth]])
         _check_cap(len(occurring))
         # with no occurring variable no clause is left to reduce
         clauses = t.reduced_clauses() if occurring else []
@@ -540,10 +567,32 @@ class _Engine:
         return None, None, (
             _leaf_solutions(self.fixed, t.trail, clauses, occ, self.patterns),)
 
-    def enter(self, mark: int, term: list):
+    def split(self, lits: list) -> tuple:
+        """The split over the chain of lits, from the trail's state."""
+        return [lits, self.trail.snapshot()], range(len(lits) + 1), ()
+
+    def enter(self, frame: list, i: int):
+        """Child i of a split, entered after children 0..i-1.
+
+        ``frame`` is [lits, state]: the state is the node's own for
+        children 0 and 1, then the propagated prefix l1..l(i-1), or None
+        once a prefix has conflicted, which makes every later term a
+        conflict too.  Propagating a prefix can set a later chain
+        literal already, which :meth:`_Trail.assign` allows.
+        """
+        lits, state = frame
+        if state is None:
+            return None
         t = self.trail
-        t.undo(mark)
-        return t if all(t.assign(lit) for lit in term) else None
+        t.restore(state)
+        if i:  # move the prefix forward from l1..l(i-1) to l1..li
+            if not (t.assign(lits[i - 1]) and t.propagate()):
+                frame[1] = None
+                return None
+            if i == len(lits):
+                return t
+            frame[1] = t.snapshot()
+        return t if t.assign(-lits[i]) else None
 
 
 def leaf_blocks(c: CnfSet, cfg: Optional[SolverConfig] = None) -> Iterator[tuple]:

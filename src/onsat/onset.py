@@ -184,6 +184,8 @@ def minterm(index: int, variables: Sequence[int]) -> Term:
     n = len(variables)
     if not 0 <= index < (1 << n):
         raise ValueError("minterm index out of range")
+    if len(set(variables)) != n:
+        raise DuplicateVariable("repeated variable in minterm basis")
     return Term(index_to_assignment(index, variables))
 
 

@@ -121,6 +121,34 @@ class TestDimacs:
         with pytest.raises(ParseError):
             parse_dimacs("p cnf 2 1\n1 -1 0\n")  # both polarities
 
+    def test_clauses_need_not_follow_lines(self):
+        c = parse_dimacs("p cnf 3 4\n1 -2 0 2 3 0\n-3\n1\n2 0 -1 0\n")
+        assert clause_sets(c) == [{1, -2}, {2, 3}, {-3, 1, 2}, {-1}]
+        # any token whose value is 0 ends a clause
+        c = parse_dimacs("p cnf 2 3\n1 00 -2 -0 0\n")
+        assert clause_sets(c) == [{1}, {-2}, set()]
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("p cnf 2 1\n1 x 0\n", 2, "non-integer literal 'x'"),
+        ("p cnf 3 2\n1 2 0\n3 -2 2 0\n", 3,
+         "variable 2 appears with both polarities in one clause"),
+        ("p cnf 2 2\n1 -2 0\n-1\n\n2\n", 3, "last clause is not terminated by 0"),
+        # a clause over several lines is named by the line it starts on
+        ("c\np cnf 3 1\n1 2\n3\n-1 0\n", 3,
+         "variable 1 appears with both polarities in one clause"),
+        # on a line of several clauses, an earlier clause is checked
+        # before a later bad token, and a later clause is never read
+        ("p cnf 2 2\n1 0 -2 2 0 y 0\n", 2,
+         "variable 2 appears with both polarities in one clause"),
+        ("p cnf 2 2\n1 0 y -2 2 0\n", 2, "non-integer literal 'y'"),
+        ("p cnf 2 2\n1 0 2\n1.5 0\n", 3, "non-integer literal '1.5'"),
+    ])
+    def test_parse_errors_keep_their_line_and_message(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_dimacs(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
 
 class TestPureLiterals:
     def test_example_a_pures(self):

@@ -14,9 +14,9 @@ import pytest
 
 from onsat.cnf import (
     CnfSet,
+    _Engine,
     _Trail,
     _brute_mask,
-    _chain_terms,
     assign_and_reduce,
     assign_pure_round,
     choose_split_cnf,
@@ -162,7 +162,8 @@ def check_trail(t: _Trail, c: CnfSet) -> None:
 
 @pytest.mark.parametrize("seed", range(4))
 def test_trail_matches_clause_copies(seed):
-    """Random assigns, unit propagations and undos to random marks."""
+    """Random assigns, unit propagations and snapshots, and restores of
+    a random earlier snapshot, each one possibly restored again later."""
     rng = random.Random(seed)
     for _ in range(40):
         n = rng.randint(1, 10)
@@ -170,13 +171,19 @@ def test_trail_matches_clause_copies(seed):
             rng, n, rng.randint(0, 3 * n), width=rng.randint(1, 8)), n)
         t = _Trail(c.clauses, n)
         check_trail(t, c)
+        saved = [t.snapshot()]
         for _ in range(30):
             conflict = bool(t.free[0] & ~t.sat)
             unassigned = sorted(set(range(1, n + 1)) - {abs(l) for l in t.trail})
             step = rng.random()
-            if t.trail and (conflict or not unassigned or step < 0.3):
-                t.undo(rng.randint(0, len(t.trail)))
-            elif step < 0.45:
+            if conflict or not unassigned or step < 0.25:
+                k = rng.randrange(len(saved))
+                del saved[k + 1:]  # later states are not on this branch
+                t.restore(saved[k])
+                assert t.snapshot() == saved[k]
+            elif step < 0.35:
+                saved.append(t.snapshot())
+            elif step < 0.5:
                 before = {abs(l) - 1: int(l > 0) for l in t.trail}
                 ok = t.propagate()
                 try:
@@ -187,6 +194,13 @@ def test_trail_matches_clause_copies(seed):
                     assert ok
                     assert {abs(l) - 1: int(l > 0) for l in t.trail} == {
                         **before, **units.as_dict()}
+            elif step < 0.6 and t.trail:
+                # a literal whose variable is set: true already, or false
+                lit = rng.choice(t.trail) * rng.choice((1, -1))
+                value = {abs(l): l > 0 for l in t.trail}[abs(lit)]
+                state = t.snapshot()
+                assert t.assign(lit) == (value == (lit > 0))
+                assert t.snapshot() == state
             else:
                 lit = rng.choice(unassigned) * rng.choice((1, -1))
                 ok = t.assign(lit)
@@ -201,12 +215,54 @@ def test_trail_matches_clause_copies(seed):
     [(2, False), (0, False), (5, False), (4, True)],
 ])
 def test_chain_order_is_term_chain_order(lits):
+    """The literals enter(frame, i) puts on the trail are term i."""
     signed = [v + 1 if p else -(v + 1) for v, p in lits]
     expected = [
         {v + 1 if p else -(v + 1) for v, p in t.literals.items()}
         for t in term_chain(lits).terms
     ]
-    assert [set(t) for t in _chain_terms(signed)] == expected
+    # each chain variable with both polarities next to two others, so
+    # that no chain literal propagates anything
+    c = CnfSet.from_clauses([[l, 9, 10] for v in range(1, 9) for l in (v, -v)])
+    engine = _Engine(c, {}, SolverConfig())
+    t = engine.trail
+    frame, children, blocks = engine.split(signed)
+    assert blocks == () and len(children) == len(expected)
+    entered = []
+    for i in children:
+        assert engine.enter(frame, i) is t
+        entered.append(set(t.trail))
+    assert entered == expected
+
+
+# Splitting at n0 = 1, split_depth = 2, the root chain of each is l1 = x0,
+# l2 = x1, and propagating the prefix x0 sets x1 true, sets it false, or
+# conflicts.  Every later term of the chain is then entered from that
+# propagated prefix, in both modes (no literal is pure at the root).
+_BASE = [[1, 2, 3], [1, 2, -3], [1, -2, 4], [1, 3, -4], [-3, 4, 2], [-4, 3, -1]]
+PREFIX_TRAPS = {
+    "sets a later chain literal true": (_BASE + [[-1, 2]], {1: 1}),
+    "sets a later chain literal false": (_BASE + [[-1, -2]], {1: 0}),
+    "conflicts": (_BASE + [[-1, 5], [-1, -5], [1, -5, 2]], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_TRAPS))
+def test_propagated_chain_prefixes_match_reference(name):
+    clauses, units = PREFIX_TRAPS[name]
+    c = CnfSet.from_clauses(clauses)
+    assert not unit_literals(c) and not find_pure_literals(c)
+    chain = choose_split_cnf(c, SolverConfig(n0=1, split_depth=2))
+    assert [t.partial_assignment().as_dict() for t in chain.terms] == [
+        {0: 0}, {0: 1, 1: 0}, {0: 1, 1: 1}]
+    try:
+        _, got = propagate_units(assign_and_reduce(c, {0: 1}))
+    except Conflict:
+        assert units is None
+    else:
+        assert units is not None and got.as_dict().items() >= units.items()
+    for cfg in configs():
+        assert solve_sat(c, cfg).solutions == reference(c, cfg), cfg
 
 
 def test_brute_mask_shares_one_pattern_table():

@@ -108,6 +108,14 @@ class TestMintermPartition:
         t = minterm(5, [0, 1, 2])  # 101 -> x and not y and z
         assert t == Term({0: True, 1: False, 2: True})
 
+    def test_minterm_rejects_a_repeated_variable(self):
+        # index 2 over [x0, x0] would set x0 to 1 and to 0
+        for index in range(4):
+            with pytest.raises(DuplicateVariable):
+                minterm(index, [0, 0])
+        with pytest.raises(DuplicateVariable):
+            minterm(0, [3, 1, 3])
+
 
 class TestTermChain:
     def test_single_variable(self):
