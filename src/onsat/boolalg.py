@@ -603,10 +603,24 @@ def truth_table(
     return memo[id(f)]
 
 
+def _indices(table: int) -> Iterator[int]:
+    """The indices of a truth table's 1 bits, lowest first."""
+    while table:
+        low = table & -table
+        yield low.bit_length() - 1
+        table ^= low
+
+
+def _point(index: int, order: Sequence[int]) -> dict:
+    """The point encoded by ``index`` as a dict, the first variable of
+    ``order`` most significant: the one decoder of that format."""
+    n = len(order)
+    return {v: index >> (n - 1 - i) & 1 for i, v in enumerate(order)}
+
+
 def index_to_assignment(index: int, order: Sequence[int]) -> Assignment:
     """The point encoded by ``index`` under the MSB-first convention."""
-    n = len(order)
-    return Assignment({v: (index >> (n - 1 - i)) & 1 for i, v in enumerate(order)})
+    return Assignment(_point(index, order))
 
 
 def _resolve_universe(f: BoolFunc, over: Optional[Iterable[int]]) -> list:
@@ -627,12 +641,8 @@ def zero_set(f: BoolFunc, over: Optional[Iterable[int]] = None) -> set:
     """
     order = _resolve_universe(f, over)
     table = truth_table(f, order)
-    n = len(order)
-    return {
-        index_to_assignment(idx, order)
-        for idx in range(1 << n)
-        if not (table >> idx) & 1
-    }
+    zeros = ((1 << (1 << len(order))) - 1) ^ table
+    return {index_to_assignment(idx, order) for idx in _indices(zeros)}
 
 
 def support(f: BoolFunc, over: Optional[Iterable[int]] = None) -> set:

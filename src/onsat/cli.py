@@ -163,6 +163,9 @@ class _Cubes:
         return [self.head + body + self._tail(free)]
 
     def _points(self, fixed: dict, occ: list, mask: int) -> Iterator[str]:
+        """The lines of :meth:`text`'s blocks with points to decode.  It
+        decodes them itself, straight into text fragments: a dict per
+        point (``boolalg._point``) costs time on this hot path."""
         inside = set(occ)
         free = [v for v in self.universe if v not in fixed and v not in inside]
         points = solver._indices(mask)

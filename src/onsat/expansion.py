@@ -25,6 +25,7 @@ from .boolalg import (
     BoolFunc,
     cofactor,
     conjugate,
+    _point,
     index_to_assignment,
     not_,
     substitute,
@@ -190,15 +191,11 @@ def sufficient_condition(e: OnExpansion) -> Optional[Assignment]:
     acc = 0
     for a in e.coefficients:
         acc |= truth_table(a, coeff_vars)
-    full = (1 << (1 << n)) - 1
-    if acc == full:
+    if acc == (1 << (1 << n)) - 1:
         return None
-    idx = next(i for i in range(1 << n) if not (acc >> i) & 1)
-    witness = index_to_assignment(idx, coeff_vars).as_dict()
+    idx = (~acc & (acc + 1)).bit_length() - 1  # the lowest 0 bit
     rest = (e.func.vars | e.base.vars) - set(coeff_vars)
-    for v in rest:
-        witness[v] = 0
-    return Assignment(witness)
+    return Assignment({**dict.fromkeys(rest, 0), **_point(idx, coeff_vars)})
 
 
 def minterm_consistency(f: BoolFunc, x1: Iterable[int]) -> bool:

@@ -21,6 +21,7 @@ from .boolalg import (
     and_,
     as_term,
     _check_cap,
+    _indices,
     index_to_assignment,
     not_,
     or_all,
@@ -292,13 +293,7 @@ def support_stream(member: Union[BoolFunc, Term], over: Optional[Iterable[int]] 
 
     order = sorted(set(over) if over is not None else member.vars)
     table = truth_table(member, order)
-
-    def points() -> Iterator[Assignment]:
-        for idx in range(1 << len(order)):
-            if (table >> idx) & 1:
-                yield index_to_assignment(idx, order)
-
-    return points()
+    return (index_to_assignment(idx, order) for idx in _indices(table))
 
 
 def parse_onset_spec(text: str, table: VarTable) -> OnSet:

@@ -50,6 +50,8 @@ from .boolalg import (
     ParseError,
     VarTable,
     _check_cap,
+    _indices,
+    _point,
     cofactor,
     flat_literals,
     literal_of,
@@ -177,12 +179,8 @@ class Solution:
         """All total assignments represented by this solution."""
         base = dict(self.assignment)
         free = self.dont_care
-        n = len(free)
-        for idx in range(1 << n):
-            d = dict(base)
-            for i, v in enumerate(free):
-                d[v] = (idx >> (n - 1 - i)) & 1
-            yield d
+        for idx in range(1 << len(free)):
+            yield {**base, **_point(idx, free)}
 
     def expanded_count(self) -> int:
         return 1 << len(self.dont_care)
@@ -217,6 +215,21 @@ def _forced_dict(lits, value: int) -> dict:
     return out
 
 
+def _rewritten(equations, mapping, rewrite) -> list:
+    """The equations with each side that mentions a variable of
+    ``mapping`` replaced by ``rewrite(side, mapping, memo)``, one memo
+    for all of them (``rewrite`` is ``substitute`` or ``cofactor``)."""
+    memo: dict = {}
+    out = []
+    for l, r in equations:
+        if not l.vars.isdisjoint(mapping):
+            l = rewrite(l, mapping, memo)
+        if not r.vars.isdisjoint(mapping):
+            r = rewrite(r, mapping, memo)
+        out.append((l, r))
+    return out
+
+
 def triv_solve(system: BoolSystem) -> tuple[BoolSystem, Assignment]:
     """Apply trivial reductions to a fixpoint.
 
@@ -231,18 +244,6 @@ def triv_solve(system: BoolSystem) -> tuple[BoolSystem, Assignment]:
     open_vars = set(system.vars)
     assigned: dict = {}
     bindings = list(system.bindings)
-
-    def rewrite(mapping: dict) -> None:
-        nonlocal equations
-        memo: dict = {}
-        fresh = []
-        for l, r in equations:
-            if not l.vars.isdisjoint(mapping):
-                l = substitute(l, mapping, memo)
-            if not r.vars.isdisjoint(mapping):
-                r = substitute(r, mapping, memo)
-            fresh.append((l, r))
-        equations = fresh
 
     def find_action():
         for idx, (l, r) in enumerate(equations):
@@ -281,14 +282,14 @@ def triv_solve(system: BoolSystem) -> tuple[BoolSystem, Assignment]:
             del equations[idx]
             assigned.update(payload)
             open_vars.difference_update(payload)
-            rewrite(payload)
+            equations = _rewritten(equations, payload, substitute)
         else:
             v1, v2, same_pol = payload
             del equations[idx]
             bindings.append((v1, v2, same_pol))
             open_vars.discard(v1)
             g = var(v2) if same_pol else not_(var(v2))
-            rewrite({v1: g})
+            equations = _rewritten(equations, {v1: g}, substitute)
 
     made = Assignment(assigned)
     reduced = BoolSystem(
@@ -323,17 +324,9 @@ def choose_split(system: BoolSystem, cfg: SolverConfig) -> OnSet:
 
 
 def _cofactored(system: BoolSystem, q: Assignment) -> BoolSystem:
-    """The system with q's variables fixed (one memo for all equations)."""
-    mapping = q.as_dict()
-    memo: dict = {}
-    eqs = []
-    for l, r in system.equations:
-        if not l.vars.isdisjoint(mapping):
-            l = cofactor(l, q, memo)
-        if not r.vars.isdisjoint(mapping):
-            r = cofactor(r, q, memo)
-        eqs.append((l, r))
-    return BoolSystem(eqs, system.vars - set(mapping), system.trail.merge(q),
+    """The system with q's variables fixed."""
+    eqs = _rewritten(system.equations, q, cofactor)
+    return BoolSystem(eqs, system.vars.difference(q), system.trail.merge(q),
                       system.bindings, system.root_vars)
 
 
@@ -357,14 +350,6 @@ def decompose(system: BoolSystem, terms: OnSet) -> list:
 
 # ---------------------------------------------------------------------------
 # leaves: brute force over the constrained variables
-
-def _indices(table: int) -> Iterator[int]:
-    """The indices of a truth table's 1 bits, lowest first."""
-    while table:
-        low = table & -table
-        yield low.bit_length() - 1
-        table ^= low
-
 
 def _local_solutions(system: BoolSystem) -> tuple[list, list]:
     """Satisfying assignments over the occurring variables.
@@ -422,7 +407,8 @@ class _Lifter:
         """Lift each point of a leaf table over the bits of ``order``.
 
         ``order`` lists the bits most significant point bit first, and
-        ``indices`` are the table indices of the satisfying points.
+        ``indices`` are the table indices of the satisfying points.  It
+        decodes them itself, straight into bitmasks for ``lift``.
         """
         n = len(order)
         known |= sum(order)
@@ -473,13 +459,9 @@ def _outcome(blocks, universe) -> SolveOutcome:
     universe = frozenset(universe)
     solutions = []
     for fixed, occ, mask in blocks:
-        n = len(occ)
         dont_care = universe.difference(fixed, occ)
         for idx in _indices(mask):
-            assignment = dict(fixed)
-            for i, v in enumerate(occ):
-                assignment[v] = idx >> (n - 1 - i) & 1
-            solutions.append(Solution.make(assignment, dont_care))
+            solutions.append(Solution.make({**fixed, **_point(idx, occ)}, dont_care))
     return SolveOutcome(SAT if solutions else UNSAT, solutions)
 
 
@@ -693,15 +675,14 @@ def bool_solve(system: BoolSystem, cfg: Optional[SolverConfig] = None) -> SolveO
 # ---------------------------------------------------------------------------
 # system file format
 
-def parse_system(text: str, table: Optional[VarTable] = None):
+def parse_system(text: str):
     """Parse the one-equation-per-line system format.
 
     Lines hold ``<expr> = <expr>`` in the expression grammar; ``#``
     starts a comment; an optional ``vars: a, b, c`` header declares
     variables beyond those mentioned.  Returns (system, table).
     """
-    if table is None:
-        table = VarTable()
+    table = VarTable()
     equations = []
     declared: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -95,6 +95,15 @@ class TestZeroSet:
                 a = Assignment(point)
                 assert zero_set(point_function(a)) == {a}
 
+    def test_one_point_table_matches_the_oracle(self):
+        # one zero among 2^16 points: the walk over the table's set bits
+        # must find the same point as a plain scan of every point
+        order = list(range(16))
+        a = boolalg.index_to_assignment(0xB5E3, order)
+        f = point_function(a)
+        expected = {Assignment(p) for p in all_points(order) if oracle_eval(f, p) == 0}
+        assert zero_set(f, over=order) == expected == {a}
+
     def test_matches_brute_force_filter(self, rng):
         ids = [0, 1, 2, 3]
         for _ in range(50):

@@ -3,6 +3,8 @@ import pytest
 from onsat.boolalg import (
     Assignment,
     const,
+    index_to_assignment,
+    or_all,
     semantically_equal,
     star,
     support,
@@ -194,6 +196,24 @@ class TestOneWayConditions:
             w = sufficient_condition(e)
             if w is not None:
                 assert f.eval(w) == 0
+
+    def test_sufficiency_takes_the_lowest_common_zero(self):
+        # the coefficients of f over the chain x0, ~x0 are f itself: the
+        # common zeros are the zeros of f over x1..x12, whose index puts
+        # x1 most significant; x0 is pinned to 0
+        order = list(range(1, 13))
+        base = term_chain([(0, True)])
+        ones = or_all([~var(v) for v in order])  # zero only at 2^12 - 1
+        # zero where x1..x10 are 1 and x11, x12 are not both 1
+        few = or_all([~var(v) for v in order[:-2]]) | (var(11) & var(12))
+        for f, index in ((ones, (1 << 12) - 1), (few, (1 << 12) - 4)):
+            e = expand(f, base, RATIO)
+            lowest = min(
+                i for i, p in enumerate(all_points(order))
+                if not any(oracle_eval(a, p) for a in e.coefficients))
+            assert lowest == index
+            assert sufficient_condition(e) == Assignment(
+                {0: 0, **index_to_assignment(index, order).as_dict()})
 
     def test_sufficiency_is_one_way(self):
         base = validate_on([x, ~x])

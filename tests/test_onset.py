@@ -1,6 +1,15 @@
 import pytest
 
-from onsat.boolalg import Assignment, DuplicateVariable, Term, const, var
+from onsat.boolalg import (
+    Assignment,
+    DuplicateVariable,
+    Term,
+    const,
+    index_to_assignment,
+    or_all,
+    point_function,
+    var,
+)
 from onsat.onset import (
     MintermPartition,
     NotNormal,
@@ -221,6 +230,18 @@ class TestSupportStream:
     def test_constant_one_support_is_everything(self):
         got = list(support_stream(const(1), over=[0, 1]))
         assert len(got) == 4
+
+    def test_function_support_in_ascending_index_order(self):
+        # first variable most significant: index 0x0001 sets only x15
+        order = list(range(16))
+        indices = [0xFFFF, 0x0001, 0x8000, 0x7F00]
+        points = [index_to_assignment(i, order) for i in indices]
+        one = list(support_stream(~point_function(points[0]), over=order))
+        assert one == [points[0]] == [Assignment({v: 1 for v in order})]
+        several = or_all([~point_function(a) for a in points])
+        got = list(support_stream(several, over=order))
+        assert got == [index_to_assignment(i, order) for i in sorted(indices)]
+        assert got[0] == Assignment({**{v: 0 for v in order}, 15: 1})
 
     def test_function_support_respects_cap(self):
         from onsat.boolalg import TooManyVariables

@@ -5,6 +5,7 @@ import pytest
 
 from onsat.boolalg import (
     AND,
+    Assignment,
     CONST,
     NOT,
     OR,
@@ -14,6 +15,7 @@ from onsat.boolalg import (
     and_,
     cofactor,
     const,
+    index_to_assignment,
     not_,
     or_,
     or_all,
@@ -32,8 +34,10 @@ from onsat.solver import (
     UNSAT,
     BoolSystem,
     Conflict,
+    Solution,
     SolverConfig,
     _local_solutions,
+    _outcome,
     bool_solve,
     brute_force,
     choose_split,
@@ -268,6 +272,36 @@ class TestBoolSolve:
         sol = out.solutions[0]
         assert sol.as_dict() == {0: 1}
         assert sol.dont_care == (1, 2)
+
+    def test_leaf_points_decode_as_index_to_assignment(self):
+        # one leaf, no trail, no binding: the solutions, in order, are
+        # the leaf table's indices decoded first variable most significant
+        system, _ = parse_system("vars: e\na & b | c & ~d = 1\n")
+        order, indices = _local_solutions(system)
+        expected = [index_to_assignment(i, order) for i in indices]
+        for solutions in (bool_solve(system, cfg(n0=16)).solutions,
+                          tree_solutions(system, cfg(n0=16))):
+            assert [Assignment(sol.as_dict()) for sol in solutions] == expected
+            assert {sol.dont_care for sol in solutions} == {(0,)}
+
+    def test_block_points_decode_as_index_to_assignment(self):
+        # a block's occurring variables, in its order, over its mask
+        order = [3, 0, 2]
+        block = ({4: 1}, order, 1 << 1 | 1 << 4 | 1 << 7)
+        out = _outcome([block], range(6))
+        assert [sol.as_dict() for sol in out.solutions] == [
+            {4: 1, **index_to_assignment(i, order).as_dict()} for i in (1, 4, 7)]
+        assert out.solutions[0].as_dict() == {0: 0, 2: 1, 3: 0, 4: 1}
+        assert {sol.dont_care for sol in out.solutions} == {(1, 5)}
+
+    def test_expand_puts_the_first_dont_care_most_significant(self):
+        sol = Solution.make({0: 1}, [5, 2])
+        assert [tuple(t.items()) for t in sol.expand()] == [
+            ((0, 1), (2, 0), (5, 0)),
+            ((0, 1), (2, 0), (5, 1)),
+            ((0, 1), (2, 1), (5, 0)),
+            ((0, 1), (2, 1), (5, 1)),
+        ]
 
     def test_no_single_equation_merge_exists(self):
         # the engine must never fold a system into one xor-sum equation
