@@ -12,6 +12,14 @@ variable disappears along the way), which is satisfiability-preserving.
 In enumerate mode fixing pures would lose solutions, so the node
 branches over the full pure-literal chain instead.
 
+The split chain takes the variables of highest score.  In enumerate
+mode the score is the variable's number of occurrences p + q.  In
+decide mode it is p + q + 2b, b being the binary clauses that hold the
+variable: it favours the variables that leave units behind, and cut the
+splits on threshold 3-SAT by a third and more.  Enumerate keeps the
+plain count, since the weighted one printed more cubes there.  Either
+way the literal takes the polarity of its larger count, p or q.
+
 The clause-level functions (``assign_and_reduce``, ``propagate_units``,
 ``assign_pure_round``, ``pure_literal_chain``, ``decompose_cnf``,
 ``choose_split_cnf``) state that loop one step at a time on clause
@@ -25,8 +33,9 @@ which share their prefixes, start from one propagated prefix that moves
 forward a literal per child.  A literal's count of unsatisfied
 clauses is the population count of its occurrences minus the satisfied
 ones, which gives the pure literals, the occurring variables and the
-split frequencies without rescanning the clauses.  The trail is a
-backend of the search driver that the system path uses too
+split frequencies without rescanning the clauses; ANDed with the
+clauses that have two free literals, it gives the binary counts.  The
+trail is a backend of the search driver that the system path uses too
 (:func:`onsat.solver._search`), serial and depth-first, so the output
 is the same on every run.  It hands out one leaf's points at a time, so
 a caller that prints them needs memory for the depth of the tree only;
@@ -318,17 +327,30 @@ def decompose_cnf(c: CnfSet, terms: OnSet) -> list:
 
 
 def choose_split_cnf(c: CnfSet, cfg: SolverConfig) -> OnSet:
-    """Term chain over the most frequent variables, polarity by count."""
+    """Term chain over the highest-scoring variables, polarity by count.
+
+    A variable's score is its number of occurrences p + q (p positive,
+    q negative).  In decide mode each occurrence in a binary clause
+    counts three times, p + q + 2b with b the binary clauses that hold
+    v, which favours the variables whose assignment makes units (the
+    short-clause weighting of Jeroslow-Wang and MOMS).  Enumerate mode
+    keeps the plain count.  The chain takes the split_depth highest
+    scores, lowest id first among equals, each literal in the polarity
+    of its larger count p or q (positive on a tie).
+    """
+    weight = 2 if cfg.mode == DECIDE else 0
     pos: dict = {}
     neg: dict = {}
+    totals: dict = {}
     for clause in c.clauses:
+        score = 1 + weight if len(clause) == 2 else 1
         for lit in clause:
             v = abs(lit) - 1
             if lit > 0:
                 pos[v] = pos.get(v, 0) + 1
             else:
                 neg[v] = neg.get(v, 0) + 1
-    totals = {v: pos.get(v, 0) + neg.get(v, 0) for v in pos.keys() | neg.keys()}
+            totals[v] = totals.get(v, 0) + score
     ranked = sorted(totals, key=lambda v: (-totals[v], v))
     depth = min(cfg.split_depth, len(ranked))
     if depth == 0:
@@ -509,11 +531,13 @@ class _Engine:
     (decide: assign them, round by round; enumerate: branch on their
     chain), then brute-forces the occurring variables if there are at
     most n0 of them, else branches on the chain over the split_depth
-    most frequent variables.  A leaf with no occurring variable is the
-    block ``(fixed, [], 1)`` at once: no clause is left unsatisfied
-    there.  ``patterns`` holds the brute force's variable patterns per
-    leaf size for this solve only, so it goes with the engine.  A node
-    is the trail itself.
+    variables of highest score, as :func:`choose_split_cnf` ranks them:
+    p + q + 2b in decide mode, with b the variable's unsatisfied
+    clauses among ``free[2]``, and p + q in enumerate mode.  A leaf
+    with no occurring variable is the block ``(fixed, [], 1)`` at once:
+    no clause is left unsatisfied there.  ``patterns`` holds the brute
+    force's variable patterns per leaf size for this solve only, so it
+    goes with the engine.  A node is the trail itself.
 
     The chain over l1..lr has the terms -l1, l1 -l2, ..., l1..l(r-1)
     -lr and l1..lr, so consecutive terms share their prefixes.  A split
@@ -554,10 +578,16 @@ class _Engine:
             return self.split(pures)
         if len(occurring) > self.cfg.n0:
             occ, unsat = t.occ, ~t.sat
-            ranked = []  # (-count, variable, literal in its majority polarity)
+            # decide: the clauses with two free literals (free[2] exists:
+            # with the units propagated, a variable occurs in a clause
+            # of two or more free literals)
+            two = t.free[2] if self.decide else 0
+            ranked = []  # (-score, variable, literal in its majority polarity)
             for v in occurring:
-                p, q = (occ[v] & unsat).bit_count(), (occ[-v] & unsat).bit_count()
-                ranked.append((-p - q, v, v if p >= q else -v))
+                p, q = occ[v] & unsat, occ[-v] & unsat
+                b = ((p | q) & two).bit_count()
+                p, q = p.bit_count(), q.bit_count()
+                ranked.append((-p - q - 2 * b, v, v if p >= q else -v))
             ranked.sort()
             return self.split([lit for _, _, lit in ranked[:self.cfg.split_depth]])
         _check_cap(len(occurring))

@@ -187,6 +187,34 @@ def random_clauses(rng: random.Random, n_vars: int, n_clauses: int, width: int =
     return clauses
 
 
+def tseitin_clauses(rng: random.Random, vertices: int) -> list:
+    """A Tseitin formula on a random 3-regular graph with odd total charge.
+
+    Each edge is a variable (1-based, in edge order); each vertex says
+    that the XOR of its three edges is its charge, as the four clauses
+    that forbid the other parity.  Every edge is counted at both its
+    ends, so the charges' sum would be even on any assignment: the
+    formula is UNSAT.  The graph is a pairing of three stubs per vertex,
+    drawn again until it has no loop and no repeated edge.  ``vertices``
+    is even and at least 4.
+    """
+    while True:
+        stubs = [v for v in range(vertices) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = [tuple(sorted(stubs[i:i + 2])) for i in range(0, len(stubs), 2)]
+        if all(a != b for a, b in edges) and len(set(edges)) == len(edges):
+            break
+    charge = [rng.randint(0, 1) for _ in range(vertices)]
+    charge[rng.randrange(vertices)] ^= 1 - sum(charge) % 2  # an odd total
+    clauses = []
+    for v in range(vertices):
+        ids = [e + 1 for e, ends in enumerate(edges) if v in ends]
+        for bits in itertools.product((0, 1), repeat=3):
+            if sum(bits) % 2 != charge[v]:  # forbid this point
+                clauses.append([-e if b else e for e, b in zip(ids, bits)])
+    return clauses
+
+
 def random_term_chain(rng: random.Random, ids, max_depth: int = 3):
     from onsat.onset import term_chain
 

@@ -122,6 +122,23 @@ class TestZeroSet:
             assert not (zs & su)
             assert len(zs) + len(su) == 1 << len(ids)
 
+    @pytest.mark.parametrize("width", [1, 8, 1024, 1025, 4096, 1 << 16])
+    def test_indices_are_the_set_bits_lowest_first(self, width):
+        # the bit loop below 1,025 bits or 33 points, the string walk
+        # above: each against a scan of every index
+        def scan(t):
+            return [i for i in range(width) if t >> i & 1]
+
+        rng = random.Random(width)
+        tables = [(1 << width) - 1, sum(1 << i for i in range(0, width, 2)),
+                  1 << (width - 1)]
+        for k in (1, 3, 32, 33, 200):
+            if k <= width:
+                tables.append(sum(1 << i for i in rng.sample(range(width), k)))
+        for t in tables:
+            assert list(boolalg._indices(t)) == scan(t)
+        assert list(boolalg._indices(0)) == []
+
     def test_cap_is_enforced(self):
         # 2^25 points exceed the fixed cap of 2^24, and each call raises
         # before it builds a table (one 2^25-point table is 4 MB)

@@ -7,7 +7,7 @@ import pytest
 from onsat import expansion
 from onsat.anf import OverBudget, from_expr
 from onsat.boolalg import MAX_NESTING, VarTable, const, parse_expr
-from onsat.cli import main
+from onsat.cli import _build_parser, main
 
 
 EXAMPLE_A_DIMACS = """c worked example
@@ -367,3 +367,26 @@ class TestUsage:
         for command in ("solve", "enumerate"):
             code, out, _ = run(command, cnf_file, "--mode", "enumerate")
             assert code == 1 and out == ""
+
+    def test_repeated_calls_match_first_calls(self, run, cnf_file):
+        """One process, one parser: each call prints and exits as it does
+        when it is the process's first call."""
+        calls = [
+            (("solve", cnf_file), 10),
+            (("solve", cnf_file, "--n0", "x"), 1),
+            (("--help",), 0),
+            (("enumerate", cnf_file), 10),
+            (("curve", "--modulus", "0xb", "--a1", "1", "--a6", "1"), 0),
+        ]
+        first = {}
+        for argv, code in calls:
+            _build_parser.cache_clear()
+            first[argv] = run(*argv)
+            assert first[argv][0] == code, argv
+        assert first[("--help",)][1].startswith("usage: onsat")
+        assert "invalid int value: 'x'" in first[("solve", cnf_file, "--n0", "x")][2]
+        _build_parser.cache_clear()
+        for _ in range(2):
+            for argv, _ in calls:
+                assert run(*argv) == first[argv], argv
+        assert _build_parser.cache_info().misses == 1

@@ -30,7 +30,7 @@ from onsat.cnf import (
 )
 from onsat.onset import term_chain
 from onsat.solver import DECIDE, ENUMERATE, Conflict, Solution, SolverConfig, _indices
-from conftest import random_clauses
+from conftest import oracle_cnf_solutions, random_clauses, tseitin_clauses
 
 
 def reference(c: CnfSet, cfg: SolverConfig) -> list:
@@ -235,15 +235,26 @@ def test_chain_order_is_term_chain_order(lits):
     assert entered == expected
 
 
+def root_split_lits(c: CnfSet, cfg: SolverConfig) -> list:
+    """The chain literals of the trail engine's root split."""
+    engine = _Engine(c, {}, cfg)
+    frame, children, blocks = engine.visit(engine.trail)
+    assert children is not None and blocks == ()
+    return frame[0]
+
+
 # Splitting at n0 = 1, split_depth = 2, the root chain of each is l1 = x0,
-# l2 = x1, and propagating the prefix x0 sets x1 true, sets it false, or
-# conflicts.  Every later term of the chain is then entered from that
-# propagated prefix, in both modes (no literal is pure at the root).
+# l2 = x1 in both modes, and propagating the prefix x0 sets x1 true, sets
+# it false, or conflicts.  Every later term of the chain is then entered
+# from that propagated prefix, in both modes (no literal is pure at the
+# root).  In "conflicts" the binary clauses on x4 weigh x4 up in decide
+# mode, so the three clauses on x1 and x5 keep x1 ahead of it.
 _BASE = [[1, 2, 3], [1, 2, -3], [1, -2, 4], [1, 3, -4], [-3, 4, 2], [-4, 3, -1]]
 PREFIX_TRAPS = {
     "sets a later chain literal true": (_BASE + [[-1, 2]], {1: 1}),
     "sets a later chain literal false": (_BASE + [[-1, -2]], {1: 0}),
-    "conflicts": (_BASE + [[-1, 5], [-1, -5], [1, -5, 2]], None),
+    "conflicts": (_BASE + [[-1, 5], [-1, -5], [1, -5, 2],
+                           [2, 4, 6], [2, -4, -6], [2, 3, -6]], None),
 }
 
 
@@ -252,9 +263,12 @@ def test_propagated_chain_prefixes_match_reference(name):
     clauses, units = PREFIX_TRAPS[name]
     c = CnfSet.from_clauses(clauses)
     assert not unit_literals(c) and not find_pure_literals(c)
-    chain = choose_split_cnf(c, SolverConfig(n0=1, split_depth=2))
-    assert [t.partial_assignment().as_dict() for t in chain.terms] == [
-        {0: 0}, {0: 1, 1: 0}, {0: 1, 1: 1}]
+    for mode in (DECIDE, ENUMERATE):
+        cfg = SolverConfig(n0=1, split_depth=2, mode=mode)
+        chain = choose_split_cnf(c, cfg)
+        assert [t.partial_assignment().as_dict() for t in chain.terms] == [
+            {0: 0}, {0: 1, 1: 0}, {0: 1, 1: 1}], mode
+        assert root_split_lits(c, cfg) == [1, 2], mode
     try:
         _, got = propagate_units(assign_and_reduce(c, {0: 1}))
     except Conflict:
@@ -297,3 +311,83 @@ def test_no_variable_leaves_are_one_satisfying_point(seed):
                 for clause in c.clauses:
                     assert any(fixed.get(abs(l) - 1) == (l > 0) for l in clause)
     assert seen
+
+
+# Two binary clauses on the DIMACS variables 2 and 5 (2 = -5) next to
+# ternary clauses on 1, 3 and 4.  Plain counts: 3 occurs 6 times, 1 and
+# 4 5 times, 2 and 5 3 times.  Decide counts each occurrence in a binary
+# clause three times: 2 and 5 score 7, 3 scores 6.
+BINARY_WEIGHT = CnfSet.from_clauses([
+    [1, 3, 4], [-1, 3, -4], [1, -3, -4], [-1, -3, 4], [1, 3, -4],
+    [2, 5], [-2, -5], [2, -5, 3]])
+
+
+@pytest.mark.parametrize("mode, lits", [(DECIDE, [2, -5]), (ENUMERATE, [3, 1])])
+def test_binary_clauses_weigh_the_decide_chain_only(mode, lits):
+    """Decide ranks by p + q + 2b, enumerate by p + q; both take the
+    polarity of the larger count."""
+    c = BINARY_WEIGHT
+    assert not unit_literals(c) and not find_pure_literals(c)
+    cfg = SolverConfig(n0=1, split_depth=2, mode=mode)
+    chain = choose_split_cnf(c, cfg)
+    assert chain.terms[-1].partial_assignment().as_dict() == {
+        abs(l) - 1: int(l > 0) for l in lits}
+    assert root_split_lits(c, cfg) == lits
+    assert solve_sat(c, cfg).solutions == reference(c, cfg)
+
+
+def test_decide_chain_below_the_root_weighs_reduced_binary_clauses():
+    """Random 3-CNFs with one literal assigned, so that every binary
+    clause comes from a shortened clause and some clauses are satisfied:
+    the engine's decide chain is choose_split_cnf's chain on the reduced
+    clause copy (after units and pure rounds), and on some of them the
+    plain count would choose another chain."""
+    rng = random.Random(5)
+    seen = weighed = 0
+    for _ in range(30):
+        n = rng.randint(6, 12)
+        c = CnfSet.from_clauses(
+            [[v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), 3)]
+             for _ in range(rng.randint(2 * n, 4 * n))], n)
+        for lit in [*range(1, n + 1), *range(-n, 0)]:
+            cfg = SolverConfig(n0=1, split_depth=rng.randint(1, 3))
+            engine = _Engine(c, {}, cfg)
+            engine.trail.assign(lit)
+            frame, children, _ = engine.visit(engine.trail)
+            try:
+                reduced, _ = propagate_units(
+                    assign_and_reduce(c, {abs(lit) - 1: int(lit > 0)}))
+            except Conflict:
+                assert children is None
+                continue
+            while True:
+                reduced, pures = assign_pure_round(reduced)
+                if not pures:
+                    break
+            if len(reduced.occurring()) <= cfg.n0:
+                assert children is None
+                continue
+            chain = choose_split_cnf(reduced, cfg)
+            assert {abs(l) - 1: int(l > 0) for l in frame[0]} == (
+                chain.terms[-1].partial_assignment().as_dict())
+            plain = choose_split_cnf(reduced, SolverConfig(
+                n0=1, split_depth=cfg.split_depth, mode=ENUMERATE))
+            seen += 1
+            weighed += plain.terms != chain.terms
+    assert seen > 100 and weighed > 10, (seen, weighed)
+
+
+@pytest.mark.parametrize("vertices", [4, 6, 8, 10])
+def test_tseitin_formulas_are_unsat(vertices):
+    """Parity constraints on 3-regular graphs with odd total charge: no
+    solution by the oracle, by the engine and by the reference walker."""
+    rng = random.Random(vertices)
+    for _ in range(2):
+        clauses = tseitin_clauses(rng, vertices)
+        c = CnfSet.from_clauses(clauses)
+        assert c.num_vars == 3 * vertices // 2 and len(clauses) == 4 * vertices
+        assert oracle_cnf_solutions(clauses, c.num_vars) == set()
+        for mode, n0, depth in itertools.product(
+                (DECIDE, ENUMERATE), (1, 4), (1, 3)):
+            cfg = SolverConfig(n0=n0, split_depth=depth, mode=mode)
+            assert solve_sat(c, cfg).solutions == [] == reference(c, cfg), cfg
