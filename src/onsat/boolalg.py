@@ -633,6 +633,54 @@ def _point(index: int, order: Sequence[int]) -> dict:
     return {v: index >> (n - 1 - i) & 1 for i, v in enumerate(order)}
 
 
+def _cubes(table: int, order: Sequence[int], fixed: dict) -> Iterator[dict]:
+    """A truth table's points as disjoint cubes, by Shannon expansion.
+
+    The table is in the MSB-first format over ``order``, and each cube
+    comes out as a copy of ``fixed`` plus its literals, the variables
+    of ``order`` it leaves out being free.  The table is split on the
+    ON set {v', v} of each variable of ``order`` in turn: an empty
+    half-table gives no cube, a full one gives one cube, and a variable
+    whose two half-tables are equal is a don't-care of its sub-cube.
+    The cubes come lowest index first.  The stack holds at most
+    ``len(order) + 1`` entries, each a sub-table, the position of its
+    first variable, and the cube's length and literal where it starts;
+    the cube's literals are one list that the entries cut back to.
+    """
+    if not table:
+        return
+    n = len(order)
+    lits: list = []  # (variable, value) of the current cube
+    stack: list = []
+    t, i = table, 0
+    while True:
+        while i < n:  # t is a nonempty table over order[i:]
+            width = 1 << (n - 1 - i)
+            full = (1 << width) - 1
+            lo, hi = t & full, t >> width
+            if lo == hi:
+                if lo == full:
+                    break
+                t = lo
+            elif not lo:
+                lits.append((order[i], 1))
+                t = hi
+            else:
+                if hi:
+                    stack.append((hi, i + 1, len(lits), (order[i], 1)))
+                lits.append((order[i], 0))
+                t = lo
+            i += 1
+        cube = dict(fixed)
+        cube.update(lits)
+        yield cube
+        if not stack:
+            return
+        t, i, k, lit = stack.pop()
+        del lits[k:]
+        lits.append(lit)
+
+
 def index_to_assignment(index: int, order: Sequence[int]) -> Assignment:
     """The point encoded by ``index`` under the MSB-first convention."""
     return Assignment(_point(index, order))

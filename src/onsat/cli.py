@@ -125,8 +125,9 @@ class _Cubes:
     order.  Per leaf block the order of the fragments and the line's
     tail are built once; each point then picks only the fragments of
     its occurring bits.  A one-point block (no occurring variable,
-    nothing to expand), such as a CNF leaf where no variable occurs or
-    any lifted system point, is joined into its one line directly.
+    nothing to expand), such as a CNF enumerate cube, a CNF decide leaf
+    where no variable occurs or a lifted system point, is joined into
+    its one line directly.
     """
 
     CHUNK = 256  # lines per write

@@ -9,8 +9,9 @@ split_depth=1 the chain degenerates to the usual two-way branch.
 Pure literals behave differently per mode.  In decide mode they are
 assigned true one at a time (ascending variable id, skipping any whose
 variable disappears along the way), which is satisfiability-preserving.
-In enumerate mode fixing pures would lose solutions, so the node
-branches over the full pure-literal chain instead.
+In enumerate mode fixing pures would lose solutions, so a node with
+more than n0 occurring variables branches over the full pure-literal
+chain instead; at n0 or fewer the node is a leaf, pures or not.
 
 The split chain takes the variables of highest score.  In enumerate
 mode the score is the variable's number of occurrences p + q.  In
@@ -37,13 +38,16 @@ split frequencies without rescanning the clauses; ANDed with the
 clauses that have two free literals, it gives the binary counts.  The
 trail is a backend of the search driver that the system path uses too
 (:func:`onsat.solver._search`), serial and depth-first, so the output
-is the same on every run.  It hands out one leaf's points at a time, so
-a caller that prints them needs memory for the depth of the tree only;
-``solve_sat`` collects them in a list.  A leaf where no variable occurs
-has every clause satisfied, so it is the one point of its fixed values
-and reads no clause; the other leaves brute-force their reduced clauses
-on truth tables whose variable patterns are built once per solve and
-leaf size.
+is the same on every run.  It hands out one leaf's solutions at a time,
+so a caller that prints them needs memory for the depth of the tree
+only; ``solve_sat`` collects them in a list.  A leaf where no variable
+occurs has every clause satisfied, so it is the one point of its fixed
+values and reads no clause; the other leaves brute-force their
+unsatisfied clauses on truth tables whose variable patterns are built
+once per solve and leaf size.  In enumerate mode a leaf's table goes
+out as the disjoint cubes of its Shannon expansion, the paper's sum
+over the ON set {x', x} of each occurring variable in turn, so a
+variable the leaf's points do not depend on stays free in the cube.
 """
 
 from __future__ import annotations
@@ -51,13 +55,15 @@ from __future__ import annotations
 import itertools
 import warnings
 from operator import neg
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .boolalg import (
     Assignment,
     BoolAlgError,
     ParseError,
     _check_cap,
+    _cubes,
+    _indices,
     _var_patterns,
     not_,
     or_all,
@@ -366,43 +372,57 @@ def _brute_mask(clauses, occ: list, patterns: dict) -> int:
     """The satisfying points over occ, as a truth-table bitmask.
 
     Bit idx is set when the point whose i-th variable takes bit
-    ``n - 1 - i`` of idx satisfies every clause.  ``patterns`` is the
-    solve's pattern table (see :func:`onsat.boolalg._var_patterns`),
-    shared by every leaf.
+    ``n - 1 - i`` of idx satisfies every clause.  A literal whose
+    variable is not in occ is skipped, so a leaf can pass its
+    unsatisfied clauses as they are: their assigned literals are false.
+    ``patterns`` is the solve's pattern table (see
+    :func:`onsat.boolalg._var_patterns`), shared by every leaf.
     """
     n = len(occ)
     full = (1 << (1 << n)) - 1
-    ones = _var_patterns(patterns, n)
-    pat = {v + 1: p for v, p in zip(occ, ones)}  # by positive literal
+    true = {}  # by literal of an occ variable: the points where it is true
+    for v, p in zip(occ, _var_patterns(patterns, n)):
+        true[v + 1] = p
+        true[-v - 1] = full ^ p
     mask = full
     for clause in clauses:
-        violate = full  # the points where every literal is false
+        sat = 0  # the points where some literal is true
         for lit in clause:
-            violate &= pat[-lit] if lit < 0 else full ^ pat[lit]
-        mask &= full ^ violate
-        if mask == 0:
+            t = true.get(lit)
+            if t is not None:
+                sat |= t
+        mask &= sat
+        if not mask:
             break
     return mask
 
 
-def _leaf_solutions(fixed: dict, trail: list, clauses: list, occ: list,
-                    patterns: dict) -> tuple:
-    """A leaf's solutions as one block (fixed values, occ, mask).
+def _leaf_solutions(engine: "_Engine", occurring: list) -> Iterable[tuple]:
+    """A leaf's solutions as blocks (fixed values, occ, mask).
 
-    The fixed values are ``fixed`` plus the trail's literals; the mask
-    holds the satisfying points of the reduced clauses over occ, from
-    :func:`_brute_mask` on the pattern table ``patterns``.  With no
-    occurring variable every clause is satisfied already, since an
+    The fixed values are the root's units plus the trail's literals;
+    the mask holds the points over the occurring variables that satisfy
+    the unsatisfied clauses, read from the trail's ``sat`` bitset.  With
+    no occurring variable every clause is satisfied already, since an
     unsatisfied clause without a free literal is a conflict, which the
     trail reports; so the block is the one point ``(fixed, [], 1)`` and
-    no truth table is built.
+    no truth table is built.  Decide mode takes the leaf as one block.
+    Enumerate mode hands the mask out as the disjoint cubes of its
+    Shannon expansion (:func:`onsat.boolalg._cubes`), each the one-point
+    block (fixed values plus the cube's literals, [], 1).
     """
-    fixed = dict(fixed)
-    for lit in trail:
-        fixed[abs(lit) - 1] = 1 if lit > 0 else 0
-    if not occ:
-        return fixed, occ, 1
-    return fixed, occ, _brute_mask(clauses, occ, patterns)
+    t = engine.trail
+    fixed = dict(engine.fixed)
+    fixed.update(map(engine.pairs.__getitem__, t.trail))
+    if not occurring:
+        return (fixed, [], 1),
+    clauses = t.clauses
+    unsat = (clauses[ci] for ci in _indices(engine.every ^ t.sat))
+    occ = [v - 1 for v in occurring]
+    mask = _brute_mask(unsat, occ, engine.patterns)
+    if engine.decide:
+        return (fixed, occ, mask),
+    return ((cube, [], 1) for cube in _cubes(mask, occ, fixed))
 
 
 class _Trail:
@@ -517,27 +537,22 @@ class _Trail:
                     pures.append(-v)
         return pures, occurring
 
-    def reduced_clauses(self) -> list:
-        known = self.known
-        sat = bin(self.sat)[:1:-1].ljust(len(self.clauses), "0")  # bit ci at ci
-        return [[l for l in clause if not known >> abs(l) & 1]
-                for clause, s in zip(self.clauses, sat) if s == "0"]
-
 
 class _Engine:
     """The CNF backend of the search driver: one trail for every node.
 
-    Each node propagates units to a fixpoint, handles pure literals
-    (decide: assign them, round by round; enumerate: branch on their
-    chain), then brute-forces the occurring variables if there are at
-    most n0 of them, else branches on the chain over the split_depth
-    variables of highest score, as :func:`choose_split_cnf` ranks them:
-    p + q + 2b in decide mode, with b the variable's unsatisfied
-    clauses among ``free[2]``, and p + q in enumerate mode.  A leaf
-    with no occurring variable is the block ``(fixed, [], 1)`` at once:
-    no clause is left unsatisfied there.  ``patterns`` holds the brute
-    force's variable patterns per leaf size for this solve only, so it
-    goes with the engine.  A node is the trail itself.
+    Each node propagates units to a fixpoint, in decide mode assigns the
+    pure literals round by round, then brute-forces the occurring
+    variables if there are at most n0 of them.  Above n0 it branches,
+    in enumerate mode on the pure-literal chain if a literal is pure,
+    else on the chain over the split_depth variables of highest score,
+    as :func:`choose_split_cnf` ranks them: p + q + 2b in decide mode,
+    with b the variable's unsatisfied clauses among ``free[2]``, and
+    p + q in enumerate mode.  A leaf is one :func:`_leaf_solutions`
+    call.  ``patterns`` holds the brute force's variable patterns per
+    leaf size for this solve only, and ``pairs`` the (variable, value)
+    of each literal, so both go with the engine.  A node is the trail
+    itself.
 
     The chain over l1..lr has the terms -l1, l1 -l2, ..., l1..l(r-1)
     -lr and l1..lr, so consecutive terms share their prefixes.  A split
@@ -559,10 +574,13 @@ class _Engine:
         self.cfg = cfg
         self.decide = cfg.mode == DECIDE
         self.patterns: dict = {}  # _brute_mask's table, for this solve only
+        self.pairs: list = [None] * (2 * top + 1)  # by literal: (variable, value)
+        for v in range(1, top + 1):
+            self.pairs[v], self.pairs[-v] = (v - 1, 1), (v - 1, 0)
         self.every = (1 << len(c.clauses)) - 1  # the sat bits of all clauses
 
     def visit(self, node) -> tuple:
-        """(frame, child indices, ()) at a split, (None, None, (block,)) at a leaf."""
+        """(frame, child indices, ()) at a split, (None, None, blocks) at a leaf."""
         t = self.trail
         if not t.propagate():
             return None, None, ()
@@ -574,9 +592,9 @@ class _Engine:
                     if t.occ[lit] & ~t.sat:  # skip a variable that has vanished
                         t.assign(lit)
                 pures, occurring = t.scan()
-        elif pures:
-            return self.split(pures)
         if len(occurring) > self.cfg.n0:
+            if pures:  # enumerate: their chain loses no solution
+                return self.split(pures)
             occ, unsat = t.occ, ~t.sat
             # decide: the clauses with two free literals (free[2] exists:
             # with the units propagated, a variable occurs in a clause
@@ -591,11 +609,7 @@ class _Engine:
             ranked.sort()
             return self.split([lit for _, _, lit in ranked[:self.cfg.split_depth]])
         _check_cap(len(occurring))
-        # with no occurring variable no clause is left to reduce
-        clauses = t.reduced_clauses() if occurring else []
-        occ = [v - 1 for v in occurring]
-        return None, None, (
-            _leaf_solutions(self.fixed, t.trail, clauses, occ, self.patterns),)
+        return None, None, _leaf_solutions(self, occurring)
 
     def split(self, lits: list) -> tuple:
         """The split over the chain of lits, from the trail's state."""
@@ -633,7 +647,9 @@ def leaf_blocks(c: CnfSet, cfg: Optional[SolverConfig] = None) -> Iterator[tuple
     order, and the bitmask of its satisfying points over them, bit idx
     giving variable ``occ[i]`` the value of bit ``len(occ) - 1 - i`` of
     idx.  Variables in neither are don't-cares.  Only blocks with a
-    point come out; in decide mode that is one block of one point.
+    point come out; in decide mode that is one block of one point.  In
+    enumerate mode every block is one cube ``(fixed, [], 1)``, and no
+    two cubes share a point.
 
     The root's unit clauses are propagated by :func:`propagate_units`,
     which also rejects an empty clause; the rest of the tree is walked
@@ -654,9 +670,9 @@ def leaf_blocks(c: CnfSet, cfg: Optional[SolverConfig] = None) -> Iterator[tuple
 def solve_sat(c: CnfSet, cfg: Optional[SolverConfig] = None) -> SolveOutcome:
     """Decide or enumerate satisfiability of a clause set.
 
-    The list form of :func:`leaf_blocks`: one solution per point, in
-    the order the blocks and their points come.  Decide mode stops at
-    the first point.
+    The list form of :func:`leaf_blocks`: one solution per point of a
+    block, in the order the blocks and their points come, so one per
+    cube in enumerate mode.  Decide mode stops at the first point.
     """
     return _outcome(leaf_blocks(c, cfg), range(c.num_vars))
 

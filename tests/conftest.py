@@ -7,6 +7,7 @@ stay independent of the truth-table machinery they are used to check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -118,6 +119,25 @@ def oracle_cnf_solutions(clauses, num_vars: int) -> set:
             )
         )
     return out
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def shannon_cubes(points: frozenset, n: int) -> list:
+    """The cubes of a set of n-bit tuples by Shannon expansion, as lists
+    of (position, value): split on the first bit, 0 before 1, except
+    that a split whose halves are equal leaves that bit free.  The
+    reference for ``boolalg._cubes`` and the CNF enumerate leaves.
+    Do not edit a returned list: the answers are cached."""
+    if not points:
+        return []
+    if len(points) == 1 << n:
+        return [[]]
+    halves = [frozenset(p[1:] for p in points if p[0] == b) for b in (0, 1)]
+    if halves[0] == halves[1]:
+        return [[(i + 1, b) for i, b in cube]
+                for cube in shannon_cubes(halves[0], n - 1)]
+    return [[(0, b)] + [(i + 1, v) for i, v in cube]
+            for b in (0, 1) for cube in shannon_cubes(halves[b], n - 1)]
 
 
 def expanded_solution_set(outcome, universe) -> set:

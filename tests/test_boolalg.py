@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 import re
 import tracemalloc
@@ -35,7 +37,13 @@ from onsat.boolalg import (
     var_occurrences,
     zero_set,
 )
-from conftest import all_points, oracle_eval, random_func, random_shared_funcs
+from conftest import (
+    all_points,
+    oracle_eval,
+    random_func,
+    random_shared_funcs,
+    shannon_cubes,
+)
 
 
 x, y, z = var(0), var(1), var(2)
@@ -187,6 +195,90 @@ class TestZeroSet:
     def test_cap_admits_24_variables(self):
         half = 1 << 23
         assert truth_table(x, range(24)) == ((1 << half) - 1) << half
+
+
+class TestCubes:
+    """``_cubes`` against the points of its table and the set-based
+    Shannon expansion of conftest."""
+
+    ORDER = [9, 2, 14, 0, 5, 11, 3, 8, 13, 1, 7, 12]  # scattered ids
+    FIXED = {20: 1, 21: 0}
+
+    @staticmethod
+    @functools.cache
+    def tables(n: int) -> tuple:
+        """The table of each literal over ORDER[:n], and each index's bits."""
+        full = (1 << (1 << n)) - 1
+        literals = {}  # (variable, value): the table of its points
+        for v, pattern in zip(TestCubes.ORDER, boolalg._var_patterns({}, n)):
+            literals[v, 0], literals[v, 1] = full ^ pattern, pattern
+        bits = [tuple(idx >> (n - 1 - i) & 1 for i in range(n))
+                for idx in range(1 << n)]
+        return literals, bits
+
+    def check(self, table: int, n: int) -> None:
+        order = self.ORDER[:n]
+        full = (1 << (1 << n)) - 1
+        literals, bits = self.tables(n)
+        cubes = list(boolalg._cubes(table, order, self.FIXED))
+        covered = lowest = 0
+        for cube in cubes:
+            points = full
+            for v, b in cube.items():
+                points &= literals.get((v, b), full)
+            # disjoint, lowest index first
+            assert not points & covered and points & -points > lowest
+            covered |= points
+            lowest = points & -points
+        assert covered == table
+        # the fixed values kept, split in order, equal halves merged
+        points = frozenset(map(bits.__getitem__, boolalg._indices(table)))
+        assert cubes == [{**self.FIXED, **{order[i]: b for i, b in cube}}
+                         for cube in shannon_cubes(points, n)]
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_every_table_up_to_four_variables(self, n):
+        for table in range(1 << (1 << n)):
+            self.check(table, n)
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_seeded_tables_up_to_twelve_variables(self, n):
+        rng = random.Random(n)
+        ids = list(range(n))
+        tables = [0, (1 << (1 << n)) - 1]
+        tables += [rng.getrandbits(1 << n) for _ in range(3)]
+        # sparse and dense tables, and functions with don't-cares
+        tables += [sum(1 << i for i in rng.sample(range(1 << n), 5)) for _ in range(3)]
+        tables += [((1 << (1 << n)) - 1) ^ t for t in tables[-3:]]
+        tables += [truth_table(random_func(rng, ids, 3), ids) for _ in range(12)]
+        for table in tables:
+            self.check(table, n)
+
+    def test_merges_a_full_table_and_equal_halves(self):
+        order = [4, 7, 2]
+        assert list(boolalg._cubes(0xFF, order, {1: 0})) == [{1: 0}]
+        # the odd indices, 2 = 1: the halves on 4 and on 7 are equal
+        assert list(boolalg._cubes(0b10101010, order, {})) == [{2: 1}]
+        # 4 = 0 with 7 and 2 free, then 4 = 1, 7 = 1 with 2 free
+        assert list(boolalg._cubes(0b11001111, order, {})) == [
+            {4: 0}, {4: 1, 7: 1}]
+
+    def test_parity_cubes_come_one_at_a_time(self):
+        # the 16-variable parity table is 2^15 one-point cubes, and the
+        # first ten are taken without the others being built
+        order = list(range(16))
+        table = 0
+        for pattern in boolalg._var_patterns({}, 16):
+            table ^= pattern
+        odd = [i for i in range(64) if bin(i).count("1") % 2][:10]
+        tracemalloc.start()
+        try:
+            first = list(itertools.islice(boolalg._cubes(table, order, {}), 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == [boolalg._point(i, order) for i in odd]
+        assert peak < 1 << 20
 
 
 class TestAlgebraRelations:

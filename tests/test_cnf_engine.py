@@ -1,9 +1,11 @@
 """The trail engine against the clause-level specification.
 
 ``reference`` walks the generalised DPLL tree with the clause-copying
-functions of ``onsat.cnf`` only: units to a fixpoint, pure rounds
-(decide) or the pure-literal chain (enumerate), then brute force at or
-below n0 or the split chain, children depth-first and left to right.
+functions of ``onsat.cnf`` only: units to a fixpoint, then pure rounds
+(decide), then brute force at or below n0, else the pure-literal chain
+(enumerate) or the split chain, children depth-first and left to right.
+An enumerate leaf's points come out as the cubes of their Shannon
+expansion in variable order, computed here on point sets.
 ``solve_sat`` must return exactly its solution list, order included.
 """
 
@@ -30,7 +32,13 @@ from onsat.cnf import (
 )
 from onsat.onset import term_chain
 from onsat.solver import DECIDE, ENUMERATE, Conflict, Solution, SolverConfig, _indices
-from conftest import oracle_cnf_solutions, random_clauses, tseitin_clauses
+from conftest import (
+    expanded_solution_set,
+    oracle_cnf_solutions,
+    random_clauses,
+    shannon_cubes,
+    tseitin_clauses,
+)
 
 
 def reference(c: CnfSet, cfg: SolverConfig) -> list:
@@ -44,27 +52,31 @@ def reference(c: CnfSet, cfg: SolverConfig) -> list:
         except Conflict:
             continue
         fixed = {**fixed, **units.as_dict()}
-        chain = None
         if decide:
             while True:
                 c, pures = assign_pure_round(c)
                 if not pures:
                     break
                 fixed.update(pures.as_dict())
-        elif find_pure_literals(c):
-            chain = pure_literal_chain(c)
         occ = sorted(c.occurring())
-        if chain is None and len(occ) <= cfg.n0:
-            for idx in _indices(_brute_mask(c.clauses, occ, {})):
-                point = {v: (idx >> (len(occ) - 1 - i)) & 1
-                         for i, v in enumerate(occ)}
-                assignment = {**fixed, **point}
+        if len(occ) <= cfg.n0:
+            n = len(occ)
+            points = [tuple(idx >> (n - 1 - i) & 1 for i in range(n))
+                      for idx in _indices(_brute_mask(c.clauses, occ, {}))]
+            if decide:
+                cubes = [list(enumerate(points[0]))] if points else []
+            else:
+                cubes = shannon_cubes(frozenset(points), n)
+            for cube in cubes:
+                assignment = {**fixed, **{occ[i]: b for i, b in cube}}
                 out.append(Solution.make(
                     assignment, set(range(c.num_vars)) - assignment.keys()))
                 if decide:
                     return out
             continue
-        if chain is None:
+        if find_pure_literals(c):
+            chain = pure_literal_chain(c)
+        else:
             chain = choose_split_cnf(c, cfg)
         children = [
             (child, {**fixed, **t.partial_assignment().as_dict()})
@@ -150,8 +162,10 @@ def check_trail(t: _Trail, c: CnfSet) -> None:
         assert conflict
         return
     assert not conflict
-    assert [set(clause) for clause in t.reduced_clauses()] == [
-        set(clause) for clause in reduced.clauses]
+    sat = bin(t.sat)[:1:-1].ljust(len(t.clauses), "0")  # bit ci at ci
+    free = [{l for l in clause if not t.known >> abs(l) & 1}
+            for clause, s in zip(t.clauses, sat) if s == "0"]
+    assert free == [set(clause) for clause in reduced.clauses]
     assert (t.free[1] & ~t.sat).bit_count() == len(unit_literals(reduced))
     pures = [v + 1 if pol else -(v + 1) for v, pol in find_pure_literals(reduced)]
     assert t.scan() == (pures, sorted(v + 1 for v in reduced.occurring()))
@@ -391,3 +405,47 @@ def test_tseitin_formulas_are_unsat(vertices):
                 (DECIDE, ENUMERATE), (1, 4), (1, 3)):
             cfg = SolverConfig(n0=n0, split_depth=depth, mode=mode)
             assert solve_sat(c, cfg).solutions == [] == reference(c, cfg), cfg
+
+
+# 1 is pure; 2 and 3 occur in both polarities
+PURE_BELOW_N0 = CnfSet.from_clauses([[1, 2, 3], [1, -2, -3], [2, -3]])
+
+
+@pytest.mark.parametrize("mode", [DECIDE, ENUMERATE])
+def test_pure_literals_at_or_below_n0_make_a_leaf(mode):
+    """Enumerate tests n0 before the pure-literal chain; decide assigns
+    the pures first either way."""
+    c = PURE_BELOW_N0
+    assert find_pure_literals(c) == [(0, True)] and not unit_literals(c)
+    for n0 in (2, 3):
+        engine = _Engine(c, {}, SolverConfig(n0=n0, mode=mode))
+        frame, children, blocks = engine.visit(engine.trail)
+        if mode == ENUMERATE and n0 == 2:
+            assert frame[0] == [1] and blocks == ()
+            continue
+        assert children is None
+        blocks = list(blocks)
+        if mode == DECIDE:  # the pures 1, then 2: no variable occurs
+            assert blocks == [({0: 1, 1: 1}, [], 1)]
+        else:  # 1 = 0 forces 2 = 1, 3 = 0; 1 = 1 leaves 2 or 3'
+            assert blocks == [({0: 0, 1: 1, 2: 0}, [], 1),
+                              ({0: 1, 1: 0, 2: 0}, [], 1), ({0: 1, 1: 1}, [], 1)]
+
+
+@pytest.mark.parametrize("width, positive", [(3, 0.5), (6, 1.0)])
+def test_enumerate_model_counts_match_the_oracle(width, positive):
+    """Seeded 3-CNFs, and monotone 6-ORs where every literal is pure:
+    the cubes hold each model once."""
+    rng = random.Random(width)
+    for _ in range(12):
+        n = rng.randint(6, 13)
+        clauses = [[v if rng.random() < positive else -v
+                    for v in rng.sample(range(1, n + 1), width)]
+                   for _ in range(rng.randint(n, 3 * n))]
+        c = CnfSet.from_clauses(clauses, n)
+        oracle = oracle_cnf_solutions(clauses, n)
+        for n0, depth in itertools.product((1, 4, 16), (1, 3)):
+            cfg = SolverConfig(n0=n0, split_depth=depth, mode=ENUMERATE)
+            outcome = solve_sat(c, cfg)
+            assert sum(1 << len(s.dont_care) for s in outcome.solutions) == len(oracle)
+            assert expanded_solution_set(outcome, range(n)) == oracle
