@@ -22,7 +22,7 @@ import functools
 import random
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import boolalg, cnf, expansion, gf2k, onset, solver
 from .boolalg import BoolAlgError, VarTable
@@ -104,131 +104,65 @@ def _looks_like_dimacs(text: str) -> bool:
     return False
 
 
-class _Literals(dict):
-    """DIMACS literal fragments (``-k``, ``k``) of variable k - 1, made on
-    first use: a decide run prints one line, whatever the variable count."""
-
-    def __missing__(self, v: int) -> tuple:
-        frag = self[v] = (f"-{v + 1}", f"{v + 1}")
-        return frag
-
-
 class _Cubes:
-    """Output lines of solution cubes, assembled from per-variable fragments.
+    """Output lines of solution cubes, one line per cube.
 
-    Built once per solve.  Every variable has its two value fragments
-    (``"name": 0`` and ``"name": 1`` in JSON lines, ``-k`` and ``k`` in
-    DIMACS ``v`` lines), and ``order`` lists the variables in the order
-    of their fragments in a line: JSON keys sort as strings, as ``json``
-    does with ``sort_keys`` (so "x10" comes before "x2"), and DIMACS
-    literals by variable.  The JSON ``dont_care`` list is in variable
-    order.  Per leaf block the order of the fragments and the line's
-    tail are built once; each point then picks only the fragments of
-    its occurring bits.  A one-point block (no occurring variable,
-    nothing to expand), such as a CNF enumerate cube, a CNF decide leaf
-    where no variable occurs or a lifted system point, is joined into
-    its one line directly.
+    Built once per solve.  A cube is a dict of fixed values; the
+    variables of ``universe`` (sorted) that it leaves out are its
+    don't-cares.  A DIMACS ``v`` line lists the cube's literals ``-k``
+    and ``k`` by variable, so it reads neither names nor the universe;
+    a decide run prints one such line at most.  In JSON lines every
+    variable has its two value fragments, ``"name": 0`` and
+    ``"name": 1``, and ``order`` lists the variables in the order of
+    their fragments in a line: keys sort as strings, as ``json`` does
+    with ``sort_keys`` (so "x10" comes before "x2").  The JSON
+    ``dont_care`` list is in variable order.
     """
 
-    CHUNK = 256  # lines per write
-
-    def __init__(self, names: list, universe, dimacs: bool, expand: bool,
-                 decide: bool):
-        self.universe = sorted(universe)
+    def __init__(self, names: Optional[list], universe, dimacs: bool):
         self.dimacs = dimacs
-        self.expand = expand
-        self.decide = decide
-        if dimacs:
-            self.frags = _Literals()
-            self.order = range(len(names))
-            self.head, self.sep = "v ", " "
-        else:
+        if not dimacs:
+            self.universe = universe
             # what json.dumps gives a str, without its per-call set-up
             self.quoted = [encode_basestring_ascii(name) for name in names]
             self.frags = [(q + ": 0", q + ": 1") for q in self.quoted]
             self.order = sorted(range(len(names)), key=names.__getitem__)
-            self.head, self.sep = '{"assignment": {', ", "
 
-    def _tail(self, free: list) -> str:
+    def text(self, cube: dict) -> str:
+        """The line of one cube."""
         if self.dimacs:
-            return " 0\n"
-        return '}, "dont_care": [' + ", ".join(self.quoted[v] for v in free) + "]}\n"
-
-    def text(self, fixed: dict, occ: list, mask: int) -> Iterable[str]:
-        """The lines of a block's points, a chunk of lines at a time.
-
-        The block is (fixed values, occurring variables, mask of
-        satisfying points) as :func:`onsat.cnf.leaf_blocks` and
-        :func:`onsat.solver.leaf_blocks` give it.
-        With ``expand`` the don't-cares become occurring bits too, each
-        point expanding to every value of them, first don't-care most
-        significant; a decide run prints only the first of them.
-        """
-        if occ or self.expand:
-            return self._points(fixed, occ, mask)
-        # one point: its line is the fixed fragments in order
+            lits = [f"{v + 1}" if cube[v] else f"-{v + 1}" for v in sorted(cube)]
+            return "v " + " ".join(lits) + " 0\n"
         frags = self.frags
-        body = self.sep.join([frags[v][fixed[v]] for v in self.order if v in fixed])
-        free = [v for v in self.universe if v not in fixed]
-        return [self.head + body + self._tail(free)]
-
-    def _points(self, fixed: dict, occ: list, mask: int) -> Iterator[str]:
-        """The lines of :meth:`text`'s blocks with points to decode.  It
-        decodes them itself, straight into text fragments: a dict per
-        point (``boolalg._point``) costs time on this hot path."""
-        inside = set(occ)
-        free = [v for v in self.universe if v not in fixed and v not in inside]
-        points = solver._indices(mask)
-        slots = occ
-        if self.expand:
-            slots, d = occ + free, len(free)
-            ways = 1 if self.decide else 1 << d  # don't-cares at 0 first
-            points = ((idx << d) | j for idx in points for j in range(ways))
-            free = []
-        shift = {v: len(slots) - 1 - i for i, v in enumerate(slots)}
-        frags, sep = self.frags, self.sep
-        parts: list = []  # runs of fixed fragments, None where a slot goes
-        fill: list = []  # (index in parts, bit shift, fragments) per slot
-        run: list = []
-        for v in self.order:
-            if v in shift:
-                if run:
-                    parts.append(sep.join(run))
-                    run = []
-                fill.append((len(parts), shift[v], frags[v]))
-                parts.append(None)
-            elif v in fixed:
-                run.append(frags[v][fixed[v]])
-        if run:
-            parts.append(sep.join(run))
-        head, tail = self.head, self._tail(free)
-        lines: list = []
-        for idx in points:
-            for k, s, frag in fill:
-                parts[k] = frag[idx >> s & 1]
-            lines.append(head + sep.join(parts) + tail)
-            if len(lines) == self.CHUNK:
-                yield "".join(lines)
-                lines = []
-        if lines:
-            yield "".join(lines)
+        body = ", ".join([frags[v][cube[v]] for v in self.order if v in cube])
+        free = ", ".join([self.quoted[v] for v in self.universe if v not in cube])
+        return '{"assignment": {' + body + '}, "dont_care": [' + free + "]}\n"
 
 
-def _emit_solutions(blocks, cubes: _Cubes) -> bool:
-    """Print each block's cubes as it comes; True when there was a block.
+def _expanded(cubes, universe, decide: bool) -> Iterator[dict]:
+    """Each cube's total assignments over ``universe`` (sorted), first
+    don't-care most significant; decide mode takes only the first, with
+    every don't-care at 0."""
+    for cube in cubes:
+        free = [v for v in universe if v not in cube]
+        for idx in range(1 if decide else 1 << len(free)):
+            yield {**cube, **boolalg._point(idx, free)}
+
+
+def _emit_solutions(cubes, printer: _Cubes) -> bool:
+    """Print each cube's line as it comes; True when there was a cube.
 
     DIMACS style starts with the ``s`` status line, so it waits for the
-    first block (or the end) before printing anything.
+    first cube (or the end) before printing anything.
     """
     write = sys.stdout.write
     sat = False
-    for block in blocks:
-        if cubes.dimacs and not sat:
+    for cube in cubes:
+        if printer.dimacs and not sat:
             write("s SATISFIABLE\n")
         sat = True
-        for text in cubes.text(*block):
-            write(text)
-    if cubes.dimacs and not sat:
+        write(printer.text(cube))
+    if printer.dimacs and not sat:
         write("s UNSATISFIABLE\n")
     return sat
 
@@ -242,21 +176,21 @@ def _run_solve(args, mode: str) -> int:
     cfg = solver.SolverConfig(n0=args.n0, split_depth=args.split_depth, mode=mode)
     if input_fmt == "dimacs":
         problem = cnf.parse_dimacs(text, strict=args.strict_dimacs)
-        # decide mode speaks the usual s/v protocol; enumerate mode
-        # reports solution cubes as JSON lines
+        # decide mode speaks the usual s/v protocol, which names no
+        # variable; enumerate mode reports solution cubes as JSON lines
         dimacs_style = args.format != "json" and mode == solver.DECIDE
-        names = [f"x{v + 1}" for v in range(problem.num_vars)]
+        names = None if dimacs_style else [f"x{v + 1}" for v in range(problem.num_vars)]
         universe = range(problem.num_vars)
-        blocks = cnf.leaf_blocks(problem, cfg)
+        cubes = cnf.leaf_blocks(problem, cfg)
     else:
         system, table = solver.parse_system(text)
         dimacs_style = False
-        names, universe = table.names, system.root_vars
-        blocks = solver.leaf_blocks(system, cfg)
-    cubes = _Cubes(names, universe, dimacs_style, args.expand_dont_cares,
-                   mode == solver.DECIDE)
+        names, universe = table.names, sorted(system.root_vars)
+        cubes = solver.leaf_blocks(system, cfg)
+    if args.expand_dont_cares:
+        cubes = _expanded(cubes, universe, mode == solver.DECIDE)
     # printed leaf by leaf as the search reaches them
-    sat = _emit_solutions(blocks, cubes)
+    sat = _emit_solutions(cubes, _Cubes(names, universe, dimacs_style))
     return 10 if sat else 20
 
 

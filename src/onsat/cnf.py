@@ -44,10 +44,12 @@ only; ``solve_sat`` collects them in a list.  A leaf where no variable
 occurs has every clause satisfied, so it is the one point of its fixed
 values and reads no clause; the other leaves brute-force their
 unsatisfied clauses on truth tables whose variable patterns are built
-once per solve and leaf size.  In enumerate mode a leaf's table goes
-out as the disjoint cubes of its Shannon expansion, the paper's sum
-over the ON set {x', x} of each occurring variable in turn, so a
-variable the leaf's points do not depend on stays free in the cube.
+once per solve and leaf size.  Every leaf hands out cubes, dicts of
+fixed values.  In enumerate mode a leaf's table goes out as the
+disjoint cubes of its Shannon expansion, the paper's sum over the ON
+set {x', x} of each occurring variable in turn, so a variable the
+leaf's points do not depend on stays free in the cube; decide mode
+takes the table's lowest point.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from .boolalg import (
     _check_cap,
     _cubes,
     _indices,
+    _point,
     _var_patterns,
     not_,
     or_all,
@@ -397,32 +400,35 @@ def _brute_mask(clauses, occ: list, patterns: dict) -> int:
     return mask
 
 
-def _leaf_solutions(engine: "_Engine", occurring: list) -> Iterable[tuple]:
-    """A leaf's solutions as blocks (fixed values, occ, mask).
+def _leaf_solutions(engine: "_Engine", occurring: list) -> Iterable[dict]:
+    """A leaf's solutions as cubes, dicts of fixed values.
 
-    The fixed values are the root's units plus the trail's literals;
-    the mask holds the points over the occurring variables that satisfy
-    the unsatisfied clauses, read from the trail's ``sat`` bitset.  With
-    no occurring variable every clause is satisfied already, since an
-    unsatisfied clause without a free literal is a conflict, which the
-    trail reports; so the block is the one point ``(fixed, [], 1)`` and
-    no truth table is built.  Decide mode takes the leaf as one block.
-    Enumerate mode hands the mask out as the disjoint cubes of its
-    Shannon expansion (:func:`onsat.boolalg._cubes`), each the one-point
-    block (fixed values plus the cube's literals, [], 1).
+    The fixed values are the root's units plus the trail's literals.
+    With no occurring variable every clause is satisfied already, since
+    an unsatisfied clause without a free literal is a conflict, which
+    the trail reports; so the leaf is the one cube of its fixed values
+    and no truth table is built.  Otherwise the mask holds the points
+    over the occurring variables that satisfy the unsatisfied clauses,
+    read from the trail's ``sat`` bitset.  Decide mode takes its lowest
+    point, enumerate mode the disjoint cubes of its Shannon expansion
+    (:func:`onsat.boolalg._cubes`); either way on top of the fixed
+    values.
     """
     t = engine.trail
     fixed = dict(engine.fixed)
     fixed.update(map(engine.pairs.__getitem__, t.trail))
     if not occurring:
-        return (fixed, [], 1),
+        return fixed,
     clauses = t.clauses
     unsat = (clauses[ci] for ci in _indices(engine.every ^ t.sat))
     occ = [v - 1 for v in occurring]
     mask = _brute_mask(unsat, occ, engine.patterns)
-    if engine.decide:
-        return (fixed, occ, mask),
-    return ((cube, [], 1) for cube in _cubes(mask, occ, fixed))
+    if not engine.decide:
+        return _cubes(mask, occ, fixed)
+    if not mask:
+        return ()
+    fixed.update(_point((mask & -mask).bit_length() - 1, occ))
+    return fixed,
 
 
 class _Trail:
@@ -580,7 +586,7 @@ class _Engine:
         self.every = (1 << len(c.clauses)) - 1  # the sat bits of all clauses
 
     def visit(self, node) -> tuple:
-        """(frame, child indices, ()) at a split, (None, None, blocks) at a leaf."""
+        """(frame, child indices, ()) at a split, (None, None, cubes) at a leaf."""
         t = self.trail
         if not t.propagate():
             return None, None, ()
@@ -639,16 +645,12 @@ class _Engine:
         return t if t.assign(-lits[i]) else None
 
 
-def leaf_blocks(c: CnfSet, cfg: Optional[SolverConfig] = None) -> Iterator[tuple]:
-    """The solutions of a clause set as leaf blocks, one leaf at a time.
+def leaf_blocks(c: CnfSet, cfg: Optional[SolverConfig] = None) -> Iterator[dict]:
+    """The solutions of a clause set as cubes, one leaf at a time.
 
-    A block is (fixed values, occurring variables, mask): the leaf's
-    dict of fixed variable values, its occurring variables in ascending
-    order, and the bitmask of its satisfying points over them, bit idx
-    giving variable ``occ[i]`` the value of bit ``len(occ) - 1 - i`` of
-    idx.  Variables in neither are don't-cares.  Only blocks with a
-    point come out; in decide mode that is one block of one point.  In
-    enumerate mode every block is one cube ``(fixed, [], 1)``, and no
+    A cube is a dict of fixed variable values; the variables it leaves
+    out are don't-cares, every expansion of which satisfies every
+    clause.  Decide mode gives at most one cube.  In enumerate mode no
     two cubes share a point.
 
     The root's unit clauses are propagated by :func:`propagate_units`,
@@ -670,9 +672,8 @@ def leaf_blocks(c: CnfSet, cfg: Optional[SolverConfig] = None) -> Iterator[tuple
 def solve_sat(c: CnfSet, cfg: Optional[SolverConfig] = None) -> SolveOutcome:
     """Decide or enumerate satisfiability of a clause set.
 
-    The list form of :func:`leaf_blocks`: one solution per point of a
-    block, in the order the blocks and their points come, so one per
-    cube in enumerate mode.  Decide mode stops at the first point.
+    The list form of :func:`leaf_blocks`: one solution per cube, in
+    the order the cubes come.  Decide mode stops at the first.
     """
     return _outcome(leaf_blocks(c, cfg), range(c.num_vars))
 

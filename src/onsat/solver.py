@@ -30,9 +30,9 @@ forms:
   cofactoring, and leaves over the expressions' truth tables.
 
 The walk is serial and deterministic and hands out one leaf at a time
-(:func:`leaf_blocks`).  Solutions are reported compressed: an
-assignment of the constrained variables plus a list of don't-care
-variables, every expansion of which satisfies the system.
+(:func:`leaf_blocks`).  Solutions are reported compressed, as cubes: an
+assignment of the constrained variables, the other variables being
+don't-cares, every expansion of which satisfies the system.
 """
 
 from __future__ import annotations
@@ -375,7 +375,7 @@ def _local_solutions(system: BoolSystem) -> tuple[list, list]:
 
 
 class _Lifter:
-    """Lifts leaf points to one-point blocks over a system's variables.
+    """Lifts leaf points to cubes over a system's variables.
 
     Assignments are bitmasks: variable ``ids[j]`` is bit ``1 << j``, and
     ``cbit``, above all of them, stands for the constant 1.  ``known``
@@ -403,7 +403,7 @@ class _Lifter:
             for v1, v2, same_pol in system.bindings
         )
 
-    def leaf(self, order, indices, known: int, ones: int, bindings) -> Iterator[tuple]:
+    def leaf(self, order, indices, known: int, ones: int, bindings) -> Iterator[dict]:
         """Lift each point of a leaf table over the bits of ``order``.
 
         ``order`` lists the bits most significant point bit first, and
@@ -416,11 +416,11 @@ class _Lifter:
             point = sum(b for i, b in enumerate(order) if idx >> (n - 1 - i) & 1)
             yield from self.lift(known, ones | point, bindings)
 
-    def lift(self, known: int, ones: int, bindings) -> Iterator[tuple]:
+    def lift(self, known: int, ones: int, bindings) -> Iterator[dict]:
         """Solve the bindings in reverse, depth first.
 
         A bit on the right of a binding that is neither fixed nor bound
-        gets both values, 0 first.  Each result is a one-point block of
+        gets both values, 0 first.  Each result is a cube, the dict of
         the fixed values; variables that nothing fixes are don't-cares.
         The stack holds one pending branch per split bit.
         """
@@ -440,28 +440,23 @@ class _Lifter:
                 known |= p
                 if (rest & ones).bit_count() & 1:
                     ones |= p
-            fixed = {v: ones >> j & 1 for j, v in enumerate(self.ids) if known >> j & 1}
-            yield fixed, [], 1
+            yield {v: ones >> j & 1 for j, v in enumerate(self.ids) if known >> j & 1}
 
 
-def _tree_leaf(system: BoolSystem) -> Iterator[tuple]:
-    """A leaf's table; each of its points is lifted when it is reached."""
+def _tree_leaf(system: BoolSystem) -> Iterator[dict]:
+    """A leaf's cubes; each point of its table is lifted when it is reached."""
     occ, indices = _local_solutions(system)
     lifter = _Lifter(system)
     order = [lifter.bit[v] for v in occ]
     return lifter.leaf(order, indices, lifter.known, lifter.ones, lifter.bindings)
 
 
-def _outcome(blocks, universe) -> SolveOutcome:
-    """The list form of a block stream: one Solution per point of each
-    block, in order, and SAT if there is one.  The variables of
-    ``universe`` in neither ``fixed`` nor ``occ`` are don't-cares."""
+def _outcome(cubes, universe) -> SolveOutcome:
+    """The list form of a cube stream: one Solution per cube, in order,
+    and SAT if there is one.  The variables of ``universe`` that a cube
+    leaves out are its don't-cares."""
     universe = frozenset(universe)
-    solutions = []
-    for fixed, occ, mask in blocks:
-        dont_care = universe.difference(fixed, occ)
-        for idx in _indices(mask):
-            solutions.append(Solution.make({**fixed, **_point(idx, occ)}, dont_care))
+    solutions = [Solution.make(cube, universe.difference(cube)) for cube in cubes]
     return SolveOutcome(SAT if solutions else UNSAT, solutions)
 
 
@@ -479,28 +474,26 @@ def brute_force(system: BoolSystem) -> SolveOutcome:
 # ---------------------------------------------------------------------------
 # the search driver and its system backends
 
-def _search(backend, root, decide: bool) -> Iterator[tuple]:
-    """Leaf blocks that hold a point, depth first, left to right.
+def _search(backend, root, decide: bool) -> Iterator[dict]:
+    """The leaves' cubes, depth first, left to right.
 
     The backend owns the nodes.  ``visit(node)`` returns (parent,
-    children, blocks): a split gives the state its children are entered
-    from and its chain terms, a leaf its blocks, a conflict neither.
+    children, cubes): a split gives the state its children are entered
+    from and its chain terms, a leaf its cubes, a conflict neither.
     ``enter(parent, child)`` returns the child's node, or None on a
-    conflict.  Decide mode stops after the first point.
+    conflict.  Decide mode stops after the first cube.
     """
     stack: list = []  # frames [parent, children, next child]
     node = root
     while True:
         if node is not None:
-            parent, children, blocks = backend.visit(node)
+            parent, children, cubes = backend.visit(node)
             if children:
                 stack.append([parent, children, 0])
-            for fixed, occ, mask in blocks:
-                if mask:
-                    if decide:
-                        yield fixed, occ, mask & -mask
-                        return
-                    yield fixed, occ, mask
+            for cube in cubes:
+                yield cube
+                if decide:
+                    return
         while stack:
             frame = stack[-1]
             parent, children, i = frame
@@ -627,8 +620,8 @@ class _AnfSearch:
         return [(chosen[i] if i < len(chosen) else 0, sum(chosen[:i]))
                 for i in range(len(chosen) + 1)]
 
-    def _on_trees(self, known: int, ones: int) -> Iterator[tuple]:
-        """The blocks of a node whose elimination outgrew ``anf.BUDGET``.
+    def _on_trees(self, known: int, ones: int) -> Iterator[dict]:
+        """The cubes of a node whose elimination outgrew ``anf.BUDGET``.
 
         They come from the tree search of the root system cofactored by
         the node's split bits.  The node's bindings follow from the root
@@ -642,11 +635,12 @@ class _AnfSearch:
         return _search(_TreeSearch(self.cfg), _cofactored(self.system, q), False)
 
 
-def leaf_blocks(system: BoolSystem, cfg: Optional[SolverConfig] = None) -> Iterator[tuple]:
-    """The solutions of a system as leaf blocks, one leaf at a time.
+def leaf_blocks(system: BoolSystem, cfg: Optional[SolverConfig] = None) -> Iterator[dict]:
+    """The solutions of a system as cubes, one leaf at a time.
 
-    Blocks are as in :func:`onsat.cnf.leaf_blocks`, root variables in
-    neither part of a block being its don't-cares.  A system whose
+    Cubes are as in :func:`onsat.cnf.leaf_blocks`: dicts of fixed
+    values, the root variables a cube leaves out being its don't-cares;
+    a leaf gives one cube per lifted point.  A system whose
     polynomials are no larger than its expressions is searched in ANF,
     any other on the expression trees; so is the subtree of a node
     whose elimination outgrows ``anf.BUDGET``.  Memory is bounded by

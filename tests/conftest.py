@@ -95,8 +95,8 @@ def tree_solutions(system, cfg) -> list:
     """The solutions of the expression-tree search alone, in its order."""
     from onsat.solver import DECIDE, _TreeSearch, _outcome, _search
 
-    blocks = _search(_TreeSearch(cfg), system, cfg.mode == DECIDE)
-    return _outcome(blocks, system.root_vars).solutions
+    cubes = _search(_TreeSearch(cfg), system, cfg.mode == DECIDE)
+    return _outcome(cubes, system.root_vars).solutions
 
 
 def oracle_cnf_solutions(clauses, num_vars: int) -> set:

@@ -30,6 +30,7 @@ from onsat.cnf import (
     solve_sat,
     unit_literals,
 )
+from onsat.boolalg import index_to_assignment
 from onsat.onset import term_chain
 from onsat.solver import DECIDE, ENUMERATE, Conflict, Solution, SolverConfig, _indices
 from conftest import (
@@ -240,8 +241,8 @@ def test_chain_order_is_term_chain_order(lits):
     c = CnfSet.from_clauses([[l, 9, 10] for v in range(1, 9) for l in (v, -v)])
     engine = _Engine(c, {}, SolverConfig())
     t = engine.trail
-    frame, children, blocks = engine.split(signed)
-    assert blocks == () and len(children) == len(expected)
+    frame, children, cubes = engine.split(signed)
+    assert cubes == () and len(children) == len(expected)
     entered = []
     for i in children:
         assert engine.enter(frame, i) is t
@@ -252,8 +253,8 @@ def test_chain_order_is_term_chain_order(lits):
 def root_split_lits(c: CnfSet, cfg: SolverConfig) -> list:
     """The chain literals of the trail engine's root split."""
     engine = _Engine(c, {}, cfg)
-    frame, children, blocks = engine.visit(engine.trail)
-    assert children is not None and blocks == ()
+    frame, children, cubes = engine.visit(engine.trail)
+    assert children is not None and cubes == ()
     return frame[0]
 
 
@@ -311,20 +312,38 @@ def test_brute_mask_shares_one_pattern_table():
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_no_variable_leaves_are_one_satisfying_point(seed):
+def test_enumerate_cubes_satisfy_every_clause(seed):
+    """Every clause has a literal that the cube fixes true: exactly the
+    condition for every expansion of the cube to satisfy the clause."""
     seen = 0
     for c in random_cnfs(200 + seed, 30):
         for cfg in configs():
             if cfg.mode != ENUMERATE:
                 continue
-            for fixed, occ, mask in leaf_blocks(c, cfg):
-                if occ:
-                    continue
+            for cube in leaf_blocks(c, cfg):
                 seen += 1
-                assert mask == 1
                 for clause in c.clauses:
-                    assert any(fixed.get(abs(l) - 1) == (l > 0) for l in clause)
+                    assert any(cube.get(abs(l) - 1) == (l > 0) for l in clause)
     assert seen
+
+
+def test_decide_witness_is_the_lowest_point_of_its_leaf():
+    """A one-leaf CNF's decide witness is its fixed values plus the
+    lowest satisfying index of the leaf table, decoded first variable
+    most significant by ``index_to_assignment``."""
+    # x1 is a unit; x3 = ~x2 and x4 = ~x3 leave two points over x2..x4,
+    # and x5 is declared but free
+    c = CnfSet.from_clauses([[1], [2, 3], [-2, -3], [3, 4], [-3, -4]], num_vars=5)
+    rest, units = propagate_units(c)
+    occ = sorted(rest.occurring())
+    mask = _brute_mask(rest.clauses, occ, {})
+    assert occ == [1, 2, 3] and mask.bit_count() == 2
+    low = (mask & -mask).bit_length() - 1
+    expected = {**units.as_dict(), **index_to_assignment(low, occ).as_dict()}
+    assert expected == {0: 1, 1: 0, 2: 1, 3: 0}
+    out = solve_sat(c, SolverConfig(mode=DECIDE))
+    assert [sol.as_dict() for sol in out.solutions] == [expected]
+    assert out.solutions[0].dont_care == (4,)
 
 
 # Two binary clauses on the DIMACS variables 2 and 5 (2 = -5) next to
@@ -419,17 +438,16 @@ def test_pure_literals_at_or_below_n0_make_a_leaf(mode):
     assert find_pure_literals(c) == [(0, True)] and not unit_literals(c)
     for n0 in (2, 3):
         engine = _Engine(c, {}, SolverConfig(n0=n0, mode=mode))
-        frame, children, blocks = engine.visit(engine.trail)
+        frame, children, cubes = engine.visit(engine.trail)
         if mode == ENUMERATE and n0 == 2:
-            assert frame[0] == [1] and blocks == ()
+            assert frame[0] == [1] and cubes == ()
             continue
         assert children is None
-        blocks = list(blocks)
+        cubes = list(cubes)
         if mode == DECIDE:  # the pures 1, then 2: no variable occurs
-            assert blocks == [({0: 1, 1: 1}, [], 1)]
+            assert cubes == [{0: 1, 1: 1}]
         else:  # 1 = 0 forces 2 = 1, 3 = 0; 1 = 1 leaves 2 or 3'
-            assert blocks == [({0: 0, 1: 1, 2: 0}, [], 1),
-                              ({0: 1, 1: 0, 2: 0}, [], 1), ({0: 1, 1: 1}, [], 1)]
+            assert cubes == [{0: 0, 1: 1, 2: 0}, {0: 1, 1: 0, 2: 0}, {0: 1, 1: 1}]
 
 
 @pytest.mark.parametrize("width, positive", [(3, 0.5), (6, 1.0)])

@@ -1,10 +1,12 @@
 """What ``onsat solve|enumerate`` prints, and when.
 
-The CLI writes cube lines from per-variable fragments as the search
-reaches each leaf, on the CNF and on the system path.  ``old_rendering``
-is the rendering those lines must reproduce byte for byte: one dict per
-cube, encoded by ``json.JSONEncoder(sort_keys=True)``, over the
-``solve_sat`` or ``bool_solve`` solution list.  With
+Both paths hand their solutions out as cubes, dicts of fixed values
+whose missing root variables are don't-cares, and the CLI writes each
+cube's line from per-variable fragments as the search reaches its
+leaf.  ``old_rendering`` is the rendering those lines must reproduce
+byte for byte: one dict per cube, encoded by
+``json.JSONEncoder(sort_keys=True)``, over the ``solve_sat`` or
+``bool_solve`` solution list.  With
 ``--expand-dont-cares`` enumerate mode prints every total assignment
 and decide mode only the witness's first one, its don't-cares at 0.
 """
@@ -137,24 +139,26 @@ class TestFormatterMatchesJsonEncoder:
 
 
 class TestOnePointBlocks:
-    """A block with no occurring variable is one line, rendered directly;
-    it must equal the general path's rendering of the same block."""
+    """A cube is one line: its dict as ``json.JSONEncoder(sort_keys=True)``
+    encodes it, or the DIMACS ``v`` line of its literals by variable,
+    which reads no names."""
 
     NAMES = ["x1", "x2", "x10", "\u00f1u", "x3", "b"]  # "x10" sorts before "x2"
 
     @pytest.mark.parametrize("dimacs", [True, False], ids=["dimacs", "json"])
-    @pytest.mark.parametrize("fixed", [
-        {},
-        {0: 1, 1: 0, 2: 1, 3: 0, 4: 1, 5: 1},
-        {5: 1, 2: 0, 3: 1},
-        {1: 1, 2: 1, 0: 0},
+    @pytest.mark.parametrize("fixed, v_line", [
+        ({}, "v  0\n"),
+        ({0: 1, 1: 0, 2: 1, 3: 0, 4: 1, 5: 1}, "v 1 -2 3 -4 5 6 0\n"),
+        ({5: 1, 2: 0, 3: 1}, "v -3 4 6 0\n"),
+        ({1: 1, 2: 1, 0: 0}, "v -1 2 3 0\n"),
     ], ids=["empty", "all fixed", "names out of id order", "some fixed"])
-    def test_matches_general_path(self, dimacs, fixed):
-        cubes = _Cubes(self.NAMES, range(len(self.NAMES)), dimacs, False, False)
-        direct = "".join(cubes.text(fixed, [], 1))
-        assert direct == "".join(cubes._points(fixed, [], 1))
+    def test_matches_general_path(self, dimacs, fixed, v_line):
+        names = None if dimacs else self.NAMES
+        direct = _Cubes(names, range(len(self.NAMES)), dimacs).text(fixed)
         assert direct.count("\n") == 1
-        if not dimacs:
+        if dimacs:
+            assert direct == v_line
+        else:
             encode = json.JSONEncoder(sort_keys=True).encode
             assert direct == encode({
                 "assignment": {self.NAMES[v]: b for v, b in fixed.items()},
@@ -202,6 +206,22 @@ def test_decide_expands_one_witness(tmp_path):
 
 
 class TestStreaming:
+    def test_dimacs_decide_memory_is_not_by_declared_variables(self, tmp_path):
+        # the v line lists the witness's literals and nothing else, so a
+        # large header costs no per-variable name or fragment
+        path = tmp_path / "wide_header.cnf"
+        path.write_text("p cnf 200000 1\n1 0\n")
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = main(["solve", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out.getvalue()) == (10, "s SATISFIABLE\nv 1 0\n")
+        assert peak < 2 << 20
+
     def test_cnf_enumerate_memory_is_bounded_by_depth(self, tmp_path):
         # 16 pairs a = ~b: 65,536 cubes of 32 variables over 4,096 leaves
         # (n0 = 8), each printed when its leaf is reached instead of being

@@ -37,7 +37,6 @@ from onsat.solver import (
     Solution,
     SolverConfig,
     _local_solutions,
-    _outcome,
     bool_solve,
     brute_force,
     choose_split,
@@ -283,16 +282,6 @@ class TestBoolSolve:
                           tree_solutions(system, cfg(n0=16))):
             assert [Assignment(sol.as_dict()) for sol in solutions] == expected
             assert {sol.dont_care for sol in solutions} == {(0,)}
-
-    def test_block_points_decode_as_index_to_assignment(self):
-        # a block's occurring variables, in its order, over its mask
-        order = [3, 0, 2]
-        block = ({4: 1}, order, 1 << 1 | 1 << 4 | 1 << 7)
-        out = _outcome([block], range(6))
-        assert [sol.as_dict() for sol in out.solutions] == [
-            {4: 1, **index_to_assignment(i, order).as_dict()} for i in (1, 4, 7)]
-        assert out.solutions[0].as_dict() == {0: 0, 2: 1, 3: 0, 4: 1}
-        assert {sol.dont_care for sol in out.solutions} == {(1, 5)}
 
     def test_expand_puts_the_first_dont_care_most_significant(self):
         sol = Solution.make({0: 1}, [5, 2])
