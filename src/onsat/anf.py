@@ -32,6 +32,9 @@ first variable's pattern.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import chain
+from operator import or_
 from typing import Mapping, Optional, Sequence
 
 from .boolalg import AND, CONST, NOT, VAR, XOR, BoolFunc, _check_cap, _var_patterns
@@ -212,6 +215,11 @@ def bits_of(mask: int) -> list:
     return out
 
 
+def occurring(eqs: Sequence[frozenset]) -> int:
+    """The mask of the variable bits that the polynomials mention."""
+    return reduce(or_, chain.from_iterable(eqs), 0)
+
+
 def zero_table(eqs: Sequence[frozenset], order: Sequence[int], patterns: dict) -> int:
     """Truth table of the points where every polynomial is 0.
 
@@ -221,6 +229,11 @@ def zero_table(eqs: Sequence[frozenset], order: Sequence[int], patterns: dict) -
     :func:`boolalg._var_patterns`), shared by every leaf.  A monomial
     is the AND of its variables' patterns, a polynomial the XOR of its
     monomials.
+
+    The polynomials are taken fewest monomials first (a stable sort,
+    so equal sizes keep their order): each one roughly halves the
+    live points, so the cheap ones do most of the cutting, and the
+    loop stops as soon as no point is left.
     """
     n = len(order)
     _check_cap(n)
@@ -228,7 +241,7 @@ def zero_table(eqs: Sequence[frozenset], order: Sequence[int], patterns: dict) -
     pattern = dict(zip(order, _var_patterns(patterns, n)))
     monomials = {0: full}
     mask = full
-    for e in eqs:
+    for e in sorted(eqs, key=len):
         table = 0
         for m in e:
             t = monomials.get(m)

@@ -890,6 +890,10 @@ class VarTable:
 
 
 _TOKEN_RE = re.compile(r"[A-Za-z_]\w*|[01&|^~()']|\S")
+#: The first characters of a name.  The tokenizer cuts a name whole and
+#: any other token is one character, so a token's first character tells
+#: whether it is a name.
+_NAME_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz"
 
 #: Deepest nesting of parentheses and prefix ``~`` the parser accepts.
 #: The parser and ``substitute`` recurse once per level, so this keeps
@@ -899,17 +903,20 @@ MAX_NESTING = 100
 
 class _Parser:
     def __init__(self, text: str, table: VarTable, line: Optional[int] = None):
+        # None marks the end; taking it always ends in a ParseError, so
+        # the parser never reads past it
         self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append(None)
         self.pos = 0
         self.table = table
         self.line = line
         self.depth = 0
 
     def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def take(self) -> Optional[str]:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
@@ -968,6 +975,8 @@ class _Parser:
         tok = self.take()
         if tok is None:
             self.fail("unexpected end of expression")
+        if tok[0] in _NAME_START:
+            return var(self.table.intern(tok))
         if tok == "(":
             self.nest()
             f = self.disjunction()
@@ -979,8 +988,6 @@ class _Parser:
             return _CONST0
         if tok == "1":
             return _CONST1
-        if re.fullmatch(r"[A-Za-z_]\w*", tok):
-            return var(self.table.intern(tok))
         self.fail(f"unexpected token {tok!r}")
 
 

@@ -132,7 +132,7 @@ class _Cubes:
         """The line of one cube."""
         if self.dimacs:
             lits = [f"{v + 1}" if cube[v] else f"-{v + 1}" for v in sorted(cube)]
-            return "v " + " ".join(lits) + " 0\n"
+            return " ".join(["v", *lits, "0\n"])
         frags = self.frags
         body = ", ".join([frags[v][cube[v]] for v in self.order if v in cube])
         free = ", ".join([self.quoted[v] for v in self.universe if v not in cube])

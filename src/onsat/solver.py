@@ -13,7 +13,8 @@ forms:
 
 * ANF (algebraic normal form, :mod:`onsat.anf`): each equation
   ``l = r`` becomes the GF(2) polynomial ``l ^ r``, an XOR of
-  monomials.  A node reduces by Gauss-Jordan elimination over its
+  monomials.  A node that mentions at most n0 variables is a leaf as
+  it stands.  A larger one reduces by Gauss-Jordan elimination over its
   affine equations: an inconsistent system is a conflict, and each
   pivot becomes a binding ``v = c ^ (sum of others)`` that is
   substituted into the other equations, to a fixpoint.  Frequency is
@@ -533,10 +534,13 @@ class _AnfSearch:
     (equations, known, ones, bindings): the polynomials that must be 0,
     the bits fixed by the trail and by splits and those fixed to 1, and
     the affine bindings in the order they were made, starting with the
-    root's literal equalities.  ``patterns`` holds the leaves' variable
-    patterns per leaf size for this solve only (see
-    :func:`anf.zero_table`), so it goes with the search.  Raises
-    OverBudget when the root system is not converted
+    root's literal equalities.  A node over at most n0 bits is
+    brute-forced as it stands; only a larger one is eliminated, since
+    its leaf table costs less than elimination, and elimination that
+    brings a node to n0 or below also makes it a leaf.  ``patterns``
+    holds the leaves' variable patterns per leaf size for this solve
+    only (see :func:`anf.zero_table`), so it goes with the search.
+    Raises OverBudget when the root system is not converted
     (:func:`anf.from_system`).
     """
 
@@ -549,18 +553,24 @@ class _AnfSearch:
         self.patterns: dict = {}
 
     def visit(self, node) -> tuple:
-        """Eliminate, then a leaf over the occurring bits or a split."""
+        """A leaf table over the occurring bits when there are at most
+        n0 of them, with no elimination; else eliminate, then such a
+        leaf or a split.
+
+        Such a leaf may still hold affine equations.  Its solutions are
+        those that elimination would give; only their order differs,
+        since they come in table-index order.
+        """
         eqs, known, ones, bindings = node
-        try:
-            eqs, bindings = self._eliminate(eqs, bindings)
-        except Conflict:
-            return None, None, ()
-        except anf.OverBudget:
-            return None, None, self._on_trees(known, ones)
-        occ = 0
-        for e in eqs:
-            for m in e:
-                occ |= m
+        occ = anf.occurring(eqs)
+        if occ.bit_count() > self.cfg.n0:
+            try:
+                eqs, bindings = self._eliminate(eqs, bindings)
+            except Conflict:
+                return None, None, ()
+            except anf.OverBudget:
+                return None, None, self._on_trees(known, ones)
+            occ = anf.occurring(eqs)
         if occ.bit_count() <= self.cfg.n0:
             order = anf.bits_of(occ)
             points = _indices(anf.zero_table(eqs, order, self.patterns))

@@ -172,6 +172,21 @@ class TestPolynomialOps:
             assert anf.zero_table(eqs, order, patterns) == expected, (order, eqs)
         assert sorted(patterns) == [1, 3, 4, 6]
 
+    def test_zero_table_does_not_depend_on_the_order_of_the_polynomials(self):
+        """It takes them cheapest first; every order gives the same mask."""
+        rng = random.Random(613)
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            order = [1 << b for b in range(n)]
+            eqs = [frozenset(rng.randrange(1 << n) for _ in range(rng.randint(0, 6)))
+                   for _ in range(rng.randint(1, 5))]
+            full = (1 << (1 << n)) - 1
+            expected = full
+            for e in eqs:
+                expected &= full ^ anf_table(e, order)
+            for perm in itertools.permutations(eqs):
+                assert anf.zero_table(perm, order, {}) == expected, (n, perm)
+
 
 class TestGaussJordan:
     CBIT = 1 << 4
@@ -326,6 +341,27 @@ class TestAnfSearch:
                 assert out.status == (SAT if oracle else UNSAT)
             checked += 1
         assert checked > 30
+
+    def test_node_at_or_below_n0_is_a_table_leaf_without_elimination(self, monkeypatch):
+        x, y, z, w = (var(i) for i in range(4))
+        # x + y + z = 0 is affine; w = x y.  Four points: x, y free
+        s = BoolSystem.root([(x ^ y ^ z, const(0)), ((x & y) ^ w, const(0))])
+        calls = {"gauss_jordan": 0, "substitute": 0}
+        for name in calls:
+            def counting(*args, _f=getattr(anf, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(anf, name, counting)
+        oracle = oracle_system_solutions(s)
+        out = bool_solve(s, cfg(n0=4))
+        assert calls == {"gauss_jordan": 0, "substitute": 0}
+        # one leaf table over x, y, z, w: its points in table-index order
+        assert [sol.assignment for sol in out.solutions] == sorted(oracle)
+        assert len(oracle) == 4
+        # below the bit count the same system still eliminates
+        out = bool_solve(s, cfg(n0=2))
+        assert calls["gauss_jordan"] > 0 and calls["substitute"] > 0
+        assert expanded_solution_set(out, s.root_vars) == oracle
 
     def test_elimination_over_budget_falls_back_to_the_tree(self, monkeypatch):
         monkeypatch.setattr(anf, "BUDGET", 16)

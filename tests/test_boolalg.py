@@ -538,6 +538,30 @@ class TestParser:
             with pytest.raises(ParseError):
                 parse_expr(bad, t)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty expression"),
+        ("a &", "unexpected end of expression"),
+        ("~", "unexpected end of expression"),
+        ("x ^ (", "unexpected end of expression"),
+        ("(a", "missing closing parenthesis"),
+        ("a @ b", "unexpected token '@'"),
+        ("a b", "unexpected token 'b'"),
+        ("a)", "unexpected token ')'"),
+        ("9x", "unexpected token '9'"),
+        # a name starts with an ASCII letter or _, then any word characters
+        ("\u00f1u", "unexpected token '\u00f1'"),
+        ("\u03a9x", "unexpected token '\u03a9'"),
+    ])
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, VarTable(), 4)
+        assert str(err.value) == f"line 4: {message}"
+
+    def test_names_may_continue_with_any_word_character(self):
+        t = VarTable()
+        parse_expr("a\u00f1 & _x9' | Z", t)
+        assert t.names == ["a\u00f1", "_x9", "Z"]
+
     def test_vartable_is_dense_and_stable(self):
         t = VarTable()
         parse_expr("beta | alpha", t)

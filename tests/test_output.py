@@ -38,7 +38,7 @@ def old_rendering(outcome, names: list, expand: bool, dimacs_style: bool,
         lines.append("s SATISFIABLE" if outcome.sat else "s UNSATISFIABLE")
         for s in solutions:
             lits = [(v + 1) if b else -(v + 1) for v, b in s.assignment]
-            lines.append("v " + " ".join(str(l) for l in sorted(lits, key=abs)) + " 0")
+            lines.append(" ".join(["v", *map(str, sorted(lits, key=abs)), "0"]))
     else:
         encode = json.JSONEncoder(sort_keys=True).encode
         for s in solutions:
@@ -147,7 +147,7 @@ class TestOnePointBlocks:
 
     @pytest.mark.parametrize("dimacs", [True, False], ids=["dimacs", "json"])
     @pytest.mark.parametrize("fixed, v_line", [
-        ({}, "v  0\n"),
+        ({}, "v 0\n"),
         ({0: 1, 1: 0, 2: 1, 3: 0, 4: 1, 5: 1}, "v 1 -2 3 -4 5 6 0\n"),
         ({5: 1, 2: 0, 3: 1}, "v -3 4 6 0\n"),
         ({1: 1, 2: 1, 0: 0}, "v -1 2 3 0\n"),

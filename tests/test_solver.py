@@ -115,13 +115,15 @@ class TestTrivSolve:
 
     def test_binding_with_free_kept_variable_splits_the_cube(self):
         # x = y' with nothing else: y is unconstrained, but x = y' rules
-        # out half the square, so the cube must split into two solutions
+        # out half the square, so the cube must split into two solutions.
+        # At n0 = 1 the two variables are above n0, so the binding is
+        # made and lifted rather than brute-forced as a leaf table
         s = BoolSystem.root([(x, ~y)], [0, 1])
-        out = bool_solve(s, cfg())
+        out = bool_solve(s, cfg(n0=1))
         got = expanded_solution_set(out, [0, 1])
         assert got == {((0, 1), (1, 0)), ((0, 0), (1, 1))}
         # the split variable takes 0 first, on both backends
-        for found in (out.solutions, tree_solutions(s, cfg())):
+        for found in (out.solutions, tree_solutions(s, cfg(n0=1))):
             assert [sol.assignment for sol in found] == [((0, 1), (1, 0)), ((0, 0), (1, 1))]
 
     def test_chained_bindings_reassemble(self):
