@@ -69,6 +69,61 @@ def _check_cap(n_vars: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# value classes
+
+
+class _Record:
+    """A value class whose fields are its ``__slots__``, in order.
+
+    Equality (same class, equal fields) and ``repr`` behave as a
+    dataclass's; pickling and copying go through the constructor.  A
+    plain record is mutable and unhashable.  Written out rather than
+    made with ``@dataclass``: importing ``dataclasses`` loads
+    ``inspect``, ``ast``, ``dis`` and ``tokenize``, about 10 ms at
+    every start of the command line tool.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        body = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class _FrozenRecord(_Record):
+    """A record whose ``__init__`` sets the fields once, through
+    ``_set``; it hashes by its fields, and assignment raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+# ---------------------------------------------------------------------------
 # assignments
 
 

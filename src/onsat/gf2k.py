@@ -15,10 +15,9 @@ through the Boolean route, and the two must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .boolalg import BoolAlgError, const, var, xor_all
+from .boolalg import BoolAlgError, _FrozenRecord, const, var, xor_all
 from .onset import term_chain
 from .solver import (
     ENUMERATE,
@@ -199,12 +198,13 @@ F8_MODULUS = 0b1011
 # ---------------------------------------------------------------------------
 # symbolic elements
 
-@dataclass(frozen=True)
-class SymbolicElement:
+class SymbolicElement(_FrozenRecord):
     """A field element whose coordinates are Boolean functions."""
 
-    field: Field
-    coords: tuple
+    __slots__ = ("field", "coords")
+
+    def __init__(self, field: Field, coords: tuple):
+        self._set(field, coords)
 
     @classmethod
     def from_constant(cls, field: Field, value: int) -> "SymbolicElement":
@@ -269,15 +269,13 @@ def lower_to_boolean(
 # ---------------------------------------------------------------------------
 # Weierstrass curves
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(_FrozenRecord):
     """y^2 + a1 x y + a3 y + x^3 + a2 x^2 + a4 x + a6 = 0 over GF(2^k)."""
 
-    a1: int = 0
-    a2: int = 0
-    a3: int = 0
-    a4: int = 0
-    a6: int = 0
+    __slots__ = ("a1", "a2", "a3", "a4", "a6")
+
+    def __init__(self, a1: int = 0, a2: int = 0, a3: int = 0, a4: int = 0, a6: int = 0):
+        self._set(a1, a2, a3, a4, a6)
 
     def quadratic_in_y(self, field: Field, x: int) -> tuple:
         """Coefficients (p, q, r) of the quadratic satisfied by y at x."""

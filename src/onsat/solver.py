@@ -39,7 +39,6 @@ don't-cares, every expansion of which satisfies the system.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .boolalg import (
@@ -50,6 +49,8 @@ from .boolalg import (
     OR,
     ParseError,
     VarTable,
+    _FrozenRecord,
+    _Record,
     _check_cap,
     _indices,
     _point,
@@ -77,21 +78,19 @@ class Conflict(Exception):
     """A subproblem is locally unsatisfiable."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_FrozenRecord):
     """Tuning knobs for the decomposition engine."""
 
-    n0: int = 16
-    split_depth: int = 3
-    mode: str = DECIDE
+    __slots__ = ("n0", "split_depth", "mode")
 
-    def __post_init__(self):
-        if self.n0 < 1:
+    def __init__(self, n0: int = 16, split_depth: int = 3, mode: str = DECIDE):
+        if n0 < 1:
             raise ValueError("n0 must be at least 1")
-        if self.split_depth < 1:
+        if split_depth < 1:
             raise ValueError("split_depth must be at least 1")
-        if self.mode not in (DECIDE, ENUMERATE):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if mode not in (DECIDE, ENUMERATE):
+            raise ValueError(f"unknown mode {mode!r}")
+        self._set(n0, split_depth, mode)
 
 
 class BoolSystem:
@@ -158,16 +157,17 @@ class BoolSystem:
         )
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(_FrozenRecord):
     """One compressed solution over the root universe.
 
     ``assignment`` fixes the constrained variables; every combination of
     values for ``dont_care`` extends it to a full solution.
     """
 
-    assignment: tuple
-    dont_care: tuple
+    __slots__ = ("assignment", "dont_care")
+
+    def __init__(self, assignment: tuple, dont_care: tuple):
+        self._set(assignment, dont_care)
 
     @classmethod
     def make(cls, assignment: dict, dont_care) -> "Solution":
@@ -187,12 +187,14 @@ class Solution:
         return 1 << len(self.dont_care)
 
 
-@dataclass
-class SolveOutcome:
+class SolveOutcome(_Record):
     """Status plus the solutions found (at most one in decide mode)."""
 
-    status: str
-    solutions: list
+    __slots__ = ("status", "solutions")
+
+    def __init__(self, status: str, solutions: list):
+        self.status = status
+        self.solutions = solutions
 
     @property
     def sat(self) -> bool:

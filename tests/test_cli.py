@@ -1,9 +1,14 @@
+import ast
 import contextlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import onsat
 from onsat import expansion
 from onsat.anf import OverBudget, from_expr
 from onsat.boolalg import MAX_NESTING, VarTable, const, parse_expr
@@ -390,3 +395,43 @@ class TestUsage:
             for argv, _ in calls:
                 assert run(*argv) == first[argv], argv
         assert _build_parser.cache_info().misses == 1
+
+
+# Run in a fresh ``python -I``: import onsat, then solve and enumerate a
+# DIMACS and a system file and enumerate a curve, printing what was
+# loaded before and during the runs.
+_STARTUP_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import io
+import onsat, onsat.cli
+at_import = sorted({"dataclasses", "inspect"} & sys.modules.keys())
+before = set(sys.modules)
+sys.stdout = sys.stderr = io.StringIO()
+codes = [onsat.cli.main(argv) for argv in (
+    ["solve", sys.argv[2]], ["enumerate", sys.argv[2]],
+    ["solve", sys.argv[3]], ["enumerate", sys.argv[3]],
+    ["curve", "--modulus", "0xb", "--a1", "1", "--a6", "1", "--method", "boolean"],
+)]
+sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+print(repr((at_import, codes, sorted(set(sys.modules) - before))))
+"""
+
+
+class TestStartup:
+    def test_import_loads_no_dataclasses_and_runs_import_nothing_of_onsat(self, tmp_path):
+        """``dataclasses`` pulls in ``inspect`` (and ``ast``, ``dis``,
+        ``tokenize``), about 10 ms, more than onsat's own modules take;
+        and what a run needs is imported with onsat, not during a run."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(onsat.__file__)))
+        dimacs = tmp_path / "sat.cnf"
+        dimacs.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
+        system = tmp_path / "quad.sys"
+        system.write_text("x & y ^ z = 1\n")
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", _STARTUP_CHILD, src, str(dimacs), str(system)],
+            capture_output=True, text=True, timeout=60, check=True)
+        at_import, codes, during = ast.literal_eval(done.stdout)
+        assert at_import == []
+        assert codes == [10, 10, 10, 10, 0]
+        assert [m for m in during if m.startswith(("onsat", "json"))] == []
