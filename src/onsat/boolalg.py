@@ -202,6 +202,11 @@ class Assignment:
         inner = ", ".join(f"x{v}={b}" for v, b in sorted(self._d.items()))
         return f"Assignment({inner})"
 
+    def __reduce__(self):
+        # through the constructor, on every protocol, without the cached
+        # hash; a Term's constructor takes the same 0/1 values
+        return self.__class__, (self._d,)
+
 
 def star(a: Assignment) -> Assignment:
     """Componentwise complement of a point; star is an involution."""
@@ -230,6 +235,8 @@ class BoolFunc:
 
     The ``_vars``, ``_hash`` and ``_occ`` caches are filled on first
     use, children first and without recursion, so any depth is fine.
+    A pickle holds no cache: the hash of a node kind, a string, differs
+    between processes, so a loaded expression computes its own.
     """
 
     __slots__ = ("kind", "var", "value", "left", "right", "_vars", "_hash", "_occ")
@@ -305,37 +312,50 @@ class BoolFunc:
     def __repr__(self) -> str:
         return f"BoolFunc({to_text(self)})"
 
+    def __reduce__(self):
+        if self.kind == CONST:
+            return const, (self.value,)
+        return BoolFunc, (self.kind, self.var, self.value, self.left, self.right)
+
     # -- evaluation ---------------------------------------------------
 
     def eval(self, assignment: Union[Assignment, Mapping[int, int]]) -> int:
-        """Value of the function at a point; the point must cover vars."""
-        memo = {}
+        """Value of the function at a point; the point must cover vars.
 
-        def go(f: BoolFunc) -> int:
-            key = id(f)
-            got = memo.get(key)
-            if got is not None:
-                return got
-            k = f.kind
+        A post-order walk of the DAG without recursion, left child
+        first, as :func:`truth_table` walks it.
+        """
+        memo: dict = {}
+        stack = [self]
+        while stack:
+            g = stack[-1]
+            if id(g) in memo:
+                stack.pop()
+                continue
+            k = g.kind
             if k == VAR:
                 try:
-                    r = assignment[f.var]
+                    r = assignment[g.var]
                 except KeyError:
-                    raise UndeclaredVariable(f.var) from None
+                    raise UndeclaredVariable(g.var) from None
             elif k == CONST:
-                r = f.value
-            elif k == NOT:
-                r = 1 - go(f.left)
-            elif k == AND:
-                r = go(f.left) & go(f.right)
-            elif k == OR:
-                r = go(f.left) | go(f.right)
+                r = g.value
             else:
-                r = go(f.left) ^ go(f.right)
-            memo[key] = r
-            return r
-
-        return go(self)
+                a = memo.get(id(g.left))
+                if a is None:
+                    stack.append(g.left)
+                    continue
+                if k == NOT:
+                    r = 1 - a
+                else:
+                    b = memo.get(id(g.right))
+                    if b is None:
+                        stack.append(g.right)
+                        continue
+                    r = a & b if k == AND else a | b if k == OR else a ^ b
+            memo[id(g)] = r
+            stack.pop()
+        return memo[id(self)]
 
 
 _CONST0 = BoolFunc(CONST, value=0)
@@ -1053,24 +1073,35 @@ def parse_expr(text: str, table: VarTable, line: Optional[int] = None) -> BoolFu
     return _Parser(text, table, line).parse()
 
 
+_SYMBOL = {AND: "&", OR: "|", XOR: "^"}
+
+
 def to_text(f: BoolFunc, table: Optional[VarTable] = None) -> str:
-    """Render an expression in the text grammar (fully parenthesized)."""
+    """Render an expression in the text grammar (fully parenthesized).
 
-    def name(v: int) -> str:
-        return table.name_of(v) if table is not None else f"x{v}"
-
-    def go(g: BoolFunc) -> str:
+    The stack holds what is left to print, nodes and literal pieces,
+    next piece last, so any depth is fine.
+    """
+    out = []
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, str):
+            out.append(g)
+            continue
         k = g.kind
         if k == VAR:
-            return name(g.var)
-        if k == CONST:
-            return str(g.value)
-        if k == NOT:
-            inner = go(g.left)
+            out.append(table.name_of(g.var) if table is not None else f"x{g.var}")
+        elif k == CONST:
+            out.append(str(g.value))
+        elif k == NOT:
             if g.left.kind == VAR:
-                return f"~{inner}"
-            return f"~({inner})"
-        sym = {AND: "&", OR: "|", XOR: "^"}[k]
-        return f"({go(g.left)} {sym} {go(g.right)})"
-
-    return go(f)
+                out.append("~")
+                stack.append(g.left)
+            else:
+                out.append("~(")
+                stack += (")", g.left)
+        else:
+            out.append("(")
+            stack += (")", g.right, f" {_SYMBOL[k]} ", g.left)
+    return "".join(out)

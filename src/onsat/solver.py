@@ -50,11 +50,13 @@ from .boolalg import (
     ParseError,
     VarTable,
     _FrozenRecord,
+    _NAME_START,
     _Record,
     _check_cap,
     _indices,
     _point,
     cofactor,
+    const,
     flat_literals,
     literal_of,
     not_,
@@ -101,23 +103,40 @@ class BoolSystem:
     (eliminated variable, kept variable, polarity flag) in the order
     they were made, so leaf solutions can be lifted back to the root
     universe.
+
+    A root read by :func:`parse_system` keeps its file's lines in
+    ``source`` and builds ``equations`` from them on first read; the
+    ANF search takes its polynomials from ``source`` and never reads
+    them.  Every other system has its equations from the start and no
+    source.
     """
 
-    __slots__ = ("equations", "vars", "trail", "bindings", "root_vars")
+    __slots__ = ("equations", "vars", "trail", "bindings", "root_vars", "source")
 
     def __init__(
         self,
-        equations: Sequence[tuple[BoolFunc, BoolFunc]],
+        equations: Optional[Sequence[tuple[BoolFunc, BoolFunc]]],
         vars: frozenset,
         trail: Assignment,
         bindings: tuple,
         root_vars: frozenset,
+        source: Optional["_SystemFile"] = None,
     ):
-        self.equations = tuple(equations)
+        if equations is not None:
+            self.equations = tuple(equations)
         self.vars = frozenset(vars)
         self.trail = trail
         self.bindings = tuple(bindings)
         self.root_vars = frozenset(root_vars)
+        self.source = source
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: a parsed root's equations,
+        # before their first read
+        if name != "equations" or self.source is None:
+            raise AttributeError(name)
+        self.equations = eqs = self.source.equations()
+        return eqs
 
     @classmethod
     def root(
@@ -543,14 +562,19 @@ class _AnfSearch:
     holds the leaves' variable patterns per leaf size for this solve
     only (see :func:`anf.zero_table`), so it goes with the search.
     Raises OverBudget when the root system is not converted
-    (:func:`anf.from_system`).
+    (:func:`anf.from_system`).  A root read by :func:`parse_system` has
+    its polynomials from its source, with the same verdict, and builds
+    no expression for its direct lines.
     """
 
     def __init__(self, system: BoolSystem, cfg: SolverConfig):
         self.system = system
         self.cfg = cfg
         self.lifter = lifter = _Lifter(system)
-        eqs = anf.from_system(system.equations, lifter.bit)
+        if system.source is None:
+            eqs = anf.from_system(system.equations, lifter.bit)
+        else:
+            eqs = system.source.polynomials(lifter.bit)
         self.root = (eqs, lifter.known, lifter.ones, lifter.bindings)
         self.patterns: dict = {}
 
@@ -681,16 +705,114 @@ def bool_solve(system: BoolSystem, cfg: Optional[SolverConfig] = None) -> SolveO
 # ---------------------------------------------------------------------------
 # system file format
 
+class _SystemFile:
+    """The equations of a system file as :func:`parse_system` read them.
+
+    ``lines`` holds one entry per equation, in file order: a direct
+    line's (lhs text, rhs text, polynomial), its monomials being
+    bitmasks over variable ids (id v is bit ``1 << v``), or any other
+    line's parsed (lhs, rhs, None).  ``nodes`` counts the expression
+    nodes that the direct lines' sums of products would parse into: k
+    names make 2k - 1, one per name and one per ``&`` or ``^``, since
+    parsed names are never shared and nothing folds.  ``constants``
+    holds the values of the constant sides, each one shared node
+    (:func:`boolalg.const`) however many lines it stands on.
+    """
+
+    __slots__ = ("table", "lines", "nodes", "constants")
+
+    def __init__(self, table: VarTable, lines: list, nodes: int, constants: set):
+        self.table = table
+        self.lines = lines
+        self.nodes = nodes
+        self.constants = constants
+
+    def equations(self) -> tuple:
+        """The (lhs, rhs) expressions; a direct line's are parsed from
+        its text against the table, where every name already has its id."""
+        table = self.table
+        return tuple(
+            (l, r) if e is None else (parse_expr(l, table), parse_expr(r, table))
+            for l, r, e in self.lines
+        )
+
+    def polynomials(self, bit: dict) -> tuple:
+        """What :func:`anf.from_system` gives for :meth:`equations`, with
+        the same OverBudget verdict, without building the direct lines'
+        expressions: their node counts stand in for their DAG nodes."""
+        memo = {id(const(c)): anf.ONE if c else anf.ZERO for c in self.constants}
+        moved = any(b != 1 << v for v, b in bit.items())
+        eqs = []
+        for l, r, e in self.lines:
+            if e is None:
+                e = anf.from_expr(l, bit, memo) ^ anf.from_expr(r, bit, memo)
+            elif moved:
+                e = frozenset(sum(bit[v] for v in _ids_of(m)) for m in e)
+            eqs.append(e)
+        size = sum(map(len, eqs))
+        nodes = len(memo) + self.nodes
+        if size > nodes:
+            raise anf.OverBudget(f"{size} monomials from {nodes} expression nodes")
+        return tuple(eqs)
+
+
+def _ids_of(mask: int) -> list:
+    """The variable ids of a bitmask whose bit v stands for id v."""
+    return [low.bit_length() - 1 for low in anf.bits_of(mask)]
+
+
+def _products(side: str, known: dict) -> Optional[list]:
+    """The products of a direct side, each a list of its factors' texts
+    (``0`` is no product, ``1`` the empty one), or None for any other side.
+
+    A side is direct when it is a lone ``0`` or ``1``, or names joined
+    by ``&`` and ``^`` in at most ``anf.BUDGET`` products, each name
+    one the tokenizer cuts whole: a first character of ``_NAME_START``,
+    word characters after it.  ``known`` holds the factor texts already
+    read, which are not checked again.
+    """
+    constant = side.strip()
+    if constant == "0" or constant == "1":
+        return [[]] * int(constant)
+    products = [term.split("&") for term in side.split("^")]
+    if len(products) > anf.BUDGET:
+        return None
+    for factors in products:
+        for f in factors:
+            if f not in known:
+                name = f.strip()
+                if not (name and name[0] in _NAME_START
+                        and name.replace("_", "a").isalnum()):
+                    return None
+    return products
+
+
 def parse_system(text: str):
     """Parse the one-equation-per-line system format.
 
     Lines hold ``<expr> = <expr>`` in the expression grammar; ``#``
     starts a comment; an optional ``vars: a, b, c`` header declares
     variables beyond those mentioned.  Returns (system, table).
+
+    A direct line, whose sides are each a lone ``0`` or ``1`` or an XOR
+    (``^``) of products (``&``) of names, is read straight into its
+    GF(2) polynomial, ``x & x`` being ``x`` and a repeated monomial
+    cancelling; its names are interned left to right once the whole
+    line is known to be direct.  Every other line (parentheses, ``~``,
+    ``'``, ``|``, a constant inside a sum, more than ``anf.BUDGET``
+    products on a side, anything malformed) goes through the expression
+    parser.  The root universe, the names' ids and every ParseError are
+    those of parsing each line as an expression.  The root's equations
+    are built on first read (:class:`BoolSystem`).
     """
     table = VarTable()
-    equations = []
-    declared: list = []
+    intern = table.intern
+    lines: list = []
+    universe: set = set()
+    known: dict = {}  # a direct line's factor text -> the bit of its name
+    mentioned = 0  # the direct lines' variables, id v as bit 1 << v
+    nodes = 0
+    constants: set = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -699,16 +821,33 @@ def parse_system(text: str):
             for name in line[5:].replace(",", " ").split():
                 if not name.isidentifier():
                     raise ParseError(f"bad variable name {name!r}", lineno)
-                declared.append(table.intern(name))
+                universe.add(intern(name))
             continue
         if "=" not in line:
             raise ParseError("expected '<expr> = <expr>'", lineno)
         lhs, _, rhs = line.partition("=")
-        equations.append(
-            (parse_expr(lhs, table, lineno), parse_expr(rhs, table, lineno))
-        )
-    universe = set(declared)
-    for l, r in equations:
-        universe |= l.vars | r.vars
-    system = BoolSystem.root(equations, sorted(universe))
-    return system, table
+        sides = (_products(lhs, known), _products(rhs, known))
+        if sides[0] is None or sides[1] is None:
+            l, r = parse_expr(lhs, table, lineno), parse_expr(rhs, table, lineno)
+            universe |= l.vars | r.vars
+            lines.append((l, r, None))
+            continue
+        e: set = set()
+        for products in sides:
+            if products and products[0]:
+                nodes += 2 * sum(map(len, products)) - 1
+            else:
+                constants.add(len(products))
+            for factors in products:
+                m = 0
+                for f in factors:
+                    b = known.get(f)
+                    if b is None:
+                        b = known[f] = 1 << intern(f.strip())
+                    m |= b
+                e ^= {m}
+                mentioned |= m
+        lines.append((lhs, rhs, frozenset(e)))
+    universe.update(_ids_of(mentioned))
+    source = _SystemFile(table, lines, nodes, constants)
+    return BoolSystem(None, universe, Assignment(), (), universe, source), table

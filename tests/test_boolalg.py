@@ -1,7 +1,11 @@
 import functools
 import itertools
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -174,14 +178,19 @@ class TestZeroSet:
                    for v in range(n)]
         f, want = var(0), pattern[0]
         levels = []
+        opens, tails = 0, []  # the printed text is "(" * opens + "x0" + tails
         for i in range(10_000):
             a = i % n
             if i % 2:
                 f, want = boolalg.xor(f, var(a)), want ^ pattern[a]
+                opens += 1
+                tails.append(f" ^ x{a})")
             else:
                 b = (a + 3) % n
                 f = and_(boolalg.or_(f, var(a)), var(b))
                 want = (want | pattern[a]) & pattern[b]
+                opens += 2
+                tails.append(f" | x{a}) & x{b})")
             levels.append((f, want))
         memo, patterns = {}, {}
         assert truth_table(f, range(n), memo, patterns) == want
@@ -191,6 +200,13 @@ class TestZeroSet:
         middle, middle_want = levels[5_000]
         assert truth_table(middle, range(n), memo, patterns) == middle_want
         assert truth_table(middle, range(n)) == middle_want
+        # it evaluates and prints too
+        for idx in random.Random(5).sample(range(1 << n), 8):
+            point = {v: idx >> (n - 1 - v) & 1 for v in range(n)}
+            assert f.eval(point) == want >> idx & 1
+            assert f.eval(Assignment(point)) == want >> idx & 1
+        assert to_text(f) == "(" * opens + "x0" + "".join(tails)
+        assert repr(middle) == f"BoolFunc({to_text(middle)})"
 
     def test_cap_admits_24_variables(self):
         half = 1 << 23
@@ -590,3 +606,52 @@ class TestAssignments:
         p2 = Assignment({1: 0})
         p3 = Assignment({2: 1})
         assert p1.merge(p2).merge(p3) == p1.merge(p2.merge(p3))
+
+
+# Pickle an expression under one hash seed and load it under another.
+_PICKLE_CHILD = """
+import pickle, sys
+sys.path.insert(0, sys.argv[1])
+from onsat.boolalg import var
+if sys.argv[2] == "dump":
+    f = var(0) & var(1)
+    hash(f), f.vars  # fill the caches
+    sys.stdout.write(pickle.dumps(f).hex())
+else:
+    f = pickle.loads(bytes.fromhex(sys.stdin.read()))
+    g = var(0) & var(1)
+    print(repr((f == g, f in {g}, hash(f) == hash(g))))
+"""
+
+
+class TestPickle:
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_round_trip_on_every_protocol(self, protocol):
+        shared = x & ~y
+        f = (shared | z) ^ (shared & const(1)) ^ ~(z ^ x)
+        hash(f), f.vars, var_occurrences(f)  # fill the caches
+        back = pickle.loads(pickle.dumps(f, protocol))
+        assert back == f and hash(back) == hash(f) and back.vars == f.vars
+        assert var_occurrences(back) == var_occurrences(f)
+        assert to_text(back) == to_text(f)
+        # a shared subtree stays one node, and a constant is the constant
+        assert back.left.left.left is back.left.right
+        assert pickle.loads(pickle.dumps(const(1), protocol)) is const(1)
+        assert pickle.loads(pickle.dumps(const(0) | x & y, protocol)) == x & y
+        for a in (Assignment({0: 1, 3: 0}), Term({1: True, 2: False}), Term()):
+            hash(a)  # fill the cache
+            back = pickle.loads(pickle.dumps(a, protocol))
+            assert type(back) is type(a) and back == a and hash(back) == hash(a)
+            assert back.as_dict() == a.as_dict()
+
+    def test_a_loaded_expression_hashes_as_one_built_where_it_is_loaded(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(boolalg.__file__)))
+
+        def child(seed: str, mode: str, stdin: str = "") -> str:
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            return subprocess.run(
+                [sys.executable, "-c", _PICKLE_CHILD, src, mode], input=stdin,
+                env=env, capture_output=True, text=True, timeout=60, check=True).stdout
+
+        dumped = child("1", "dump")
+        assert child("2", "load", dumped).strip() == "(True, True, True)"

@@ -144,8 +144,6 @@ class TestPickleAndCopy:
             back = pickle.loads(pickle.dumps(value, protocol))
             assert type(back) is type(value) and back == value
             assert repr(back) == repr(value)
-        if protocol < 2:
-            return  # BoolFunc, with __slots__ and no __getstate__, needs protocol 2
         e = element()
         back = pickle.loads(pickle.dumps(e, protocol))
         # Field compares by identity, so compare what it is made of
