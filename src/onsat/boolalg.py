@@ -970,6 +970,15 @@ _TOKEN_RE = re.compile(r"[A-Za-z_]\w*|[01&|^~()']|\S")
 #: whether it is a name.
 _NAME_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz"
 
+
+def _is_name(text: str) -> bool:
+    """Whether the tokenizer cuts ``text`` whole as one name: a first
+    character of ``_NAME_START``, then alphanumeric characters or ``_``
+    (what ``\\w`` matches).  System lines, ``vars:`` headers and
+    ``chain:`` specs check names by it."""
+    return bool(text) and text[0] in _NAME_START and text.replace("_", "a").isalnum()
+
+
 #: Deepest nesting of parentheses and prefix ``~`` the parser accepts.
 #: The parser and ``substitute`` recurse once per level, so this keeps
 #: them well inside Python's recursion limit.

@@ -212,6 +212,9 @@ def _expansion_holds(f, e, over) -> tuple:
 def _verify_identities(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be at least 1")
+    # every identity is checked over all 2^n points: refuse before
+    # building anything n long
+    boolalg._check_cap(args.n)
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     rng = random.Random(args.seed)

@@ -22,6 +22,7 @@ from .boolalg import (
     as_term,
     _check_cap,
     _indices,
+    _is_name,
     index_to_assignment,
     not_,
     or_all,
@@ -316,7 +317,7 @@ def parse_onset_spec(text: str, table: VarTable) -> OnSet:
             if piece.startswith("~"):
                 pol = False
                 piece = piece[1:].strip()
-            if not piece.isidentifier():
+            if not _is_name(piece):
                 raise ValueError(f"bad chain literal {piece!r}")
             lits.append((table.intern(piece), pol))
         if not lits:

@@ -22,9 +22,9 @@ forms:
   truth tables from the monomials.  Lifting solves the bindings in
   reverse, splitting a variable that a binding mentions and nothing
   fixes.  A system is solved in this form when its polynomials hold no
-  more monomials than its expressions have nodes.  A node whose
-  elimination outgrows ``anf.BUDGET`` is solved on the trees instead,
-  from the root equations cofactored by its split bits.
+  more monomials than its expressions have nodes.  Elimination is
+  only a reduction: a node whose elimination outgrows ``anf.BUDGET``
+  splits as it stands.
 * Expression trees, for every other system (an OR of k positive
   literals has 2^k - 1 monomials): trivial reductions (constant
   equations, unit literals, literal equalities, forced sums/products),
@@ -50,10 +50,10 @@ from .boolalg import (
     ParseError,
     VarTable,
     _FrozenRecord,
-    _NAME_START,
     _Record,
     _check_cap,
     _indices,
+    _is_name,
     _point,
     cofactor,
     const,
@@ -345,13 +345,6 @@ def choose_split(system: BoolSystem, cfg: SolverConfig) -> OnSet:
     return term_chain([(v, True) for v in candidates[:depth]])
 
 
-def _cofactored(system: BoolSystem, q: Assignment) -> BoolSystem:
-    """The system with q's variables fixed."""
-    eqs = _rewritten(system.equations, q, cofactor)
-    return BoolSystem(eqs, system.vars.difference(q), system.trail.merge(q),
-                      system.bindings, system.root_vars)
-
-
 def decompose(system: BoolSystem, terms: OnSet) -> list:
     """One subsystem per term of an ON chain.
 
@@ -366,7 +359,9 @@ def decompose(system: BoolSystem, terms: OnSet) -> list:
         if not set(t.keys()) <= system.vars:
             stray = min(set(t.keys()) - system.vars)
             raise ValueError(f"split variable x{stray} is not open")
-        out.append(_cofactored(system, t))
+        eqs = _rewritten(system.equations, t, cofactor)
+        out.append(BoolSystem(eqs, system.vars.difference(t), system.trail.merge(t),
+                              system.bindings, system.root_vars))
     return out
 
 
@@ -558,7 +553,10 @@ class _AnfSearch:
     root's literal equalities.  A node over at most n0 bits is
     brute-forced as it stands; only a larger one is eliminated, since
     its leaf table costs less than elimination, and elimination that
-    brings a node to n0 or below also makes it a leaf.  ``patterns``
+    brings a node to n0 or below also makes it a leaf.  A node whose
+    elimination outgrows ``anf.BUDGET`` keeps its equations and
+    bindings from before it and splits: cofactoring never grows a
+    polynomial, so its children stay within the budget.  ``patterns``
     holds the leaves' variable patterns per leaf size for this solve
     only (see :func:`anf.zero_table`), so it goes with the search.
     Raises OverBudget when the root system is not converted
@@ -568,7 +566,6 @@ class _AnfSearch:
     """
 
     def __init__(self, system: BoolSystem, cfg: SolverConfig):
-        self.system = system
         self.cfg = cfg
         self.lifter = lifter = _Lifter(system)
         if system.source is None:
@@ -592,11 +589,11 @@ class _AnfSearch:
         if occ.bit_count() > self.cfg.n0:
             try:
                 eqs, bindings = self._eliminate(eqs, bindings)
+                occ = anf.occurring(eqs)
             except Conflict:
                 return None, None, ()
             except anf.OverBudget:
-                return None, None, self._on_trees(known, ones)
-            occ = anf.occurring(eqs)
+                pass  # the node splits as it stands
         if occ.bit_count() <= self.cfg.n0:
             order = anf.bits_of(occ)
             points = _indices(anf.zero_table(eqs, order, self.patterns))
@@ -656,20 +653,6 @@ class _AnfSearch:
         return [(chosen[i] if i < len(chosen) else 0, sum(chosen[:i]))
                 for i in range(len(chosen) + 1)]
 
-    def _on_trees(self, known: int, ones: int) -> Iterator[dict]:
-        """The cubes of a node whose elimination outgrew ``anf.BUDGET``.
-
-        They come from the tree search of the root system cofactored by
-        the node's split bits.  The node's bindings follow from the root
-        equations under those bits, so both have the same solutions.
-        """
-        lifter = self.lifter
-        split = known & ~lifter.known
-        q = Assignment({
-            v: ones >> j & 1 for j, v in enumerate(lifter.ids) if split >> j & 1
-        })
-        return _search(_TreeSearch(self.cfg), _cofactored(self.system, q), False)
-
 
 def leaf_blocks(system: BoolSystem, cfg: Optional[SolverConfig] = None) -> Iterator[dict]:
     """The solutions of a system as cubes, one leaf at a time.
@@ -678,8 +661,7 @@ def leaf_blocks(system: BoolSystem, cfg: Optional[SolverConfig] = None) -> Itera
     values, the root variables a cube leaves out being its don't-cares;
     a leaf gives one cube per lifted point.  A system whose
     polynomials are no larger than its expressions is searched in ANF,
-    any other on the expression trees; so is the subtree of a node
-    whose elimination outgrows ``anf.BUDGET``.  Memory is bounded by
+    any other on the expression trees.  Memory is bounded by
     the depth of the tree, not by the number of solutions.
     """
     if cfg is None:
@@ -767,9 +749,8 @@ def _products(side: str, known: dict) -> Optional[list]:
 
     A side is direct when it is a lone ``0`` or ``1``, or names joined
     by ``&`` and ``^`` in at most ``anf.BUDGET`` products, each name
-    one the tokenizer cuts whole: a first character of ``_NAME_START``,
-    word characters after it.  ``known`` holds the factor texts already
-    read, which are not checked again.
+    one the tokenizer cuts whole (:func:`boolalg._is_name`).  ``known``
+    holds the factor texts already read, which are not checked again.
     """
     constant = side.strip()
     if constant == "0" or constant == "1":
@@ -779,11 +760,8 @@ def _products(side: str, known: dict) -> Optional[list]:
         return None
     for factors in products:
         for f in factors:
-            if f not in known:
-                name = f.strip()
-                if not (name and name[0] in _NAME_START
-                        and name.replace("_", "a").isalnum()):
-                    return None
+            if f not in known and not _is_name(f.strip()):
+                return None
     return products
 
 
@@ -819,7 +797,7 @@ def parse_system(text: str):
             continue
         if line.lower().startswith("vars:"):
             for name in line[5:].replace(",", " ").split():
-                if not name.isidentifier():
+                if not _is_name(name):
                     raise ParseError(f"bad variable name {name!r}", lineno)
                 universe.add(intern(name))
             continue

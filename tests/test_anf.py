@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from onsat import anf
+from onsat import anf, solver
 from onsat.boolalg import Assignment, and_all, const, or_all, truth_table, var
 from onsat.cli import main
 from onsat.solver import (
@@ -363,10 +363,8 @@ class TestAnfSearch:
         assert calls["gauss_jordan"] > 0 and calls["substitute"] > 0
         assert expanded_solution_set(out, s.root_vars) == oracle
 
-    def test_elimination_over_budget_falls_back_to_the_tree(self, monkeypatch):
+    def test_elimination_over_budget_splits_the_node(self, monkeypatch):
         monkeypatch.setattr(anf, "BUDGET", 16)
-        s = late_overflow_system()
-        _AnfSearch(s, cfg())
         visited = []
         visit = _TreeSearch.visit
 
@@ -375,35 +373,41 @@ class TestAnfSearch:
             return visit(self, node)
 
         monkeypatch.setattr(_TreeSearch, "visit", recording)
-        oracle = oracle_system_solutions(s)
-        for mode in (DECIDE, ENUMERATE):
-            out = bool_solve(s, cfg(n0=2, split_depth=1, mode=mode))
-            got = expanded_solution_set(out, s.root_vars)
-            if mode == ENUMERATE:
-                assert got == oracle
-                assert sum(x.expanded_count() for x in out.solutions) == len(got)
-            else:
-                # the c = 0 branch gives the witness before any overflow
-                assert len(out.solutions) == 1 and got <= oracle
-                assert not visited
-        # the tree search starts from the root cofactored by c = 1, the
-        # overflowing node's split, and stays below it
-        assert visited[0] == {C: 1}
-        assert all(trail[C] == 1 for trail in visited)
-        # a root with a trail (here z = 1 from triv_solve): the fallback
-        # cofactors by the split bits only, not by the trail
-        s = BoolSystem.root(s.equations + ((var(16), const(1)),))
-        reduced, _ = triv_solve(s)
+        overflows = count_overflows(monkeypatch)
+        s = late_overflow_system()
+        # c = 1 overflows at the root node itself, in decide mode too; a
+        # root with a trail (here z = 1 from triv_solve) is searched as is
+        forced = BoolSystem.root(s.equations + ((var(C), const(1)),))
+        with_trail = BoolSystem.root(s.equations + ((var(16), const(1)),))
+        reduced, _ = triv_solve(with_trail)
         assert reduced.trail.as_dict() == {16: 1}
-        out = bool_solve(reduced, cfg(n0=2, split_depth=1))
-        assert expanded_solution_set(out, s.root_vars) == oracle_system_solutions(s)
-        assert visited[-1][16] == 1
-        # an overflow at the root node itself: there the trees start
+        # x_i = a_i + b_i with no c: the root node overflows
         xs = [var(i) for i in range(5)]
         eqs = [(and_all(xs), const(1))]
         eqs += [(xs[i], var(5 + 2 * i) ^ var(6 + 2 * i)) for i in range(5)]
-        s = BoolSystem.root(eqs)
-        visited.clear()
+        plain = BoolSystem.root(eqs)
+        cases = ((s, s), (forced, forced), (reduced, with_trail), (plain, plain))
+        for root, system in cases:
+            _AnfSearch(root, cfg())
+            oracle = oracle_system_solutions(system)
+            for mode in (DECIDE, ENUMERATE):
+                overflows.clear()
+                out = bool_solve(root, cfg(n0=2, split_depth=1, mode=mode))
+                got = expanded_solution_set(out, system.root_vars)
+                if mode == ENUMERATE:
+                    assert got == oracle and overflows
+                    # disjoint cubes: each point is printed once
+                    assert sum(x.expanded_count() for x in out.solutions) == len(got)
+                else:
+                    assert len(out.solutions) == 1
+                    assert all(holds(system, total) for total in out.solutions[0].expand())
+                    assert overflows or root is s or root is reduced
+        # no tree search under a root that converts
+        assert not visited
+        # an overflow at the root's conversion: there the trees start
+        s = BoolSystem.root([(or_all(xs), const(1))] + eqs[1:])
+        with pytest.raises(anf.OverBudget):
+            _AnfSearch(s, cfg())
         oracle = oracle_system_solutions(s)
         for mode in (DECIDE, ENUMERATE):
             out = bool_solve(s, cfg(mode=mode))
@@ -423,13 +427,24 @@ class TestAnfSearch:
         path.write_text(text)
         system, table = parse_system(text)
         assert table.names == names
-        visited = []
+        visited, roots = [], []
         visit = _TreeSearch.visit
         monkeypatch.setattr(_TreeSearch, "visit",
                             lambda self, node: visited.append(node) or visit(self, node))
+
+        def parse(text):
+            roots.append(parse_system(text)[0])
+            return roots[-1], table
+
+        monkeypatch.setattr(solver, "parse_system", parse)
+        overflows = count_overflows(monkeypatch)
         code = main(["enumerate", str(path), "--n0", "2", "--split-depth", "1"])
         lines = capsys.readouterr().out.splitlines()
-        assert code == 10 and visited
+        assert code == 10 and overflows and not visited
+        # the root's expressions were never built: the slot is unset (read
+        # through its descriptor, as getattr would build them)
+        with pytest.raises(AttributeError):
+            BoolSystem.equations.__get__(roots[0], BoolSystem)
         assert len(set(lines)) == len(lines)
         points = []
         for line in lines:
@@ -460,6 +475,45 @@ def late_overflow_system():
     return BoolSystem.root(eqs)
 
 
+def late_overflow_systems():
+    """Random systems that a budget of 16 converts, and whose elimination
+    outgrows it at some node: the product of five x_i, each x_i being
+    c a_i + c b_i, a_i + b_i + c or c a_i + b_i, plus a random equation
+    over a few of the variables and, in some, c = 1 or c = 0."""
+    rng = random.Random(614)
+    out = [late_overflow_system()]
+    for _ in range(8):
+        xs = [var(i) for i in range(5)]
+        c = var(C)
+        product = and_all(xs)
+        eqs = [(c & product, c) if rng.random() < 0.5 else (product, c)]
+        for i, x in enumerate(xs):
+            a, b = var(5 + 2 * i), var(6 + 2 * i)
+            eqs.append((x, rng.choice([(c & a) ^ (c & b), a ^ b ^ c, (c & a) ^ b])))
+        if rng.random() < 0.5:
+            eqs += random_system(rng, 16, 1).equations
+        if rng.random() < 0.4:
+            eqs.append((c, const(rng.randint(0, 1))))
+        out.append(BoolSystem.root(eqs, range(16)))
+    return out
+
+
+def count_overflows(monkeypatch) -> list:
+    """Patch the ANF search's elimination to record each OverBudget."""
+    overflows: list = []
+    eliminate = _AnfSearch._eliminate
+
+    def counting(self, eqs, bindings):
+        try:
+            return eliminate(self, eqs, bindings)
+        except anf.OverBudget:
+            overflows.append(eqs)
+            raise
+
+    monkeypatch.setattr(_AnfSearch, "_eliminate", counting)
+    return overflows
+
+
 def differential_systems():
     """Random systems, the first 40 within the budget, the rest over it."""
     rng = random.Random(611)
@@ -477,7 +531,7 @@ def differential_systems():
 
 class TestDifferential:
     @pytest.mark.parametrize("mode", [DECIDE, ENUMERATE])
-    def test_solution_sets_equal_the_oracle(self, mode):
+    def test_solution_sets_equal_the_oracle(self, mode, monkeypatch):
         within, over = differential_systems()
         for s in within:
             _AnfSearch(s, cfg())
@@ -485,16 +539,27 @@ class TestDifferential:
             with pytest.raises(anf.OverBudget):
                 _AnfSearch(s, cfg())
         for s in within + over:
-            oracle = oracle_system_solutions(s)
-            for n0, depth in itertools.product((1, 2, 4), (1, 3)):
-                out = bool_solve(s, cfg(n0=n0, split_depth=depth, mode=mode))
-                assert out.status == (SAT if oracle else UNSAT)
-                got = expanded_solution_set(out, s.root_vars)
-                if mode == ENUMERATE:
-                    assert got == oracle
-                    assert sum(x.expanded_count() for x in out.solutions) == len(got)
-                    continue
-                assert len(out.solutions) == (1 if oracle else 0)
-                for sol in out.solutions:
-                    for total in sol.expand():
-                        assert holds(s, total)
+            self.check(s, mode)
+        # late overflows: the root converts, and elimination outgrows the
+        # budget further down, where the node splits instead
+        monkeypatch.setattr(anf, "BUDGET", 16)
+        overflows = count_overflows(monkeypatch)
+        for s in late_overflow_systems():
+            _AnfSearch(s, cfg())
+            self.check(s, mode)
+        assert overflows
+
+    def check(self, s, mode):
+        oracle = oracle_system_solutions(s)
+        for n0, depth in itertools.product((1, 2, 4), (1, 3)):
+            out = bool_solve(s, cfg(n0=n0, split_depth=depth, mode=mode))
+            assert out.status == (SAT if oracle else UNSAT)
+            got = expanded_solution_set(out, s.root_vars)
+            if mode == ENUMERATE:
+                assert got == oracle
+                assert sum(x.expanded_count() for x in out.solutions) == len(got)
+                continue
+            assert len(out.solutions) == (1 if oracle else 0)
+            for sol in out.solutions:
+                for total in sol.expand():
+                    assert holds(s, total)

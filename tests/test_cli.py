@@ -329,6 +329,17 @@ class TestVerify:
         assert len(err.splitlines()) == 1 and err.startswith("onsat: ")
         assert "Traceback" not in err
 
+    def test_n_over_the_cap_is_refused_before_anything_is_built(self, run):
+        tracemalloc.start()
+        try:
+            code, out, err = run("verify", "--n", "200000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == "onsat: 2^200000 evaluations exceed the cap of 16777216\n"
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_no_trials_is_an_error(self, run, trials):
         code, out, err = run("verify", "--n", "2", "--trials", trials)

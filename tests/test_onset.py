@@ -295,6 +295,15 @@ class TestSpecParsing:
         s = parse_onset_spec("a, a'", t)
         assert s.order == 2
 
+    def test_chain_names_follow_the_expression_grammar(self):
+        # x² is one name to the tokenizer; ñu and a·b are not names
+        t = VarTable()
+        assert parse_onset_spec("chain: x², ~a", t).order == 3
+        assert t.names == ["x²", "a"]
+        for piece in ("ñu", "a·b", "~ñu"):
+            with pytest.raises(ValueError, match="bad chain literal"):
+                parse_onset_spec(f"chain: a, {piece}", VarTable())
+
     def test_bad_specs(self):
         t = VarTable()
         with pytest.raises(ValueError):

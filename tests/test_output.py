@@ -120,7 +120,8 @@ class TestFormatterMatchesJsonEncoder:
     def test_system_names_out_of_id_order(self, tmp_path):
         # ids follow first mention; names sort otherwise, and the
         # don't-care list stays in id order; a non-ASCII name is escaped
-        text = ("vars: zeta, b10, b2, alpha, spare, Q, _u, \u00f1u\n"
+        # (a name starts with an ASCII letter or _, as in an equation)
+        text = ("vars: zeta, b10, b2, alpha, spare, Q, _u, u\u00f1\n"
                 "zeta ^ b2 = alpha\n"
                 "b10 | Q = 1\n"
                 "alpha & _u = 0\n")

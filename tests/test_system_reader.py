@@ -10,6 +10,7 @@ errors, names, universe, equations, polynomials, backend and output.
 import contextlib
 import io
 import random
+import re
 import sys
 
 import pytest
@@ -28,9 +29,14 @@ from onsat.solver import (
 )
 
 
+#: A name as the expression tokenizer cuts it whole.
+NAME_RE = re.compile(r"[A-Za-z_]\w*")
+
+
 def reference_parse_system(text: str):
     """Every line through the expression parser, as the reader did
-    before it had a direct route."""
+    before it had a direct route; a header's names follow the same
+    rule as the expressions' names."""
     table = VarTable()
     equations = []
     declared: list = []
@@ -40,7 +46,7 @@ def reference_parse_system(text: str):
             continue
         if line.lower().startswith("vars:"):
             for name in line[5:].replace(",", " ").split():
-                if not name.isidentifier():
+                if not NAME_RE.fullmatch(name):
                     raise ParseError(f"bad variable name {name!r}", lineno)
                 declared.append(table.intern(name))
             continue
@@ -82,7 +88,7 @@ def reference_polynomials(system):
 # random system texts
 
 NAMES = ["a", "b", "c", "x1", "x_2", "_t", "B9", "xñ", "yΩ2"]
-NOT_TOKENS = ["ñu", "Ωx", "²x"]  # names a vars header accepts, a line does not
+NOT_TOKENS = ["ñu", "Ωx", "²x"]  # not names: a line and a header reject them
 
 
 def space(rng) -> str:
@@ -226,6 +232,26 @@ class TestDifferential:
             want = parsed(reference_parse_system, text)
             assert isinstance(want[0], str), text
             assert parsed(parse_system, text) == want, text
+
+
+class TestNames:
+    """A header, a direct line and a parsed line take the same names."""
+
+    @pytest.mark.parametrize("text, error", [
+        ("vars: ñu", "line 1: bad variable name 'ñu'"),
+        ("vars: a·b", "line 1: bad variable name 'a·b'"),
+        ("ñu = 1", "line 1: unexpected token 'ñ'"),
+        ("a·b = 1", "line 1: unexpected token '·'"),
+    ])
+    def test_a_name_the_tokenizer_does_not_cut_whole_is_refused(self, text, error):
+        assert parsed(parse_system, text) == (error, 1)
+
+    def test_a_word_character_after_the_first_makes_a_name(self):
+        for text in ("x² = 1", "vars: x²", "vars: x²\nx² ^ yΩ = 1", "~x² = 0"):
+            system, table = parse_system(text)
+            assert table.names[0] == "x²", text
+            assert system.root_vars == set(range(len(table))), text
+        assert parse_system("x² = 1")[0].source.lines[0][2] is not None
 
 
 class TestDirectRoute:
