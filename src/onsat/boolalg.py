@@ -236,7 +236,11 @@ class BoolFunc:
     The ``_vars``, ``_hash`` and ``_occ`` caches are filled on first
     use, children first and without recursion, so any depth is fine.
     A pickle holds no cache: the hash of a node kind, a string, differs
-    between processes, so a loaded expression computes its own.
+    between processes, so a loaded expression computes its own.  An
+    inner node pickles as one flat post-order tuple of its DAG
+    (:func:`_flatten`), so pickling and ``copy.deepcopy`` do not
+    recurse either; shared nodes stay shared within one expression,
+    though not between two expressions pickled together.
     """
 
     __slots__ = ("kind", "var", "value", "left", "right", "_vars", "_hash", "_occ")
@@ -313,9 +317,12 @@ class BoolFunc:
         return f"BoolFunc({to_text(self)})"
 
     def __reduce__(self):
-        if self.kind == CONST:
+        k = self.kind
+        if k == CONST:
             return const, (self.value,)
-        return BoolFunc, (self.kind, self.var, self.value, self.left, self.right)
+        if k == VAR:
+            return var, (self.var,)
+        return _unflatten, (_flatten(self),)
 
     # -- evaluation ---------------------------------------------------
 
@@ -419,6 +426,46 @@ def _fill_hash(f: BoolFunc) -> int:
                 g._hash = hash((k, left, right))
         stack.pop()
     return f._hash
+
+
+def _flatten(f: BoolFunc) -> tuple:
+    """f's DAG as one post-order tuple of (kind, var, value, left, right)
+    rows, a child given by the index of its row, a shared node by one
+    row.  Walked like :func:`_fill_vars`, so any depth is fine."""
+    rows: list = []
+    index: dict = {}  # by node id: its row
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        k = g.kind
+        left = right = None
+        if k != VAR and k != CONST:
+            left = index.get(id(g.left))
+            if left is None:
+                stack.append(g.left)
+                continue
+            if k != NOT:
+                right = index.get(id(g.right))
+                if right is None:
+                    stack.append(g.right)
+                    continue
+        index[id(g)] = len(rows)
+        rows.append((k, g.var, g.value, left, right))
+        stack.pop()
+    return tuple(rows)
+
+
+def _unflatten(rows: tuple) -> BoolFunc:
+    """The expression of :func:`_flatten`'s rows, built bottom-up."""
+    nodes: list = []
+    for k, v, value, left, right in rows:
+        if k == CONST:
+            nodes.append(const(value))
+        else:
+            nodes.append(BoolFunc(
+                k, v, None, None if left is None else nodes[left],
+                None if right is None else nodes[right]))
+    return nodes[-1]
 
 
 def const(value: int) -> BoolFunc:

@@ -47,9 +47,10 @@ unsatisfied clauses on truth tables whose variable patterns are built
 once per solve and leaf size.  Every leaf hands out cubes, dicts of
 fixed values.  In enumerate mode a leaf's table goes out as the
 disjoint cubes of its Shannon expansion, the paper's sum over the ON
-set {x', x} of each occurring variable in turn, so a variable the
-leaf's points do not depend on stays free in the cube; decide mode
-takes the table's lowest point.
+set {x', x} of each occurring variable in turn, most constrained
+first, so a variable the leaf's points do not depend on stays free in
+the cube (seed-7 cnf-enumerate: 12,718 lines, against 16,113 in
+ascending order); decide mode takes the table's lowest point.
 """
 
 from __future__ import annotations
@@ -410,24 +411,35 @@ def _leaf_solutions(engine: "_Engine", occurring: list) -> Iterable[dict]:
     and no truth table is built.  Otherwise the mask holds the points
     over the occurring variables that satisfy the unsatisfied clauses,
     read from the trail's ``sat`` bitset.  Decide mode takes its lowest
-    point, enumerate mode the disjoint cubes of its Shannon expansion
-    (:func:`onsat.boolalg._cubes`); either way on top of the fixed
-    values.
+    point over the variables in ascending order.  Enumerate mode takes
+    the disjoint cubes of its Shannon expansion
+    (:func:`onsat.boolalg._cubes`) over the variables ordered by their
+    count of unsatisfied clauses, most first, lowest id first among
+    equals: the later variables are then more often free.  On seed-7
+    cnf-enumerate that prints 12,718 lines where ascending order prints
+    16,113, for the same 59,909 points.  Either way the cubes go on top
+    of the fixed values, with the trail's dense ids mapped back through
+    ``pairs``.
     """
     t = engine.trail
+    pairs = engine.pairs
     fixed = dict(engine.fixed)
-    fixed.update(map(engine.pairs.__getitem__, t.trail))
+    fixed.update(map(pairs.__getitem__, t.trail))
     if not occurring:
         return fixed,
+    if not engine.decide:  # a stable sort keeps ties in ascending order
+        occ, live = t.occ, ~t.sat
+        occurring.sort(key=lambda v: ((occ[v] | occ[-v]) & live).bit_count(),
+                       reverse=True)
     clauses = t.clauses
     unsat = (clauses[ci] for ci in _indices(engine.every ^ t.sat))
-    occ = [v - 1 for v in occurring]
-    mask = _brute_mask(unsat, occ, engine.patterns)
+    mask = _brute_mask(unsat, [v - 1 for v in occurring], engine.patterns)
+    order = [pairs[v][0] for v in occurring]
     if not engine.decide:
-        return _cubes(mask, occ, fixed)
+        return _cubes(mask, order, fixed)
     if not mask:
         return ()
-    fixed.update(_point((mask & -mask).bit_length() - 1, occ))
+    fixed.update(_point((mask & -mask).bit_length() - 1, order))
     return fixed,
 
 
@@ -560,6 +572,13 @@ class _Engine:
     of each literal, so both go with the engine.  A node is the trail
     itself.
 
+    The trail numbers the occurring variables 1..k densely, in the
+    order of their ids, so its bitsets, lists and scans grow with k and
+    not with the highest id, and every ranking and tie comes out as on
+    the ids themselves.  ``pairs`` maps a dense literal back to the
+    clause set's variable.  When the ids are 1..k already, no clause is
+    rewritten.
+
     The chain over l1..lr has the terms -l1, l1 -l2, ..., l1..l(r-1)
     -lr and l1..lr, so consecutive terms share their prefixes.  A split
     keeps the propagated state of one prefix in its frame, starting
@@ -574,15 +593,21 @@ class _Engine:
     def __init__(self, c: CnfSet, fixed: dict, cfg: SolverConfig):
         # c holds no empty clause, so every conflict on the trail is
         # reported by the assignment that makes it
-        top = max((abs(l) for clause in c.clauses for l in clause), default=0)
-        self.trail = _Trail(c.clauses, top)
+        clauses = c.clauses
+        ids = sorted(set(map(abs, itertools.chain.from_iterable(clauses))))
+        if ids and ids[-1] != len(ids):  # renumber densely, in id order
+            dense = dict(zip(ids, range(1, len(ids) + 1)))
+            clauses = [[dense[l] if l > 0 else -dense[-l] for l in clause]
+                       for clause in clauses]
+        self.trail = _Trail(clauses, len(ids))
         self.fixed = fixed
         self.cfg = cfg
         self.decide = cfg.mode == DECIDE
         self.patterns: dict = {}  # _brute_mask's table, for this solve only
-        self.pairs: list = [None] * (2 * top + 1)  # by literal: (variable, value)
-        for v in range(1, top + 1):
-            self.pairs[v], self.pairs[-v] = (v - 1, 1), (v - 1, 0)
+        # by dense literal: the clause set's (variable, value)
+        self.pairs: list = [None] * (2 * len(ids) + 1)
+        for v, k in enumerate(ids, 1):
+            self.pairs[v], self.pairs[-v] = (k - 1, 1), (k - 1, 0)
         self.every = (1 << len(c.clauses)) - 1  # the sat bits of all clauses
 
     def visit(self, node) -> tuple:

@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import os
@@ -207,6 +208,13 @@ class TestZeroSet:
             assert f.eval(Assignment(point)) == want >> idx & 1
         assert to_text(f) == "(" * opens + "x0" + "".join(tails)
         assert repr(middle) == f"BoolFunc({to_text(middle)})"
+        # it pickles on every protocol and deep-copies, caches left behind
+        copies = [pickle.loads(pickle.dumps(f, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in [*copies, copy.deepcopy(f)]:
+            assert back is not f and back._hash is None and back._vars is None
+            assert back == f and hash(back) == hash(f)
+            assert truth_table(back, range(n)) == want
 
     def test_cap_admits_24_variables(self):
         half = 1 << 23

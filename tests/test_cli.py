@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -162,6 +163,27 @@ class TestSolve:
         assert code == 10
         records = [json.loads(line) for line in out.splitlines()]
         assert all("dont_care" in rec for rec in records)
+
+    def test_enumerate_prints_the_most_constrained_variable_first(self, run, tmp_path):
+        # x3 is in both clauses: x3, and x1 x2 x3', five models
+        path = tmp_path / "three.cnf"
+        path.write_text("p cnf 3 2\n1 3 0\n2 3 0\n")
+        code, out, _ = run("enumerate", str(path))
+        assert code == 10 and [json.loads(line) for line in out.splitlines()] == [
+            {"assignment": {"x1": 1, "x2": 1, "x3": 0}, "dont_care": []},
+            {"assignment": {"x3": 1}, "dont_care": ["x1", "x2"]}]
+        code, out, _ = run("enumerate", str(path), "--expand-dont-cares")
+        assert code == 10 and len(set(out.splitlines())) == 5
+
+    def test_huge_variable_ids_decide_in_time_linear_in_the_input(self, run, tmp_path):
+        # the trail renumbers ids 1, 2 and 10^6 to 1, 2, 3, so nothing
+        # it builds or scans grows with the highest id
+        path = tmp_path / "huge.cnf"
+        path.write_text("p cnf 1000000 2\n1000000 1 0\n-1 2 0\n")
+        start = time.process_time()
+        code, out, _ = run("solve", str(path))
+        assert time.process_time() - start < 2
+        assert (code, out) == (10, "s SATISFIABLE\nv 2 1000000 0\n")
 
     def test_deterministic_output_single_worker(self, run, cnf_file):
         first = run("enumerate", cnf_file)

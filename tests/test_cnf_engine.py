@@ -5,7 +5,10 @@ functions of ``onsat.cnf`` only: units to a fixpoint, then pure rounds
 (decide), then brute force at or below n0, else the pure-literal chain
 (enumerate) or the split chain, children depth-first and left to right.
 An enumerate leaf's points come out as the cubes of their Shannon
-expansion in variable order, computed here on point sets.
+expansion, computed here on point sets, with the variables in the most
+constrained first: by their number of clauses, most first, lowest id
+first among equals.  A decide leaf takes its lowest point in ascending
+variable order.
 ``solve_sat`` must return exactly its solution list, order included.
 """
 
@@ -60,6 +63,9 @@ def reference(c: CnfSet, cfg: SolverConfig) -> list:
                     break
                 fixed.update(pures.as_dict())
         occ = sorted(c.occurring())
+        if not decide:  # most clauses first, then lowest id
+            occ.sort(key=lambda v: (-sum(v + 1 in clause or -v - 1 in clause
+                                         for clause in c.clauses), v))
         if len(occ) <= cfg.n0:
             n = len(occ)
             points = [tuple(idx >> (n - 1 - i) & 1 for i in range(n))
@@ -446,8 +452,45 @@ def test_pure_literals_at_or_below_n0_make_a_leaf(mode):
         cubes = list(cubes)
         if mode == DECIDE:  # the pures 1, then 2: no variable occurs
             assert cubes == [{0: 1, 1: 1}]
-        else:  # 1 = 0 forces 2 = 1, 3 = 0; 1 = 1 leaves 2 or 3'
-            assert cubes == [{0: 0, 1: 1, 2: 0}, {0: 1, 1: 0, 2: 0}, {0: 1, 1: 1}]
+        else:  # expanded in the order 2, 3 (three clauses each), 1 (two):
+            # 2 = 0 forces 3 = 0, 1 = 1; 2 = 1 with 3 = 0 leaves 1
+            # free, and with 3 = 1 forces 1 = 1
+            assert cubes == [{1: 0, 2: 0, 0: 1}, {1: 1, 2: 0}, {1: 1, 2: 1, 0: 1}]
+
+
+def test_enumerate_leaf_expands_the_most_constrained_variable_first():
+    """x3 is in both clauses, x1 and x2 in one each.  x3 first: its
+    true half is full and its false half is x1 x2, two cubes for five
+    models.  In ascending order x1' x3, x1 x2' x3 and x1 x2 would be
+    three."""
+    c = CnfSet.from_clauses([[1, 3], [2, 3]])
+    cfg = SolverConfig(mode=ENUMERATE)
+    solutions = solve_sat(c, cfg).solutions
+    assert [(s.as_dict(), s.dont_care) for s in solutions] == [
+        ({0: 1, 1: 1, 2: 0}, ()), ({2: 1}, (0, 1))]
+    assert sum(1 << len(s.dont_care) for s in solutions) == 5
+    assert solutions == reference(c, cfg)
+    # decide assigns the pures x1, then x2, and no variable is left
+    decide = solve_sat(c, SolverConfig(mode=DECIDE)).solutions
+    assert [(s.as_dict(), s.dont_care) for s in decide] == [({0: 1, 1: 1}, (2,))]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_scattered_ids_match_reference(seed):
+    """Ids with gaps, 3k - 1 for k, go through the trail's dense
+    renumbering; the cubes, their order and the decide witness are the
+    reference's on the ids themselves."""
+    for c in random_cnfs(300 + seed, 25):
+        spread = CnfSet.from_clauses(
+            [[3 * l - 1 if l > 0 else 3 * l + 1 for l in clause]
+             for clause in c.clauses], 3 * c.num_vars)
+        ids = sorted({abs(l) for clause in spread.clauses for l in clause})
+        engine = _Engine(spread, {}, SolverConfig())
+        assert engine.trail.n == len(ids)
+        assert engine.pairs[1:len(ids) + 1] == [(k - 1, 1) for k in ids]
+        for cfg in configs():
+            assert solve_sat(spread, cfg).solutions == reference(spread, cfg), (
+                cfg, spread.clauses)
 
 
 @pytest.mark.parametrize("width, positive", [(3, 0.5), (6, 1.0)])
