@@ -329,40 +329,9 @@ class BoolFunc:
     def eval(self, assignment: Union[Assignment, Mapping[int, int]]) -> int:
         """Value of the function at a point; the point must cover vars.
 
-        A post-order walk of the DAG without recursion, left child
-        first, as :func:`truth_table` walks it.
+        The one-bit :func:`_fold`, with all-ones 1.
         """
-        memo: dict = {}
-        stack = [self]
-        while stack:
-            g = stack[-1]
-            if id(g) in memo:
-                stack.pop()
-                continue
-            k = g.kind
-            if k == VAR:
-                try:
-                    r = assignment[g.var]
-                except KeyError:
-                    raise UndeclaredVariable(g.var) from None
-            elif k == CONST:
-                r = g.value
-            else:
-                a = memo.get(id(g.left))
-                if a is None:
-                    stack.append(g.left)
-                    continue
-                if k == NOT:
-                    r = 1 - a
-                else:
-                    b = memo.get(id(g.right))
-                    if b is None:
-                        stack.append(g.right)
-                        continue
-                    r = a & b if k == AND else a | b if k == OR else a ^ b
-            memo[id(g)] = r
-            stack.pop()
-        return memo[id(self)]
+        return _fold(self, assignment, 1, {})
 
 
 _CONST0 = BoolFunc(CONST, value=0)
@@ -666,34 +635,17 @@ def _var_patterns(table: dict, n: int) -> list:
     return patterns
 
 
-def truth_table(
-    f: BoolFunc,
-    order: Sequence[int],
-    memo: Optional[dict] = None,
-    patterns: Optional[dict] = None,
-) -> int:
-    """Truth table of f as an integer bitmask.
+def _fold(f: BoolFunc, leaf, full: int, memo: dict) -> int:
+    """f evaluated bitwise, each bit one point: the one walker behind
+    :meth:`BoolFunc.eval` and :func:`truth_table`.
 
-    Bit a holds f at the point whose bits, read most-significant first,
-    assign the variables in ``order``.  The first variable in ``order``
-    is the most significant bit, matching the minterm index convention.
-    ``memo`` (node id -> table) and ``patterns`` (variable -> table) may
-    be shared between calls with the same ``order``.  A post-order walk
-    of the DAG without recursion, so any depth is fine.
+    A variable v is ``leaf[v]``, a constant 0 or ``full`` (every bit
+    set), NOT is ``full ^ a``, and AND, OR and XOR are ``&``, ``|`` and
+    ``^``.  ``memo`` maps node ids to their values and may carry them
+    between calls.  A post-order walk of the DAG without recursion,
+    left child first, so any depth is fine; a variable missing from
+    ``leaf`` raises UndeclaredVariable when the walk meets it.
     """
-    order = list(order)
-    n = len(order)
-    _check_cap(n)
-    missing = f.vars - set(order)
-    if missing:
-        raise UndeclaredVariable(min(missing))
-    full = (1 << (1 << n)) - 1
-    pos = {v: i for i, v in enumerate(order)}
-    if patterns is None:
-        patterns = {}
-    if memo is None:
-        memo = {}
-
     stack = [f]
     while stack:
         g = stack[-1]
@@ -702,9 +654,10 @@ def truth_table(
             continue
         k = g.kind
         if k == VAR:
-            r = patterns.get(g.var)
-            if r is None:
-                r = patterns[g.var] = _var_pattern(n, pos[g.var])
+            try:
+                r = leaf[g.var]
+            except KeyError:
+                raise UndeclaredVariable(g.var) from None
         elif k == CONST:
             r = full if g.value else 0
         else:
@@ -723,6 +676,38 @@ def truth_table(
         memo[id(g)] = r
         stack.pop()
     return memo[id(f)]
+
+
+def truth_table(
+    f: BoolFunc,
+    order: Sequence[int],
+    memo: Optional[dict] = None,
+    patterns: Optional[dict] = None,
+) -> int:
+    """Truth table of f as an integer bitmask.
+
+    Bit a holds f at the point whose bits, read most-significant first,
+    assign the variables in ``order``.  The first variable in ``order``
+    is the most significant bit, matching the minterm index convention.
+    ``memo`` (node id -> table) and ``patterns`` (variable -> table) may
+    be shared between calls with the same ``order``.  The fold of
+    :func:`_fold` over the patterns of f's variables, with all-ones
+    2^(2^n) - 1.
+    """
+    order = list(order)
+    n = len(order)
+    _check_cap(n)
+    missing = f.vars - set(order)
+    if missing:
+        raise UndeclaredVariable(min(missing))
+    full = (1 << (1 << n)) - 1
+    pos = {v: i for i, v in enumerate(order)}
+    if patterns is None:
+        patterns = {}
+    for v in f.vars:
+        if v not in patterns:
+            patterns[v] = _var_pattern(n, pos[v])
+    return _fold(f, patterns, full, {} if memo is None else memo)
 
 
 def _indices(table: int) -> Iterator[int]:

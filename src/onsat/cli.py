@@ -142,8 +142,12 @@ class _Cubes:
 def _expanded(cubes, universe, decide: bool) -> Iterator[dict]:
     """Each cube's total assignments over ``universe`` (sorted), first
     don't-care most significant; decide mode takes only the first, with
-    every don't-care at 0."""
+    every don't-care at 0.  In enumerate mode a cube with more
+    don't-cares than the enumeration cap allows raises
+    TooManyVariables, as a leaf over the cap does."""
     for cube in cubes:
+        if not decide:
+            boolalg._check_cap(len(universe) - len(cube))
         free = [v for v in universe if v not in cube]
         for idx in range(1 if decide else 1 << len(free)):
             yield {**cube, **boolalg._point(idx, free)}

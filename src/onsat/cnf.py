@@ -69,6 +69,7 @@ from .boolalg import (
     _indices,
     _point,
     _var_patterns,
+    const,
     not_,
     or_all,
     var,
@@ -709,8 +710,6 @@ def to_system(c: CnfSet) -> BoolSystem:
     The native clause path is what the solver uses; this generic
     encoding exists for cross-checking against the system engine.
     """
-    from .boolalg import const
-
     equations = []
     for clause in c.clauses:
         lits = [

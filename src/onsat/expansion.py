@@ -23,13 +23,17 @@ from .boolalg import (
     Assignment,
     BoolAlgError,
     BoolFunc,
+    and_,
     cofactor,
     conjugate,
     _point,
     index_to_assignment,
     not_,
+    or_,
+    or_all,
     substitute,
     truth_table,
+    xor,
 )
 from .onset import OnSet
 
@@ -78,8 +82,6 @@ class OnExpansion:
 
     def reconstruct(self) -> BoolFunc:
         """Sum of coefficient * member; semantically equal to func."""
-        from .boolalg import and_, or_all
-
         return or_all(
             [and_(a, phi) for a, phi in zip(self.coefficients, self.base.members)]
         )
@@ -93,8 +95,6 @@ def expand(f: BoolFunc, base: OnSet, choice: Optional[str] = None) -> OnExpansio
 
     ``choice`` defaults to ratio for term bases and canonical otherwise.
     """
-    from .boolalg import and_
-
     if choice is None:
         choice = RATIO if base.terms is not None else CANONICAL
     if choice == CANONICAL:
@@ -115,8 +115,6 @@ def _require_same_base(e1: OnExpansion, e2: OnExpansion) -> None:
 
 def combine(e1: OnExpansion, e2: OnExpansion, op: str) -> OnExpansion:
     """Coefficient-wise AND / OR / XOR of two expansions over one base."""
-    from .boolalg import and_, or_, xor
-
     _require_same_base(e1, e2)
     ops = {"and": and_, "or": or_, "xor": xor}
     try:
@@ -245,8 +243,6 @@ def eliminant(f: BoolFunc, x: int) -> BoolFunc:
     Its zeros are exactly the projection of the zeros of f onto the
     remaining variables, which is what variable elimination needs.
     """
-    from .boolalg import and_
-
     if x not in f.vars:
         raise VariableAbsent(f"x{x} not in function")
     return and_(cofactor(f, {x: 1}), cofactor(f, {x: 0}))

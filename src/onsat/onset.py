@@ -156,23 +156,29 @@ def chain_from_elements(elements: Sequence[BoolFunc]) -> OnSet:
 
 
 class MintermPartition:
-    """A partition of the minterm indices {0, ..., 2^n - 1}."""
+    """A partition of the minterm indices {0, ..., 2^n - 1}.
+
+    Checked from the blocks alone, so a wide n costs nothing: every
+    index is an int in range, the blocks are disjoint, and they hold
+    2^n indices in all.
+    """
 
     __slots__ = ("blocks", "n")
 
     def __init__(self, blocks: Sequence[Iterable[int]], n: int):
         blocks = [frozenset(b) for b in blocks]
-        universe = set(range(1 << n))
+        size = 1 << n
         seen = set()
         for b in blocks:
             if not b:
                 raise ValueError("empty partition block")
-            if not b <= universe:
-                raise ValueError("minterm index out of range")
+            for x in b:
+                if not (isinstance(x, int) and 0 <= x < size):
+                    raise ValueError("minterm index out of range")
             if b & seen:
                 raise ValueError("partition blocks overlap")
             seen |= b
-        if seen != universe:
+        if len(seen) != size:
             raise ValueError("partition does not cover all minterms")
         self.blocks = tuple(blocks)
         self.n = n

@@ -223,15 +223,10 @@ class SolveOutcome(_Record):
 # ---------------------------------------------------------------------------
 # trivial reductions
 
-def _forced_value(lit: tuple[int, bool], value: int) -> tuple[int, int]:
-    v, pol = lit
-    return v, value if pol else 1 - value
-
-
 def _forced_dict(lits, value: int) -> dict:
     out: dict = {}
-    for lit in lits:
-        v, b = _forced_value(lit, value)
+    for v, pol in lits:
+        b = value if pol else 1 - value
         if out.setdefault(v, b) != b:
             raise Conflict(f"x{v} forced both ways")
     return out
@@ -255,63 +250,57 @@ def _rewritten(equations, mapping, rewrite) -> list:
 def triv_solve(system: BoolSystem) -> tuple[BoolSystem, Assignment]:
     """Apply trivial reductions to a fixpoint.
 
-    Handles constant equations, unit literals (l = 0 / l = 1), literal
-    equalities (substituting one variable by the other literal and
-    recording the binding), and forced sums and products of literals.
-    Raises Conflict when a reduction is contradictory.  The returned
-    partial assignment lists the variables fixed by this call; the
-    reduced system's trail already includes them.
+    One scan over the equations, in order.  A constant equation that
+    holds, or a literal equal to itself, is dropped and the scan goes
+    on.  A literal equality substitutes one variable by the other
+    literal and records the binding; a sum of literals equal to 0 or a
+    product equal to 1 (a lone literal against a constant is both)
+    fixes its variables.  Either rewrites the other equations, and the
+    scan starts over.  Raises Conflict when a reduction is
+    contradictory.  The returned partial assignment lists the variables
+    fixed by this call; the reduced system's trail already includes
+    them.
     """
     equations = list(system.equations)
     open_vars = set(system.vars)
     assigned: dict = {}
     bindings = list(system.bindings)
 
-    def find_action():
-        for idx, (l, r) in enumerate(equations):
-            if l.kind == CONST and r.kind == CONST:
-                if l.value != r.value:
-                    raise Conflict("constant equation fails")
-                return ("drop", idx, None)
-            lit_l, lit_r = literal_of(l), literal_of(r)
-            if lit_l is not None and r.kind == CONST:
-                return ("assign", idx, _forced_dict([lit_l], r.value))
-            if lit_r is not None and l.kind == CONST:
-                return ("assign", idx, _forced_dict([lit_r], l.value))
-            if lit_l is not None and lit_r is not None:
-                (v1, p1), (v2, p2) = lit_l, lit_r
-                if v1 == v2:
-                    if p1 != p2:
-                        raise Conflict(f"x{v1} equals its own complement")
-                    return ("drop", idx, None)
-                return ("bind", idx, (v1, v2, p1 == p2))
+    i = 0
+    while i < len(equations):
+        l, r = equations[i]
+        if l.kind == CONST and r.kind == CONST:
+            if l.value != r.value:
+                raise Conflict("constant equation fails")
+            del equations[i]
+            continue
+        lit_l, lit_r = literal_of(l), literal_of(r)
+        if lit_l is not None and lit_r is not None:
+            (v1, p1), (v2, p2) = lit_l, lit_r
+            if v1 == v2:
+                if p1 != p2:
+                    raise Conflict(f"x{v1} equals its own complement")
+                del equations[i]
+                continue
+            bindings.append((v1, v2, p1 == p2))
+            open_vars.discard(v1)
+            mapping = {v1: var(v2) if p1 == p2 else not_(var(v2))}
+        else:
             for side, other in ((l, r), (r, l)):
                 if other.kind != CONST:
                     continue
                 lits = flat_literals(side, OR if other.value == 0 else AND)
-                if lits is not None and len(lits) > 1:
-                    return ("assign", idx, _forced_dict(lits, other.value))
-        return None
-
-    while True:
-        action = find_action()
-        if action is None:
-            break
-        kind, idx, payload = action
-        if kind == "drop":
-            del equations[idx]
-        elif kind == "assign":
-            del equations[idx]
-            assigned.update(payload)
-            open_vars.difference_update(payload)
-            equations = _rewritten(equations, payload, substitute)
-        else:
-            v1, v2, same_pol = payload
-            del equations[idx]
-            bindings.append((v1, v2, same_pol))
-            open_vars.discard(v1)
-            g = var(v2) if same_pol else not_(var(v2))
-            equations = _rewritten(equations, {v1: g}, substitute)
+                if lits is not None:
+                    mapping = _forced_dict(lits, other.value)
+                    assigned.update(mapping)
+                    open_vars.difference_update(mapping)
+                    break
+            else:
+                i += 1
+                continue
+        del equations[i]
+        equations = _rewritten(equations, mapping, substitute)
+        i = 0
 
     made = Assignment(assigned)
     reduced = BoolSystem(

@@ -277,6 +277,20 @@ class TestEnumerationCap:
         self.check_system_leaf(run, tmp_path / "wide.sys", line)
 
 
+    def test_expanding_a_cube_over_the_cap_is_refused(self, run, tmp_path):
+        # one cube fixing x1 leaves 2^29 total assignments to print
+        path = tmp_path / "wide.cnf"
+        path.write_text("p cnf 30 1\n1 0\n")
+        code, out, err = run("enumerate", str(path), "--expand-dont-cares")
+        assert (code, out) == (1, "")
+        assert err.startswith("onsat: 2^29 evaluations exceed the cap")
+        # decide mode prints one total assignment
+        code, out, _ = run("solve", str(path), "--expand-dont-cares")
+        assert code == 10
+        assert out.splitlines() == [
+            "s SATISFIABLE", "v 1 " + " ".join(f"-{v}" for v in range(2, 31)) + " 0"]
+
+
 class TestNesting:
     """Deep nesting exits 1 with a message instead of a RecursionError."""
 
@@ -468,3 +482,19 @@ class TestStartup:
         assert at_import == []
         assert codes == [10, 10, 10, 10, 0]
         assert [m for m in during if m.startswith(("onsat", "json"))] == []
+
+    def test_no_function_imports(self):
+        """What a run needs is imported with its module, as the README
+        says: no function, method or lambda in onsat holds an import."""
+        pkg = os.path.dirname(os.path.abspath(onsat.__file__))
+        found = []
+        for name in sorted(os.listdir(pkg)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    found += [(name, node.lineno) for node in ast.walk(fn)
+                              if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert found == []

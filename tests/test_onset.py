@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from onsat.boolalg import (
@@ -112,6 +114,21 @@ class TestMintermPartition:
             MintermPartition([{0}, {0, 1}], n=1)
         with pytest.raises(ValueError):
             MintermPartition([{0}], n=1)
+
+    @pytest.mark.parametrize("blocks, message", [
+        ([[0, 1]], "partition does not cover all minterms"),
+        ([[0, 1 << 40]], "minterm index out of range"),
+        ([[0, "1"]], "minterm index out of range"),
+    ])
+    def test_a_wide_partition_is_checked_without_listing_its_minterms(self, blocks, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                MintermPartition(blocks, n=40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_minterm_helper(self):
         t = minterm(5, [0, 1, 2])  # 101 -> x and not y and z

@@ -113,6 +113,21 @@ class TestTrivSolve:
         with pytest.raises(Conflict):
             triv_solve(s)
 
+    def test_scan_goes_on_after_a_drop_and_starts_over_after_a_rewrite(self):
+        # x = ~y binds x and rewrites the first equation to ~y & u = z,
+        # which is kept; 1 = 1 is dropped; u = z binds u; y | w = 0
+        # fixes y and w, which leaves z = z, dropped on the next scan
+        u = var(4)
+        s = BoolSystem.root(
+            [(x & u, z), (x, ~y), (const(1), const(1)), (u, z), (y | w, const(0))],
+            range(5),
+        )
+        reduced, made = triv_solve(s)
+        assert reduced.equations == ()
+        assert reduced.vars == {2}
+        assert reduced.bindings == ((0, 1, False), (4, 2, True))
+        assert made.as_dict() == {1: 0, 3: 0}
+
     def test_binding_with_free_kept_variable_splits_the_cube(self):
         # x = y' with nothing else: y is unconstrained, but x = y' rules
         # out half the square, so the cube must split into two solutions.
