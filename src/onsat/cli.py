@@ -183,6 +183,11 @@ def _run_solve(args, mode: str) -> int:
         # decide mode speaks the usual s/v protocol, which names no
         # variable; enumerate mode reports solution cubes as JSON lines
         dimacs_style = args.format != "json" and mode == solver.DECIDE
+        if (not dimacs_style or args.expand_dont_cares) and (
+                problem.num_vars > boolalg.DEFAULT_CAP):
+            # such lines name every variable; refuse before naming them
+            raise boolalg.TooManyVariables(
+                f"{problem.num_vars} variables exceed the cap of {boolalg.DEFAULT_CAP}")
         names = None if dimacs_style else [f"x{v + 1}" for v in range(problem.num_vars)]
         universe = range(problem.num_vars)
         cubes = cnf.leaf_blocks(problem, cfg)

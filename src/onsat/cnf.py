@@ -40,17 +40,15 @@ trail is a backend of the search driver that the system path uses too
 (:func:`onsat.solver._search`), serial and depth-first, so the output
 is the same on every run.  It hands out one leaf's solutions at a time,
 so a caller that prints them needs memory for the depth of the tree
-only; ``solve_sat`` collects them in a list.  A leaf where no variable
-occurs has every clause satisfied, so it is the one point of its fixed
-values and reads no clause; the other leaves brute-force their
+only; ``solve_sat`` collects them in a list.  A leaf brute-forces its
 unsatisfied clauses on truth tables whose variable patterns are built
-once per solve and leaf size.  Every leaf hands out cubes, dicts of
-fixed values.  In enumerate mode a leaf's table goes out as the
-disjoint cubes of its Shannon expansion, the paper's sum over the ON
-set {x', x} of each occurring variable in turn, most constrained
-first, so a variable the leaf's points do not depend on stays free in
-the cube (seed-7 cnf-enumerate: 12,718 lines, against 16,113 in
-ascending order); decide mode takes the table's lowest point.
+once per solve and leaf size, and hands out cubes, dicts of fixed
+values: its table goes out as the disjoint cubes of its Shannon
+expansion, the paper's sum over the ON set {x', x} of each occurring
+variable in turn, most constrained first, so a variable the leaf's
+points do not depend on stays free in the cube (seed-7 cnf-enumerate:
+12,718 lines, against 16,113 in ascending order).  Both modes share
+that rule; decide mode stops at the first cube.
 """
 
 from __future__ import annotations
@@ -67,7 +65,6 @@ from .boolalg import (
     _check_cap,
     _cubes,
     _indices,
-    _point,
     _var_patterns,
     const,
     not_,
@@ -406,42 +403,31 @@ def _leaf_solutions(engine: "_Engine", occurring: list) -> Iterable[dict]:
     """A leaf's solutions as cubes, dicts of fixed values.
 
     The fixed values are the root's units plus the trail's literals.
-    With no occurring variable every clause is satisfied already, since
-    an unsatisfied clause without a free literal is a conflict, which
-    the trail reports; so the leaf is the one cube of its fixed values
-    and no truth table is built.  Otherwise the mask holds the points
-    over the occurring variables that satisfy the unsatisfied clauses,
-    read from the trail's ``sat`` bitset.  Decide mode takes its lowest
-    point over the variables in ascending order.  Enumerate mode takes
-    the disjoint cubes of its Shannon expansion
+    The mask holds the points over the occurring variables that satisfy
+    the unsatisfied clauses, read from the trail's ``sat`` bitset, and
+    goes out as the disjoint cubes of its Shannon expansion
     (:func:`onsat.boolalg._cubes`) over the variables ordered by their
     count of unsatisfied clauses, most first, lowest id first among
     equals: the later variables are then more often free.  On seed-7
     cnf-enumerate that prints 12,718 lines where ascending order prints
-    16,113, for the same 59,909 points.  Either way the cubes go on top
-    of the fixed values, with the trail's dense ids mapped back through
-    ``pairs``.
+    16,113, for the same 59,909 points.  With no occurring variable
+    every clause is satisfied already, since an unsatisfied clause
+    without a free literal is a conflict, which the trail reports; the
+    mask is then 1 and its one cube is the fixed values.  The cubes go
+    on top of the fixed values, with the trail's dense ids mapped back
+    through ``pairs``; decide mode reads the first.
     """
     t = engine.trail
     pairs = engine.pairs
     fixed = dict(engine.fixed)
     fixed.update(map(pairs.__getitem__, t.trail))
-    if not occurring:
-        return fixed,
-    if not engine.decide:  # a stable sort keeps ties in ascending order
-        occ, live = t.occ, ~t.sat
-        occurring.sort(key=lambda v: ((occ[v] | occ[-v]) & live).bit_count(),
-                       reverse=True)
+    occ, live = t.occ, ~t.sat  # a stable sort keeps ties in ascending order
+    occurring.sort(key=lambda v: ((occ[v] | occ[-v]) & live).bit_count(),
+                   reverse=True)
     clauses = t.clauses
     unsat = (clauses[ci] for ci in _indices(engine.every ^ t.sat))
     mask = _brute_mask(unsat, [v - 1 for v in occurring], engine.patterns)
-    order = [pairs[v][0] for v in occurring]
-    if not engine.decide:
-        return _cubes(mask, order, fixed)
-    if not mask:
-        return ()
-    fixed.update(_point((mask & -mask).bit_length() - 1, order))
-    return fixed,
+    return _cubes(mask, [pairs[v][0] for v in occurring], fixed)
 
 
 class _Trail:

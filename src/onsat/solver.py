@@ -21,7 +21,7 @@ forms:
   the number of monomials a variable occurs in, and leaves build their
   truth tables from the monomials.  Lifting solves the bindings in
   reverse, splitting a variable that a binding mentions and nothing
-  fixes.  A system is solved in this form when its polynomials hold no
+  fixes, a variable that a leaf cube leaves free included.  A system is solved in this form when its polynomials hold no
   more monomials than its expressions have nodes.  Elimination is
   only a reduction: a node whose elimination outgrows ``anf.BUDGET``
   splits as it stands.
@@ -33,7 +33,10 @@ forms:
 The walk is serial and deterministic and hands out one leaf at a time
 (:func:`leaf_blocks`).  Solutions are reported compressed, as cubes: an
 assignment of the constrained variables, the other variables being
-don't-cares, every expansion of which satisfies the system.
+don't-cares, every expansion of which satisfies the system.  Every leaf
+of either form, as on the CNF path, splits its truth table into the
+disjoint cubes of its Shannon expansion (:func:`boolalg._cubes`), which
+the lifter carries back to the root variables.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .boolalg import (
     _FrozenRecord,
     _Record,
     _check_cap,
-    _indices,
+    _cubes,
     _is_name,
     _point,
     cofactor,
@@ -357,11 +360,11 @@ def decompose(system: BoolSystem, terms: OnSet) -> list:
 # ---------------------------------------------------------------------------
 # leaves: brute force over the constrained variables
 
-def _local_solutions(system: BoolSystem) -> tuple[list, list]:
+def _local_solutions(system: BoolSystem) -> tuple[list, int]:
     """Satisfying assignments over the occurring variables.
 
-    Returns (order, indices): the sorted constrained variables and the
-    table indices of the satisfying points.
+    Returns (order, table): the sorted constrained variables and the
+    truth table of the satisfying points over them, MSB-first.
     """
     occ = sorted(system.occurring())
     n = len(occ)
@@ -377,11 +380,11 @@ def _local_solutions(system: BoolSystem) -> tuple[list, list]:
         )
         if mask == 0:
             break
-    return occ, list(_indices(mask))
+    return occ, mask
 
 
 class _Lifter:
-    """Lifts leaf points to cubes over a system's variables.
+    """Lifts leaf cubes to cubes over a system's variables.
 
     Assignments are bitmasks: variable ``ids[j]`` is bit ``1 << j``, and
     ``cbit``, above all of them, stands for the constant 1.  ``known``
@@ -389,7 +392,9 @@ class _Lifter:
     (pivot, rest) reads pivot = rest, rest being variable bits plus
     ``cbit`` for the constant; a literal equality v1 = v2 (or ~v2) is
     the binding of one variable.  ``known``, ``ones`` and ``bindings``
-    start as the system's trail and literal-equality bindings.
+    start as the system's trail and literal-equality bindings.  A leaf's
+    cubes come from :func:`boolalg._cubes` over its bits, so no table
+    index is decoded here.
     """
 
     def __init__(self, system: BoolSystem):
@@ -409,18 +414,17 @@ class _Lifter:
             for v1, v2, same_pol in system.bindings
         )
 
-    def leaf(self, order, indices, known: int, ones: int, bindings) -> Iterator[dict]:
-        """Lift each point of a leaf table over the bits of ``order``.
+    def leaf(self, order, table: int, known: int, ones: int, bindings) -> Iterator[dict]:
+        """Lift each Shannon cube of a leaf table (:func:`boolalg._cubes`).
 
-        ``order`` lists the bits most significant point bit first, and
-        ``indices`` are the table indices of the satisfying points.  It
-        decodes them itself, straight into bitmasks for ``lift``.
+        ``order`` lists the bits, most significant point bit first.  A
+        cube's bits are known, its 1 bits ones; a bit it leaves free
+        stays free unless a binding mentions it, and then ``lift``
+        splits it, so the lifted cubes stay disjoint.
         """
-        n = len(order)
-        known |= sum(order)
-        for idx in indices:
-            point = sum(b for i, b in enumerate(order) if idx >> (n - 1 - i) & 1)
-            yield from self.lift(known, ones | point, bindings)
+        for cube in _cubes(table, order, {}):
+            point = sum(b for b, x in cube.items() if x)
+            yield from self.lift(known | sum(cube), ones | point, bindings)
 
     def lift(self, known: int, ones: int, bindings) -> Iterator[dict]:
         """Solve the bindings in reverse, depth first.
@@ -450,11 +454,11 @@ class _Lifter:
 
 
 def _tree_leaf(system: BoolSystem) -> Iterator[dict]:
-    """A leaf's cubes; each point of its table is lifted when it is reached."""
-    occ, indices = _local_solutions(system)
+    """A leaf's cubes; each cube of its table is lifted when it is reached."""
+    occ, table = _local_solutions(system)
     lifter = _Lifter(system)
     order = [lifter.bit[v] for v in occ]
-    return lifter.leaf(order, indices, lifter.known, lifter.ones, lifter.bindings)
+    return lifter.leaf(order, table, lifter.known, lifter.ones, lifter.bindings)
 
 
 def _outcome(cubes, universe) -> SolveOutcome:
@@ -469,7 +473,9 @@ def _outcome(cubes, universe) -> SolveOutcome:
 def brute_force(system: BoolSystem) -> SolveOutcome:
     """Exhaustive search over the constrained variables of a system.
 
-    Variables that no equation mentions are reported as don't-cares.
+    One leaf: its table's Shannon cubes, lifted through the system's
+    trail and bindings.  Variables that no equation mentions, or that a
+    cube leaves free and no binding mentions, are its don't-cares.
     Intended for systems at or below the n0 threshold; more constrained
     variables than the enumeration cap allows raise TooManyVariables
     before any table is built.
@@ -570,8 +576,8 @@ class _AnfSearch:
         leaf or a split.
 
         Such a leaf may still hold affine equations.  Its solutions are
-        those that elimination would give; only their order differs,
-        since they come in table-index order.
+        those that elimination would give; only their cubes differ,
+        since they come as the Shannon cubes of its table.
         """
         eqs, known, ones, bindings = node
         occ = anf.occurring(eqs)
@@ -585,8 +591,8 @@ class _AnfSearch:
                 pass  # the node splits as it stands
         if occ.bit_count() <= self.cfg.n0:
             order = anf.bits_of(occ)
-            points = _indices(anf.zero_table(eqs, order, self.patterns))
-            return None, None, self.lifter.leaf(order, points, known, ones, bindings)
+            table = anf.zero_table(eqs, order, self.patterns)
+            return None, None, self.lifter.leaf(order, table, known, ones, bindings)
         return (eqs, known, ones, bindings), self._chain(eqs), ()
 
     def enter(self, parent, term: tuple) -> tuple:
@@ -648,7 +654,7 @@ def leaf_blocks(system: BoolSystem, cfg: Optional[SolverConfig] = None) -> Itera
 
     Cubes are as in :func:`onsat.cnf.leaf_blocks`: dicts of fixed
     values, the root variables a cube leaves out being its don't-cares;
-    a leaf gives one cube per lifted point.  A system whose
+    in enumerate mode no two share a point.  A system whose
     polynomials are no larger than its expressions is searched in ANF,
     any other on the expression trees.  Memory is bounded by
     the depth of the tree, not by the number of solutions.

@@ -141,13 +141,18 @@ def shannon_cubes(points: frozenset, n: int) -> list:
 
 
 def expanded_solution_set(outcome, universe) -> set:
-    """Flatten compressed solver output to total-assignment tuples."""
+    """Flatten compressed solver output to total-assignment tuples.
+
+    The cubes must be disjoint: no total assignment comes out twice, so
+    the set holds the sum of 2^|dont_care| over the solutions."""
     universe = sorted(universe)
     out = set()
     for solution in outcome.solutions:
         for total in solution.expand():
             assert set(total) == set(universe)
             out.add(tuple((v, total[v]) for v in universe))
+    assert len(out) == sum(1 << len(s.dont_care) for s in outcome.solutions), (
+        "overlapping cubes")
     return out
 
 

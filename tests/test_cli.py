@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import itertools
 import json
 import os
 import subprocess
@@ -12,8 +13,9 @@ import pytest
 import onsat
 from onsat import expansion
 from onsat.anf import OverBudget, from_expr
-from onsat.boolalg import MAX_NESTING, VarTable, const, parse_expr
+from onsat.boolalg import DEFAULT_CAP, MAX_NESTING, VarTable, const, parse_expr
 from onsat.cli import _build_parser, main
+from conftest import shannon_cubes
 
 
 EXAMPLE_A_DIMACS = """c worked example
@@ -110,9 +112,17 @@ class TestSolve:
         code, out, _ = run("enumerate", str(path))
         assert code == 10
         records = [json.loads(line) for line in out.splitlines()]
+        points = []
         for rec in records:
             assert set(rec) == {"assignment", "dont_care"}
-        assert len(records) == 3
+            free = rec["dont_care"]
+            for bits in itertools.product((0, 1), repeat=len(free)):
+                point = {**rec["assignment"], **dict(zip(free, bits))}
+                points.append((point["a"], point["b"]))
+        # one line per Shannon cube of the three points: a = 0 with b = 1,
+        # then a = 1 with b free
+        assert sorted(points) == [(0, 1), (1, 0), (1, 1)]
+        assert len(records) == len(shannon_cubes(frozenset(points), 2)) == 2
 
     def test_expand_dont_cares(self, run, tmp_path):
         path = tmp_path / "sys.txt"
@@ -289,6 +299,28 @@ class TestEnumerationCap:
         assert code == 10
         assert out.splitlines() == [
             "s SATISFIABLE", "v 1 " + " ".join(f"-{v}" for v in range(2, 31)) + " 0"]
+
+    @pytest.mark.parametrize("num_vars", [DEFAULT_CAP + 1, 10 ** 12])
+    def test_a_universe_over_the_cap_is_refused_before_naming_it(
+            self, run, tmp_path, num_vars):
+        # JSON and expanded lines name every variable of the header
+        path = tmp_path / "huge.cnf"
+        path.write_text(f"p cnf {num_vars} 1\n1 0\n")
+        for argv in (["enumerate"], ["solve", "--format", "json"],
+                     ["solve", "--expand-dont-cares"],
+                     ["enumerate", "--expand-dont-cares"]):
+            tracemalloc.start()
+            try:
+                code, out, err = run(*argv, str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (code, out) == (1, ""), argv
+            assert err == (f"onsat: {num_vars} variables exceed the cap of "
+                           f"{DEFAULT_CAP}\n"), argv
+            assert peak < 2 << 20, argv
+        # the s/v lines name only the cube's variables
+        assert run("solve", str(path)) == (10, "s SATISFIABLE\nv 1 0\n", "")
 
 
 class TestNesting:

@@ -4,11 +4,11 @@
 functions of ``onsat.cnf`` only: units to a fixpoint, then pure rounds
 (decide), then brute force at or below n0, else the pure-literal chain
 (enumerate) or the split chain, children depth-first and left to right.
-An enumerate leaf's points come out as the cubes of their Shannon
-expansion, computed here on point sets, with the variables in the most
+A leaf's points come out as the cubes of their Shannon expansion,
+computed here on point sets, with the variables in the most
 constrained first: by their number of clauses, most first, lowest id
-first among equals.  A decide leaf takes its lowest point in ascending
-variable order.
+first among equals.  Decide mode is the same walk, stopped at the first
+cube.
 ``solve_sat`` must return exactly its solution list, order included.
 """
 
@@ -33,9 +33,9 @@ from onsat.cnf import (
     solve_sat,
     unit_literals,
 )
-from onsat.boolalg import index_to_assignment
+from onsat.boolalg import _indices
 from onsat.onset import term_chain
-from onsat.solver import DECIDE, ENUMERATE, Conflict, Solution, SolverConfig, _indices
+from onsat.solver import DECIDE, ENUMERATE, Conflict, Solution, SolverConfig
 from conftest import (
     expanded_solution_set,
     oracle_cnf_solutions,
@@ -62,19 +62,14 @@ def reference(c: CnfSet, cfg: SolverConfig) -> list:
                 if not pures:
                     break
                 fixed.update(pures.as_dict())
-        occ = sorted(c.occurring())
-        if not decide:  # most clauses first, then lowest id
-            occ.sort(key=lambda v: (-sum(v + 1 in clause or -v - 1 in clause
-                                         for clause in c.clauses), v))
+        # most clauses first, then lowest id
+        occ = sorted(c.occurring(), key=lambda v: (
+            -sum(v + 1 in clause or -v - 1 in clause for clause in c.clauses), v))
         if len(occ) <= cfg.n0:
             n = len(occ)
             points = [tuple(idx >> (n - 1 - i) & 1 for i in range(n))
                       for idx in _indices(_brute_mask(c.clauses, occ, {}))]
-            if decide:
-                cubes = [list(enumerate(points[0]))] if points else []
-            else:
-                cubes = shannon_cubes(frozenset(points), n)
-            for cube in cubes:
+            for cube in shannon_cubes(frozenset(points), n):
                 assignment = {**fixed, **{occ[i]: b for i, b in cube}}
                 out.append(Solution.make(
                     assignment, set(range(c.num_vars)) - assignment.keys()))
@@ -333,23 +328,29 @@ def test_enumerate_cubes_satisfy_every_clause(seed):
     assert seen
 
 
-def test_decide_witness_is_the_lowest_point_of_its_leaf():
+def test_decide_witness_is_the_first_shannon_cube_of_its_leaf():
     """A one-leaf CNF's decide witness is its fixed values plus the
-    lowest satisfying index of the leaf table, decoded first variable
-    most significant by ``index_to_assignment``."""
+    first Shannon cube of the leaf's points, over the occurring
+    variables most constrained first: the enumerate leaf's first cube."""
     # x1 is a unit; x3 = ~x2 and x4 = ~x3 leave two points over x2..x4,
     # and x5 is declared but free
     c = CnfSet.from_clauses([[1], [2, 3], [-2, -3], [3, 4], [-3, -4]], num_vars=5)
     rest, units = propagate_units(c)
-    occ = sorted(rest.occurring())
-    mask = _brute_mask(rest.clauses, occ, {})
-    assert occ == [1, 2, 3] and mask.bit_count() == 2
-    low = (mask & -mask).bit_length() - 1
-    expected = {**units.as_dict(), **index_to_assignment(low, occ).as_dict()}
-    assert expected == {0: 1, 1: 0, 2: 1, 3: 0}
+    order = [2, 1, 3]  # x3 is in four clauses, x2 and x4 in two each
+    assert sorted(rest.occurring()) == sorted(order)
+    points = frozenset(
+        p for p in itertools.product((0, 1), repeat=3)
+        if all(any(p[order.index(abs(l) - 1)] == (l > 0) for l in clause)
+               for clause in rest.clauses))
+    assert points == {(0, 1, 1), (1, 0, 0)}
+    first = shannon_cubes(points, 3)[0]
+    expected = {**units.as_dict(), **{order[i]: b for i, b in first}}
+    assert expected == {0: 1, 1: 1, 2: 0, 3: 1}
     out = solve_sat(c, SolverConfig(mode=DECIDE))
     assert [sol.as_dict() for sol in out.solutions] == [expected]
     assert out.solutions[0].dont_care == (4,)
+    cubes = solve_sat(c, SolverConfig(mode=ENUMERATE)).solutions
+    assert cubes[0] == out.solutions[0]
 
 
 # Two binary clauses on the DIMACS variables 2 and 5 (2 = -5) next to

@@ -13,6 +13,7 @@ and decide mode only the witness's first one, its don't-cares at 0.
 
 import contextlib
 import io
+import itertools
 import json
 import random
 import tracemalloc
@@ -304,7 +305,7 @@ class TestCapAfterOutput:
     @pytest.fixture
     def late_wide_system(self, tmp_path):
         # the root splits on c (in 29 monomials): c = 0 leaves z1 | z2 = 1
-        # (3 cubes, reached first), c = 1 a sum of 24 products over
+        # (2 cubes, reached first), c = 1 a sum of 24 products over
         # y1..y25: one 25-variable ANF leaf, over the cap at --n0 26
         chain = " ^ ".join(f"y{i} & y{i + 1}" for i in range(1, 25))
         text = f"c & ({chain}) = c\n~c & (z1 | z2) = ~c\n"
@@ -321,7 +322,9 @@ class TestCapAfterOutput:
         assert err.startswith("onsat: 2^25 evaluations exceed the cap")
         assert out.endswith("\n")
         lines = out.splitlines()
-        assert len(lines) == 3
+        # the Shannon cubes of z1 | z2: z1 = 0 with z2 = 1, then z1 = 1
+        assert len(lines) == 2
+        z = []
         for line in lines:
             record = json.loads(line)
             fixed = {table.id_of(name): b for name, b in record["assignment"].items()}
@@ -330,6 +333,11 @@ class TestCapAfterOutput:
             for l, r in system.equations:
                 l, r = cofactor(l, fixed), cofactor(r, fixed)
                 assert l.kind == r.kind == CONST and l.value == r.value, line
+            free = [n for n in ("z1", "z2") if n in record["dont_care"]]
+            for bits in itertools.product((0, 1), repeat=len(free)):
+                point = {**record["assignment"], **dict(zip(free, bits))}
+                z.append((point["z1"], point["z2"]))
+        assert sorted(z) == [(0, 1), (1, 0), (1, 1)]
 
     def test_system_decide_stops_before_the_wide_leaf(self, late_wide_system):
         path, _ = late_wide_system

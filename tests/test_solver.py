@@ -5,7 +5,6 @@ import pytest
 
 from onsat.boolalg import (
     AND,
-    Assignment,
     CONST,
     NOT,
     OR,
@@ -15,7 +14,6 @@ from onsat.boolalg import (
     and_,
     cofactor,
     const,
-    index_to_assignment,
     not_,
     or_,
     or_all,
@@ -45,12 +43,15 @@ from onsat.solver import (
     triv_solve,
 )
 from conftest import (
+    all_points,
     expanded_solution_set,
+    oracle_eval,
     oracle_system_solutions,
     random_func,
     random_shared_funcs,
     random_system,
     random_term_chain,
+    shannon_cubes,
     tree_solutions,
 )
 
@@ -289,16 +290,79 @@ class TestBoolSolve:
         assert sol.as_dict() == {0: 1}
         assert sol.dont_care == (1, 2)
 
-    def test_leaf_points_decode_as_index_to_assignment(self):
-        # one leaf, no trail, no binding: the solutions, in order, are
-        # the leaf table's indices decoded first variable most significant
+    def test_leaf_cubes_are_the_shannon_cubes_of_its_points(self):
+        # one leaf, no trail, no binding: the solutions, in order, are the
+        # Shannon cubes of the leaf's points, first variable split first,
+        # and e and the variables a cube leaves free are its don't-cares
         system, _ = parse_system("vars: e\na & b | c & ~d = 1\n")
-        order, indices = _local_solutions(system)
-        expected = [index_to_assignment(i, order) for i in indices]
+        order = sorted(system.occurring())
+        (lhs, rhs), = system.equations
+        points = frozenset(tuple(p[v] for v in order) for p in all_points(order)
+                           if oracle_eval(lhs, p) == oracle_eval(rhs, p))
+        expected = []
+        for cube in shannon_cubes(points, len(order)):
+            fixed = {order[i]: b for i, b in cube}
+            expected.append(Solution.make(fixed, {0, *order} - fixed.keys()))
+        assert len(expected) < len(points)
         for solutions in (bool_solve(system, cfg(n0=16)).solutions,
                           tree_solutions(system, cfg(n0=16))):
-            assert [Assignment(sol.as_dict()) for sol in solutions] == expected
-            assert {sol.dont_care for sol in solutions} == {(0,)}
+            assert solutions == expected
+
+    @staticmethod
+    def lifted_systems(rng, backend: str):
+        """Seeded system texts over a..g.  ``anf``: sums of products,
+        half of the lines affine, so nodes above n0 eliminate.  ``tree``:
+        ORs of three or four names, whose ANF outgrows the expressions,
+        next to literal equalities, which become bindings."""
+        names = "abcdefg"
+        for _ in range(25):
+            lines = []
+            for _ in range(rng.randint(2, 5)):
+                if backend == "tree":
+                    lines.append(" | ".join(rng.sample(names, rng.randint(3, 4)))
+                                 + " = 1")
+                    a, b = rng.sample(names, 2)
+                    lines.append(f"{a} = {'~' if rng.random() < 0.5 else ''}{b}")
+                else:
+                    width = 1 if rng.random() < 0.5 else 2
+                    terms = [" & ".join(rng.sample(names, rng.randint(1, width)))
+                             for _ in range(rng.randint(2, 4))]
+                    lines.append(" ^ ".join(terms) + f" = {rng.randint(0, 1)}")
+            yield "vars: " + ", ".join(names) + "\n" + "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("backend", ["anf", "tree"])
+    @pytest.mark.parametrize("n0", [1, 2, 3])
+    def test_lifted_leaf_cubes_hold_each_point_once(self, monkeypatch, backend, n0):
+        """Leaf cubes lifted through bindings: the ANF search's
+        eliminations, the tree search's literal equalities.  Expanded,
+        the cubes are the oracle's points, each once, and decide's
+        witness is enumerate's first cube."""
+        from onsat import anf, solver as mod
+
+        bound = []
+        lift = mod._Lifter.lift
+
+        def recording(self, known, ones, bindings):
+            bound.append(len(bindings))
+            return lift(self, known, ones, bindings)
+
+        monkeypatch.setattr(mod._Lifter, "lift", recording)
+        rng = random.Random(4000 + n0)
+        sat = 0
+        for text in self.lifted_systems(rng, backend):
+            system, _ = parse_system(text)
+            try:
+                mod._AnfSearch(system, cfg())
+                assert backend == "anf", text
+            except anf.OverBudget:
+                assert backend == "tree", text
+            out = bool_solve(system, cfg(n0=n0, mode=ENUMERATE))
+            oracle = oracle_system_solutions(system)
+            assert expanded_solution_set(out, system.root_vars) == oracle, text
+            witness = bool_solve(system, cfg(n0=n0, mode=DECIDE)).solutions
+            assert witness == out.solutions[:1], text
+            sat += out.sat
+        assert sat and max(bound) > 0
 
     def test_expand_puts_the_first_dont_care_most_significant(self):
         sol = Solution.make({0: 1}, [5, 2])
@@ -510,7 +574,7 @@ class TestSameTree:
                 mask &= full ^ truth_table(l, occ) ^ truth_table(r, occ)
             got_order, got = _local_solutions(s)
             assert got_order == occ
-            assert got == [i for i in range(1 << len(occ)) if (mask >> i) & 1]
+            assert got == mask
 
     @pytest.mark.parametrize("mode", [DECIDE, ENUMERATE])
     def test_same_solutions_in_the_same_order(self, mode):
