@@ -21,6 +21,7 @@ import argparse
 import functools
 import random
 import sys
+import warnings
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional
 
@@ -179,7 +180,12 @@ def _run_solve(args, mode: str) -> int:
         input_fmt = "dimacs" if _looks_like_dimacs(text) else "system"
     cfg = solver.SolverConfig(n0=args.n0, split_depth=args.split_depth, mode=mode)
     if input_fmt == "dimacs":
-        problem = cnf.parse_dimacs(text, strict=args.strict_dimacs)
+        # a header mismatch is reported on every run, as one line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", cnf.HeaderMismatch)
+            problem = cnf.parse_dimacs(text, strict=args.strict_dimacs)
+        for w in caught:
+            print(f"onsat: warning: {w.message}", file=sys.stderr)
         # decide mode speaks the usual s/v protocol, which names no
         # variable; enumerate mode reports solution cubes as JSON lines
         dimacs_style = args.format != "json" and mode == solver.DECIDE

@@ -29,9 +29,10 @@ copying: one assignment trail whose clause state is a few bitsets over
 clause indices (the clauses each literal occurs in, the satisfied
 clauses, and the clauses by number of free literals).  Assigning a
 literal is a few big-integer operations that also expose the units and
-conflicts.  A split saves its node's state once, and the chain's terms,
-which share their prefixes, start from one propagated prefix that moves
-forward a literal per child.  A literal's count of unsatisfied
+conflicts.  The chain's terms share their prefixes, so a split's
+children come from one loop over its chain literals: each saves the
+propagated prefix, hands out the child that takes its complement, and
+moves the prefix forward by itself.  A literal's count of unsatisfied
 clauses is the population count of its occurrences minus the satisfied
 ones, which gives the pure literals, the occurring variables and the
 split frequencies without rescanning the clauses; ANDed with the
@@ -145,7 +146,8 @@ class CnfSet:
 # DIMACS input and output
 
 def parse_dimacs(text: str, strict: bool = False) -> CnfSet:
-    """Parse DIMACS CNF.  Header mismatches warn unless strict."""
+    """Parse DIMACS CNF.  Header mismatches warn unless strict; a
+    negative header count is a bad problem line either way."""
     declared_vars = None
     declared_clauses = None
     clauses = []
@@ -163,10 +165,11 @@ def parse_dimacs(text: str, strict: bool = False) -> CnfSet:
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ParseError(f"bad problem line {line!r}", lineno)
             try:
-                declared_vars = int(fields[2])
-                declared_clauses = int(fields[3])
+                declared_vars, declared_clauses = map(int, fields[2:])
             except ValueError:
-                raise ParseError(f"bad problem line {line!r}", lineno) from None
+                declared_vars = declared_clauses = -1
+            if declared_vars < 0 or declared_clauses < 0:
+                raise ParseError(f"bad problem line {line!r}", lineno)
             continue
         if not pending and fields[-1] == "0":  # the usual line: one clause
             try:
@@ -567,14 +570,15 @@ class _Engine:
     rewritten.
 
     The chain over l1..lr has the terms -l1, l1 -l2, ..., l1..l(r-1)
-    -lr and l1..lr, so consecutive terms share their prefixes.  A split
-    keeps the propagated state of one prefix in its frame, starting
-    from the node's own state, and moves it forward one literal per
-    child: child i is the prefix l1..li plus -l(i+1), or the prefix
-    itself for the last term.  Unit propagation reaches the same
-    fixpoint, or a conflict, in any order, so every child is the same
-    node as when its whole term is assigned at once; only the prefix is
-    propagated once for all the children that share it.
+    -lr and l1..lr, so consecutive terms share their prefixes.  A
+    split's children come from one generator, :meth:`_children`, that
+    holds the propagated state of one prefix, starting from the node's
+    own state, and moves it forward one literal per child: child i is
+    the prefix l1..li plus -l(i+1), or the prefix itself for the last
+    term.  Unit propagation reaches the same fixpoint, or a conflict,
+    in any order, so every child is the same node as when its whole
+    term is assigned at once; only the prefix is propagated once for
+    all the children that share it.
     """
 
     def __init__(self, c: CnfSet, fixed: dict, cfg: SolverConfig):
@@ -598,10 +602,10 @@ class _Engine:
         self.every = (1 << len(c.clauses)) - 1  # the sat bits of all clauses
 
     def visit(self, node) -> tuple:
-        """(frame, child indices, ()) at a split, (None, None, cubes) at a leaf."""
+        """(children, ()) at a split, (None, cubes) at a leaf."""
         t = self.trail
         if not t.propagate():
-            return None, None, ()
+            return None, ()
         # with every clause satisfied no variable occurs: nothing to scan
         pures, occurring = ([], []) if t.sat == self.every else t.scan()
         if self.decide:
@@ -612,7 +616,7 @@ class _Engine:
                 pures, occurring = t.scan()
         if len(occurring) > self.cfg.n0:
             if pures:  # enumerate: their chain loses no solution
-                return self.split(pures)
+                return self._children(pures), ()
             occ, unsat = t.occ, ~t.sat
             # decide: the clauses with two free literals (free[2] exists:
             # with the units propagated, a variable occurs in a clause
@@ -625,36 +629,28 @@ class _Engine:
                 p, q = p.bit_count(), q.bit_count()
                 ranked.append((-p - q - 2 * b, v, v if p >= q else -v))
             ranked.sort()
-            return self.split([lit for _, _, lit in ranked[:self.cfg.split_depth]])
+            lits = [lit for _, _, lit in ranked[:self.cfg.split_depth]]
+            return self._children(lits), ()
         _check_cap(len(occurring))
-        return None, None, _leaf_solutions(self, occurring)
+        return None, _leaf_solutions(self, occurring)
 
-    def split(self, lits: list) -> tuple:
-        """The split over the chain of lits, from the trail's state."""
-        return [lits, self.trail.snapshot()], range(len(lits) + 1), ()
+    def _children(self, lits: list) -> Iterator[_Trail]:
+        """The children of the chain over lits that do not conflict, in
+        term order, each one the trail itself.
 
-    def enter(self, frame: list, i: int):
-        """Child i of a split, entered after children 0..i-1.
-
-        ``frame`` is [lits, state]: the state is the node's own for
-        children 0 and 1, then the propagated prefix l1..l(i-1), or None
-        once a prefix has conflicted, which makes every later term a
-        conflict too.  Propagating a prefix can set a later chain
-        literal already, which :meth:`_Trail.assign` allows.
+        Once the prefix conflicts, so does every later term.
+        Propagating a prefix can set a later chain literal already,
+        which :meth:`_Trail.assign` allows.
         """
-        lits, state = frame
-        if state is None:
-            return None
         t = self.trail
-        t.restore(state)
-        if i:  # move the prefix forward from l1..l(i-1) to l1..li
-            if not (t.assign(lits[i - 1]) and t.propagate()):
-                frame[1] = None
-                return None
-            if i == len(lits):
-                return t
-            frame[1] = t.snapshot()
-        return t if t.assign(-lits[i]) else None
+        for lit in lits:
+            state = t.snapshot()
+            if t.assign(-lit):
+                yield t
+            t.restore(state)
+            if not (t.assign(lit) and t.propagate()):
+                return
+        yield t
 
 
 def leaf_blocks(c: CnfSet, cfg: Optional[SolverConfig] = None) -> Iterator[dict]:

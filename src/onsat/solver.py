@@ -489,38 +489,33 @@ def brute_force(system: BoolSystem) -> SolveOutcome:
 def _search(backend, root, decide: bool) -> Iterator[dict]:
     """The leaves' cubes, depth first, left to right.
 
-    The backend owns the nodes.  ``visit(node)`` returns (parent,
-    children, cubes): a split gives the state its children are entered
-    from and its chain terms, a leaf its cubes, a conflict neither.
-    ``enter(parent, child)`` returns the child's node, or None on a
-    conflict.  Decide mode stops after the first cube.
+    The backend owns the nodes.  ``visit(node)`` returns (children,
+    cubes): a split an iterator over its child nodes in chain order,
+    each made only when the walk reaches it and a conflicted one not at
+    all, with no cubes; a leaf None and its cubes; a conflict None and
+    no cubes.  The stack holds one such iterator per open split, so
+    memory is bounded by the depth of the tree.  Decide mode stops
+    after the first cube.
     """
-    stack: list = []  # frames [parent, children, next child]
-    node = root
-    while True:
-        if node is not None:
-            parent, children, cubes = backend.visit(node)
-            if children:
-                stack.append([parent, children, 0])
+    stack = [iter((root,))]
+    while stack:
+        for node in stack[-1]:
+            children, cubes = backend.visit(node)
             for cube in cubes:
                 yield cube
                 if decide:
                     return
-        while stack:
-            frame = stack[-1]
-            parent, children, i = frame
-            if i < len(children):
-                frame[2] = i + 1
-                node = backend.enter(parent, children[i])
+            if children is not None:
+                stack.append(children)
                 break
-            stack.pop()
         else:
-            return
+            stack.pop()
 
 
 class _TreeSearch:
     """Nodes are expression-tree BoolSystems: trivial reductions, then a
-    leaf or the ``decompose`` children of the split chain."""
+    leaf or the ``decompose`` children of the split chain, which are
+    immutable, so a split builds them all at once."""
 
     def __init__(self, cfg: SolverConfig):
         self.cfg = cfg
@@ -529,13 +524,10 @@ class _TreeSearch:
         try:
             node = triv_solve(node)[0]
         except Conflict:
-            return None, None, ()
+            return None, ()
         if len(node.occurring()) <= self.cfg.n0:
-            return None, None, _tree_leaf(node)
-        return None, decompose(node, choose_split(node, self.cfg)), ()
-
-    def enter(self, parent, child: BoolSystem) -> BoolSystem:
-        return child
+            return None, _tree_leaf(node)
+        return iter(decompose(node, choose_split(node, self.cfg))), ()
 
 
 class _AnfSearch:
@@ -545,7 +537,9 @@ class _AnfSearch:
     (equations, known, ones, bindings): the polynomials that must be 0,
     the bits fixed by the trail and by splits and those fixed to 1, and
     the affine bindings in the order they were made, starting with the
-    root's literal equalities.  A node over at most n0 bits is
+    root's literal equalities.  A split's children cofactor its
+    polynomials by each term of :meth:`_chain`, one child at a time, as
+    the walk reaches it.  A node over at most n0 bits is
     brute-forced as it stands; only a larger one is eliminated, since
     its leaf table costs less than elimination, and elimination that
     brings a node to n0 or below also makes it a leaf.  A node whose
@@ -586,21 +580,17 @@ class _AnfSearch:
                 eqs, bindings = self._eliminate(eqs, bindings)
                 occ = anf.occurring(eqs)
             except Conflict:
-                return None, None, ()
+                return None, ()
             except anf.OverBudget:
                 pass  # the node splits as it stands
         if occ.bit_count() <= self.cfg.n0:
             order = anf.bits_of(occ)
             table = anf.zero_table(eqs, order, self.patterns)
-            return None, None, self.lifter.leaf(order, table, known, ones, bindings)
-        return (eqs, known, ones, bindings), self._chain(eqs), ()
-
-    def enter(self, parent, term: tuple) -> tuple:
-        """The child of a chain term (bits set to 0, bits set to 1)."""
-        eqs, known, ones, bindings = parent
-        zeros, one = term
-        return (tuple(anf.cofactor(e, zeros, one) for e in eqs),
-                known | zeros | one, ones | one, bindings)
+            return None, self.lifter.leaf(order, table, known, ones, bindings)
+        # the child of each chain term (bits set to 0, bits set to 1)
+        return ((tuple(anf.cofactor(e, zeros, one) for e in eqs),
+                 known | zeros | one, ones | one, bindings)
+                for zeros, one in self._chain(eqs)), ()
 
     def _eliminate(self, eqs, bindings) -> tuple:
         """Eliminate the affine equations to a fixpoint.

@@ -106,6 +106,33 @@ class TestSolve:
         assert code == 10
         assert out.splitlines()[0] == "s SATISFIABLE"
 
+    def test_header_mismatch_is_reported_on_every_run(self, run, tmp_path):
+        """One stderr line per mismatch, on each call in one process;
+        stdout and the exit code as without it."""
+        path = tmp_path / "mismatch.cnf"
+        path.write_text("p cnf 3 5\n1 -2 0\n2 3 0\n")
+        clean = tmp_path / "clean.cnf"
+        clean.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
+        for _ in range(2):
+            assert run("solve", str(path)) == (
+                10, run("solve", str(clean))[1],
+                "onsat: warning: header declares 5 clauses but 2 found\n")
+        path.write_text("p cnf 1 3\n1 -2 0\n")
+        code, out, err = run("enumerate", str(path))
+        assert code == 10 and out and err == (
+            "onsat: warning: header declares 1 variables but 2 are used\n"
+            "onsat: warning: header declares 3 clauses but 1 found\n")
+        code, out, err = run("solve", str(path), "--strict-dimacs")
+        assert (code, out) == (1, "")
+        assert err == "onsat: header declares 1 variables but 2 are used\n"
+
+    def test_negative_header_counts_are_refused(self, run, tmp_path):
+        path = tmp_path / "negative.cnf"
+        path.write_text("p cnf -3 -1\n1 0\n")
+        for flags in ((), ("--strict-dimacs",)):
+            assert run("enumerate", str(path), *flags) == (
+                1, "", "onsat: line 1: bad problem line 'p cnf -3 -1'\n")
+
     def test_enumerate_json_lines(self, run, tmp_path):
         path = tmp_path / "sys.txt"
         path.write_text("vars: a, b\na | b = 1\n")

@@ -120,6 +120,12 @@ class TestDimacs:
             parse_dimacs("p cnf 2 1\n1 x 0\n")
         with pytest.raises(ParseError):
             parse_dimacs("p cnf 2 1\n1 -1 0\n")  # both polarities
+        # a negative count is a bad problem line, strict or not
+        for strict in (False, True):
+            with pytest.raises(ParseError, match="bad problem line 'p cnf -3 -1'"):
+                parse_dimacs("p cnf -3 -1\n1 0\n", strict=strict)
+            with pytest.raises(ParseError, match="bad problem line 'p cnf 2 -1'"):
+                parse_dimacs("p cnf 2 -1\n1 0\n", strict=strict)
 
     def test_clauses_need_not_follow_lines(self):
         c = parse_dimacs("p cnf 3 4\n1 -2 0 2 3 0\n-3\n1\n2 0 -1 0\n")

@@ -231,7 +231,8 @@ def test_trail_matches_clause_copies(seed):
     [(2, False), (0, False), (5, False), (4, True)],
 ])
 def test_chain_order_is_term_chain_order(lits):
-    """The literals enter(frame, i) puts on the trail are term i."""
+    """The literals child i of _children(lits) puts on the trail are
+    term i."""
     signed = [v + 1 if p else -(v + 1) for v, p in lits]
     expected = [
         {v + 1 if p else -(v + 1) for v, p in t.literals.items()}
@@ -242,26 +243,34 @@ def test_chain_order_is_term_chain_order(lits):
     c = CnfSet.from_clauses([[l, 9, 10] for v in range(1, 9) for l in (v, -v)])
     engine = _Engine(c, {}, SolverConfig())
     t = engine.trail
-    frame, children, cubes = engine.split(signed)
-    assert cubes == () and len(children) == len(expected)
     entered = []
-    for i in children:
-        assert engine.enter(frame, i) is t
+    for child in engine._children(signed):
+        assert child is t
         entered.append(set(t.trail))
     assert entered == expected
 
 
+def visit_trail(engine: _Engine) -> tuple:
+    """(chain literals, cubes) of visiting the engine's trail: the
+    argument of its _children call at a split, else None."""
+    chains = []
+    children = engine._children
+    engine._children = lambda lits: chains.append(lits) or children(lits)
+    got, cubes = engine.visit(engine.trail)
+    assert (got is None) == (not chains)
+    return (chains[0] if chains else None), cubes
+
+
 def root_split_lits(c: CnfSet, cfg: SolverConfig) -> list:
     """The chain literals of the trail engine's root split."""
-    engine = _Engine(c, {}, cfg)
-    frame, children, cubes = engine.visit(engine.trail)
-    assert children is not None and cubes == ()
-    return frame[0]
+    lits, cubes = visit_trail(_Engine(c, {}, cfg))
+    assert lits is not None and cubes == ()
+    return lits
 
 
 # Splitting at n0 = 1, split_depth = 2, the root chain of each is l1 = x0,
 # l2 = x1 in both modes, and propagating the prefix x0 sets x1 true, sets
-# it false, or conflicts.  Every later term of the chain is then entered
+# it false, or conflicts.  Every later term of the chain is then made
 # from that propagated prefix, in both modes (no literal is pure at the
 # root).  In "conflicts" the binary clauses on x4 weigh x4 up in decide
 # mode, so the three clauses on x1 and x5 keep x1 ahead of it.
@@ -393,22 +402,22 @@ def test_decide_chain_below_the_root_weighs_reduced_binary_clauses():
             cfg = SolverConfig(n0=1, split_depth=rng.randint(1, 3))
             engine = _Engine(c, {}, cfg)
             engine.trail.assign(lit)
-            frame, children, _ = engine.visit(engine.trail)
+            lits, _ = visit_trail(engine)
             try:
                 reduced, _ = propagate_units(
                     assign_and_reduce(c, {abs(lit) - 1: int(lit > 0)}))
             except Conflict:
-                assert children is None
+                assert lits is None
                 continue
             while True:
                 reduced, pures = assign_pure_round(reduced)
                 if not pures:
                     break
             if len(reduced.occurring()) <= cfg.n0:
-                assert children is None
+                assert lits is None
                 continue
             chain = choose_split_cnf(reduced, cfg)
-            assert {abs(l) - 1: int(l > 0) for l in frame[0]} == (
+            assert {abs(l) - 1: int(l > 0) for l in lits} == (
                 chain.terms[-1].partial_assignment().as_dict())
             plain = choose_split_cnf(reduced, SolverConfig(
                 n0=1, split_depth=cfg.split_depth, mode=ENUMERATE))
@@ -445,11 +454,11 @@ def test_pure_literals_at_or_below_n0_make_a_leaf(mode):
     assert find_pure_literals(c) == [(0, True)] and not unit_literals(c)
     for n0 in (2, 3):
         engine = _Engine(c, {}, SolverConfig(n0=n0, mode=mode))
-        frame, children, cubes = engine.visit(engine.trail)
+        lits, cubes = visit_trail(engine)
         if mode == ENUMERATE and n0 == 2:
-            assert frame[0] == [1] and cubes == ()
+            assert lits == [1] and cubes == ()
             continue
-        assert children is None
+        assert lits is None
         cubes = list(cubes)
         if mode == DECIDE:  # the pures 1, then 2: no variable occurs
             assert cubes == [{0: 1, 1: 1}]

@@ -35,6 +35,7 @@ from onsat.solver import (
     Solution,
     SolverConfig,
     _local_solutions,
+    _search,
     bool_solve,
     brute_force,
     choose_split,
@@ -381,6 +382,71 @@ class TestBoolSolve:
         exported = [n for n in dir(mod) if not n.startswith("_")]
         for name in exported + [m for m in dir(BoolSystem) if not m.startswith("_")]:
             assert not any(b in name.lower() for b in banned)
+
+
+class _BinaryTree:
+    """A synthetic search backend: the complete binary tree of a depth,
+    each node named by its path of 0s and 1s, each leaf one cube that
+    names it.  A split in ``empty`` has every child conflicted, so its
+    iterator yields nothing.  It records the children it makes and
+    counts its child iterators that are open (made and not run out)."""
+
+    def __init__(self, depth: int, empty=()):
+        self.depth = depth
+        self.empty = set(empty)
+        self.made: list = []
+        self.open = self.most_open = 0
+
+    def visit(self, node: str) -> tuple:
+        if len(node) == self.depth:
+            return None, [{"leaf": node}]
+        self.open += 1
+        self.most_open = max(self.most_open, self.open)
+        return self._children(node), ()
+
+    def _children(self, node: str):
+        if node not in self.empty:
+            for bit in "01":
+                self.made.append(node + bit)
+                yield node + bit
+        self.open -= 1
+
+
+class TestSearchDriver:
+    @pytest.mark.parametrize("depth", [0, 1, 4, 9])
+    def test_open_iterators_are_bounded_by_the_depth(self, depth):
+        """The root's iterator plus one per split on the path: d + 1 at
+        most, for 2^d leaves."""
+        backend = _BinaryTree(depth)
+        walk = _search(backend, "", decide=False)
+        cubes, held = [], []
+        for cube in walk:
+            cubes.append(cube)
+            held.append(len(walk.gi_frame.f_locals["stack"]))
+        assert cubes == [{"leaf": "".join(p)}
+                         for p in itertools.product("01", repeat=depth)]
+        assert max(held) == depth + 1 and backend.most_open == depth
+        assert backend.open == 0
+
+    def test_decide_makes_no_sibling_after_the_first_cube(self):
+        backend = _BinaryTree(5)
+        assert list(_search(backend, "", decide=True)) == [{"leaf": "00000"}]
+        assert backend.made == ["0", "00", "000", "0000", "00000"]
+
+    @pytest.mark.parametrize("decide", [False, True])
+    def test_a_split_with_no_child_is_popped(self, decide):
+        """Every child of 0 and of 11 conflicts: the walk pops each and
+        goes on to the next sibling, 1 after 0, so only the leaves of
+        10 come out.  Decide stops at the first with the root, 1 and 10
+        still open."""
+        backend = _BinaryTree(3, empty={"0", "11"})
+        got = list(_search(backend, "", decide))
+        if decide:
+            assert got == [{"leaf": "100"}] and backend.open == 3
+            assert backend.made == ["0", "1", "10", "100"]
+        else:
+            assert got == [{"leaf": "100"}, {"leaf": "101"}] and backend.open == 0
+            assert backend.made == ["0", "1", "10", "100", "101", "11"]
 
 
 class TestSystemFormat:
