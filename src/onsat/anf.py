@@ -1,9 +1,10 @@
 """Polynomials over GF(2) in algebraic normal form (ANF).
 
-An ANF is an XOR of monomials, held as a frozenset of ints: a monomial
-is a bitmask over variable bits, and 0 is the constant monomial 1.
-XOR is symmetric difference, a product multiplies out pairwise with
-x * x = x, and a monomial that appears twice cancels.
+An ANF is an XOR of monomials: a monomial is a bitmask over variable
+bits, and 0 is the constant monomial 1.  Conversion holds a polynomial
+as a frozenset of monomials: XOR is symmetric difference, a product
+multiplies out pairwise with x * x = x, and a monomial that appears
+twice cancels.
 
 A system is converted only when its polynomials are no larger than
 its expressions: when they hold more monomials than the expressions
@@ -16,28 +17,31 @@ monomials per node) the polynomial search.  Every polynomial and
 product is also bounded by :data:`BUDGET`, so that substitution cannot
 blow up.
 
+The search numbers the monomials of one solve in an :class:`Index` and
+holds each polynomial as one int, bit i standing for monomial i, as a
+Macaulay matrix holds its rows over one basis.  With ``has[b]`` the
+bitset of the monomials that hold variable bit b, setting b to 0 is
+``e & ~has[b]``, and setting it to 1 XORs the hit monomials out and
+their images without b in; an equation is affine when it meets no
+nonlinear monomial, and a bit's frequency is the popcount of
+``e & has[b]``.  Substitution and leaf tables read the monomials of a
+mask back from the index.
+
 An affine equation (every monomial of degree <= 1) is a row: its
 variable bits plus a constant bit above all of them.  Gauss-Jordan
 elimination turns a set of rows into bindings ``pivot = row ^ pivot``,
 each pivot being absent from every other binding.
-
-The search's operations touch only what they change.
-:func:`cofactor` and :func:`substitute` find the monomials that a fixed
-or substituted bit meets in one pass, return the polynomial itself when
-there are none, and fold only those into the rest.  :func:`zero_table`
-takes its variable patterns from a table that the caller keeps for one
-solve, so a leaf builds no pattern, and starts each monomial from its
-first variable's pattern.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain
 from operator import or_
 from typing import Mapping, Optional, Sequence
 
-from .boolalg import AND, CONST, NOT, VAR, XOR, BoolFunc, _check_cap, _var_patterns
+from .boolalg import (
+    AND, CONST, NOT, VAR, XOR, BoolFunc, _check_cap, _indices, _var_patterns,
+)
 
 #: Most monomials in one polynomial, and most monomial pairs in one
 #: product; past either the conversion or the elimination gives up.
@@ -126,61 +130,6 @@ def from_system(equations, bit: Mapping[int, int]) -> tuple:
     return eqs
 
 
-def cofactor(e: frozenset, zeros: int, ones: int) -> frozenset:
-    """e with the bits of ``zeros`` set to 0 and those of ``ones`` to 1.
-
-    Only the monomials that meet a fixed bit are folded; with none, e
-    itself is returned.
-    """
-    fixed = zeros | ones
-    hit = [m for m in e if m & fixed]
-    if not hit:
-        return e
-    out: set = set()
-    keep = ~ones
-    for m in hit:
-        if m & zeros:
-            continue
-        m &= keep
-        if m in out:
-            out.remove(m)
-        else:
-            out.add(m)
-    return e.difference(hit) ^ out
-
-
-def substitute(e: frozenset, pivot: int, rest: int, cbit: int) -> frozenset:
-    """e with the pivot bit replaced by the affine form ``rest``.
-
-    ``rest`` is a row without the pivot: variable bits, plus ``cbit``
-    for the constant 1.  Only the monomials that hold the pivot are
-    folded; with none, e itself is returned.
-    """
-    hit = [m for m in e if m & pivot]
-    if not hit:
-        return e
-    terms = [0 if t == cbit else t for t in bits_of(rest)]
-    out: set = set()
-    for m in hit:
-        m ^= pivot
-        for t in terms:
-            p = m | t
-            if p in out:
-                out.remove(p)
-            else:
-                out.add(p)
-    return _checked(e.difference(hit) ^ out)
-
-
-def is_affine(e: frozenset) -> bool:
-    return not [m for m in e if m & (m - 1)]
-
-
-def row_of(e: frozenset, cbit: int) -> int:
-    """The row of an affine equation: its monomials are distinct bits."""
-    return sum(m or cbit for m in e)
-
-
 def gauss_jordan(rows: Sequence[int], cbit: int) -> Optional[list]:
     """Reduced row echelon form of affine equations ``row = 0``.
 
@@ -215,47 +164,178 @@ def bits_of(mask: int) -> list:
     return out
 
 
-def occurring(eqs: Sequence[frozenset]) -> int:
-    """The mask of the variable bits that the polynomials mention."""
-    return reduce(or_, chain.from_iterable(eqs), 0)
+class Index:
+    """The monomials of one solve, each with its bit in the search's masks.
 
-
-def zero_table(eqs: Sequence[frozenset], order: Sequence[int], patterns: dict) -> int:
-    """Truth table of the points where every polynomial is 0.
-
-    ``order`` lists the variable bits, most significant point bit
-    first, as in :func:`boolalg.truth_table`; the polynomials mention no
-    other bits.  ``patterns`` is the solve's pattern table (see
-    :func:`boolalg._var_patterns`), shared by every leaf.  A monomial
-    is the AND of its variables' patterns, a polynomial the XOR of its
-    monomials.
-
-    The polynomials are taken fewest monomials first (a stable sort,
-    so equal sizes keep their order): each one roughly halves the
-    live points, so the cheap ones do most of the cutting, and the
-    loop stops as soon as no point is left.
+    The search holds a polynomial as an int whose bit ``1 << i`` stands
+    for monomial ``monomials[i]``; ``at`` maps a monomial back to i.
+    ``has[b]`` is the mask of the monomials that hold variable bit b,
+    and ``nonlinear`` the mask of those of degree 2 or more.  A monomial
+    is indexed when it first appears and stays for the solve, so every
+    mask of the solve keeps its meaning.
     """
-    n = len(order)
-    _check_cap(n)
-    full = (1 << (1 << n)) - 1
-    pattern = dict(zip(order, _var_patterns(patterns, n)))
-    monomials = {0: full}
-    mask = full
-    for e in sorted(eqs, key=len):
-        table = 0
-        for m in e:
-            t = monomials.get(m)
-            if t is None:
-                low = m & -m
-                t = pattern[low]
-                rest = m ^ low
-                while rest:
-                    low = rest & -rest
-                    t &= pattern[low]
-                    rest ^= low
-                monomials[m] = t
-            table ^= t
-        mask &= full ^ table
-        if not mask:
-            break
-    return mask
+
+    __slots__ = ("monomials", "at", "has", "nonlinear")
+
+    def __init__(self):
+        self.monomials: list = []
+        self.at: dict = {}
+        self.has: dict = {}
+        self.nonlinear = 0
+
+    def mask(self, monomials) -> int:
+        """The mask of distinct monomials, indexing the ones not seen yet."""
+        at = self.at
+        out = 0
+        for m in monomials:
+            i = at.get(m)
+            if i is None:
+                i = at[m] = len(self.monomials)
+                self.monomials.append(m)
+                for b in bits_of(m):
+                    self.has[b] = self.has.get(b, 0) | 1 << i
+                if m & (m - 1):
+                    self.nonlinear |= 1 << i
+            out |= 1 << i
+        return out
+
+    def cofactor(self, eqs: Sequence[int], b: int, value: int) -> tuple:
+        """The polynomials with variable bit b set to ``value``.
+
+        The monomials that hold b (``hit``) drop out under 0 and lose b
+        under 1.  Distinct monomials that hold b stay distinct without
+        it, so XOR folds their images in exactly.
+        """
+        has = self.has.get(b, 0)
+        if not value:
+            keep = ~has
+            return tuple(e & keep for e in eqs)
+        at, monomials = self.at, self.monomials
+        out = []
+        for e in eqs:
+            hit = e & has
+            e ^= hit
+            while hit:
+                bit = hit & -hit
+                hit ^= bit
+                m = monomials[bit.bit_length() - 1] ^ b
+                i = at.get(m)
+                e ^= self.mask((m,)) if i is None else 1 << i
+            out.append(e)
+        return tuple(out)
+
+    def substitute(self, e: int, pivot: int, rest: int, cbit: int) -> int:
+        """e with the pivot bit replaced by the affine form ``rest``.
+
+        ``rest`` is a row without the pivot: variable bits, plus ``cbit``
+        for the constant 1.  Only the monomials that hold the pivot are
+        folded; with none, e itself is returned.  Raises OverBudget
+        when the result holds more than :data:`BUDGET` monomials.
+        """
+        hit = e & self.has.get(pivot, 0)
+        if not hit:
+            return e
+        monomials = self.monomials
+        terms = [0 if t == cbit else t for t in bits_of(rest)]
+        out: set = set()
+        for i in _indices(hit):
+            m = monomials[i] ^ pivot
+            for t in terms:
+                p = m | t
+                if p in out:
+                    out.remove(p)
+                else:
+                    out.add(p)
+        e ^= hit ^ self.mask(out)
+        if e.bit_count() > BUDGET:
+            raise OverBudget(f"more than {BUDGET} monomials")
+        return e
+
+    def row(self, e: int, cbit: int) -> int:
+        """The row of an affine polynomial (``not e & nonlinear``): its
+        monomials are distinct variable bits, and 1 stands as ``cbit``."""
+        monomials = self.monomials
+        return sum([monomials[i] or cbit for i in _indices(e)])
+
+    def occurring(self, eqs: Sequence[int]) -> int:
+        """The mask of the variable bits that the polynomials mention."""
+        union = reduce(or_, eqs, 0)
+        occ = 0
+        for b, h in self.has.items():
+            if union & h:
+                occ |= b
+        return occ
+
+    def frequencies(self, eqs: Sequence[int]) -> dict:
+        """The number of monomials of the polynomials that hold each
+        variable bit, for the bits that occur.
+
+        That is the sum of ``(e & has[b]).bit_count()`` over the
+        polynomials, taken in one pass: they are added into a
+        bit-sliced counter, bit i of ``levels[k]`` being bit k of the
+        number of polynomials that hold monomial i, and a bit's count
+        then takes one AND per level.
+        """
+        levels: list = []
+        for e in eqs:
+            for k, level in enumerate(levels):
+                levels[k] = level ^ e
+                e &= level  # the carry
+                if not e:
+                    break
+            else:
+                if e:
+                    levels.append(e)
+        counts = {}
+        for b, h in self.has.items():
+            c = 0
+            for k, level in enumerate(levels):
+                c += (level & h).bit_count() << k
+            if c:
+                counts[b] = c
+        return counts
+
+    def zero_table(self, eqs: Sequence[int], order: Sequence[int], patterns: dict) -> int:
+        """Truth table of the points where every polynomial is 0.
+
+        ``order`` lists the variable bits, most significant point bit
+        first, as in :func:`boolalg.truth_table`; the polynomials mention
+        no other bits.  ``patterns`` is the solve's pattern table (see
+        :func:`boolalg._var_patterns`), shared by every leaf.  A monomial
+        is the AND of its variables' patterns, built once per leaf and
+        started from its first variable's pattern, and a polynomial the
+        XOR of its monomials.
+
+        The polynomials are taken fewest monomials first (a stable sort,
+        so equal sizes keep their order): each one roughly halves the
+        live points, so the cheap ones do most of the cutting, and the
+        loop stops as soon as no point is left.
+        """
+        n = len(order)
+        _check_cap(n)
+        full = (1 << (1 << n)) - 1
+        pattern = dict(zip(order, _var_patterns(patterns, n)))
+        monomials = self.monomials
+        tables: dict = {}  # a monomial's bit in the masks -> its table
+        mask = full
+        for e in sorted(eqs, key=int.bit_count):
+            table = 0
+            while e:
+                bit = e & -e
+                e ^= bit
+                t = tables.get(bit)
+                if t is None:
+                    m = monomials[bit.bit_length() - 1]
+                    low = m & -m
+                    t = pattern[low] if m else full
+                    m ^= low
+                    while m:
+                        low = m & -m
+                        t &= pattern[low]
+                        m ^= low
+                    tables[bit] = t
+                table ^= t
+            mask &= full ^ table
+            if not mask:
+                break
+        return mask

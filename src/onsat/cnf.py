@@ -145,9 +145,24 @@ class CnfSet:
 # ---------------------------------------------------------------------------
 # DIMACS input and output
 
+def _ascii_int(tok: str) -> int:
+    """int() of a token, refusing the digit separators (``1_0``) and the
+    non-ASCII digits that int() accepts."""
+    if not tok.isascii() or "_" in tok:
+        raise ValueError(f"not a DIMACS number: {tok!r}")
+    return int(tok)
+
+
 def parse_dimacs(text: str, strict: bool = False) -> CnfSet:
     """Parse DIMACS CNF.  Header mismatches warn unless strict; a
-    negative header count is a bad problem line either way."""
+    negative header count is a bad problem line either way.
+
+    Header counts and literals are ASCII digits with an optional sign, a
+    leading ``+`` included.  A digit separator (``1_0``) or a non-ASCII
+    digit is a bad problem line or a non-integer literal.  Only a text
+    that holds one of them at all has its numbers checked one by one.
+    """
+    number = int if text.isascii() and "_" not in text else _ascii_int
     declared_vars = None
     declared_clauses = None
     clauses = []
@@ -165,7 +180,7 @@ def parse_dimacs(text: str, strict: bool = False) -> CnfSet:
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ParseError(f"bad problem line {line!r}", lineno)
             try:
-                declared_vars, declared_clauses = map(int, fields[2:])
+                declared_vars, declared_clauses = map(number, fields[2:])
             except ValueError:
                 declared_vars = declared_clauses = -1
             if declared_vars < 0 or declared_clauses < 0:
@@ -173,7 +188,7 @@ def parse_dimacs(text: str, strict: bool = False) -> CnfSet:
             continue
         if not pending and fields[-1] == "0":  # the usual line: one clause
             try:
-                clause = frozenset(map(int, fields[:-1]))
+                clause = frozenset(map(number, fields[:-1]))
             except ValueError:
                 pass
             else:
@@ -184,7 +199,7 @@ def parse_dimacs(text: str, strict: bool = False) -> CnfSet:
         # any other line, or one to word an error for, token by token
         for tok in fields:
             try:
-                lit = int(tok)
+                lit = number(tok)
             except ValueError:
                 raise ParseError(f"non-integer literal {tok!r}", lineno) from None
             if lit == 0:

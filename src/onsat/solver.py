@@ -13,16 +13,18 @@ forms:
 
 * ANF (algebraic normal form, :mod:`onsat.anf`): each equation
   ``l = r`` becomes the GF(2) polynomial ``l ^ r``, an XOR of
-  monomials.  A node that mentions at most n0 variables is a leaf as
-  it stands.  A larger one reduces by Gauss-Jordan elimination over its
-  affine equations: an inconsistent system is a conflict, and each
-  pivot becomes a binding ``v = c ^ (sum of others)`` that is
-  substituted into the other equations, to a fixpoint.  Frequency is
-  the number of monomials a variable occurs in, and leaves build their
-  truth tables from the monomials.  Lifting solves the bindings in
-  reverse, splitting a variable that a binding mentions and nothing
-  fixes, a variable that a leaf cube leaves free included.  A system is solved in this form when its polynomials hold no
-  more monomials than its expressions have nodes.  Elimination is
+  monomials, held as a bitset over the monomials of the solve.  A node
+  that mentions at most n0 variables is a leaf as it stands.  A larger
+  one reduces by Gauss-Jordan elimination over its affine equations:
+  an inconsistent system is a conflict, and each pivot becomes a
+  binding ``v = c ^ (sum of others)`` that is substituted into the
+  other equations, to a fixpoint.  Frequency is the number of
+  monomials a variable occurs in, and leaves build their truth tables
+  from the monomials.  Lifting solves the bindings in reverse,
+  splitting a variable that a binding mentions and nothing fixes, a
+  variable that a leaf cube leaves free included.  A system is solved
+  in this form when its polynomials hold no more monomials than its
+  expressions have nodes.  Elimination is
   only a reduction: a node whose elimination outgrows ``anf.BUDGET``
   splits as it stands.
 * Expression trees, for every other system (an OR of k positive
@@ -41,7 +43,6 @@ the lifter carries back to the root variables.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterator, Optional, Sequence
 
 from .boolalg import (
@@ -337,8 +338,9 @@ def choose_split(system: BoolSystem, cfg: SolverConfig) -> OnSet:
     return term_chain([(v, True) for v in candidates[:depth]])
 
 
-def decompose(system: BoolSystem, terms: OnSet) -> list:
-    """One subsystem per term of an ON chain.
+def _subsystems(system: BoolSystem, terms: OnSet) -> Iterator[BoolSystem]:
+    """One subsystem per term of an ON chain, each made when it is asked
+    for.
 
     Each subsystem cofactors every equation by the term's partial
     assignment, shrinks the open variables and extends the trail.  The
@@ -346,15 +348,18 @@ def decompose(system: BoolSystem, terms: OnSet) -> list:
     """
     if terms.terms is None:
         raise ValueError("decomposition needs an ON set of terms")
-    out = []
     for t in terms.terms:
         if not set(t.keys()) <= system.vars:
             stray = min(set(t.keys()) - system.vars)
             raise ValueError(f"split variable x{stray} is not open")
         eqs = _rewritten(system.equations, t, cofactor)
-        out.append(BoolSystem(eqs, system.vars.difference(t), system.trail.merge(t),
-                              system.bindings, system.root_vars))
-    return out
+        yield BoolSystem(eqs, system.vars.difference(t), system.trail.merge(t),
+                         system.bindings, system.root_vars)
+
+
+def decompose(system: BoolSystem, terms: OnSet) -> list:
+    """The subsystems of :func:`_subsystems`, all at once."""
+    return list(_subsystems(system, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +519,8 @@ def _search(backend, root, decide: bool) -> Iterator[dict]:
 
 class _TreeSearch:
     """Nodes are expression-tree BoolSystems: trivial reductions, then a
-    leaf or the ``decompose`` children of the split chain, which are
-    immutable, so a split builds them all at once."""
+    leaf or the children of the split chain, each cofactored from the
+    node when the walk reaches it (:func:`_subsystems`)."""
 
     def __init__(self, cfg: SolverConfig):
         self.cfg = cfg
@@ -527,31 +532,33 @@ class _TreeSearch:
             return None, ()
         if len(node.occurring()) <= self.cfg.n0:
             return None, _tree_leaf(node)
-        return iter(decompose(node, choose_split(node, self.cfg))), ()
+        return _subsystems(node, choose_split(node, self.cfg)), ()
 
 
 class _AnfSearch:
     """Nodes over the ANF of the root equations.
 
-    Variables map to bits as in :class:`_Lifter`.  A node is
+    Variables map to bits as in :class:`_Lifter`, and monomials to bits
+    of the solve's :class:`anf.Index`: every polynomial is the int mask
+    of its monomials, converted once at the root.  A node is
     (equations, known, ones, bindings): the polynomials that must be 0,
     the bits fixed by the trail and by splits and those fixed to 1, and
     the affine bindings in the order they were made, starting with the
-    root's literal equalities.  A split's children cofactor its
-    polynomials by each term of :meth:`_chain`, one child at a time, as
-    the walk reaches it.  A node over at most n0 bits is
-    brute-forced as it stands; only a larger one is eliminated, since
+    root's literal equalities.  A split's children come from one
+    generator, :meth:`_children`, that cofactors one chain bit at a
+    time, as the walk reaches each child.  A node over at most n0 bits
+    is brute-forced as it stands; only a larger one is eliminated, since
     its leaf table costs less than elimination, and elimination that
     brings a node to n0 or below also makes it a leaf.  A node whose
     elimination outgrows ``anf.BUDGET`` keeps its equations and
     bindings from before it and splits: cofactoring never grows a
     polynomial, so its children stay within the budget.  ``patterns``
     holds the leaves' variable patterns per leaf size for this solve
-    only (see :func:`anf.zero_table`), so it goes with the search.
-    Raises OverBudget when the root system is not converted
-    (:func:`anf.from_system`).  A root read by :func:`parse_system` has
-    its polynomials from its source, with the same verdict, and builds
-    no expression for its direct lines.
+    only (see :meth:`anf.Index.zero_table`), so it goes with the search,
+    as the index does.  Raises OverBudget when the root system is not
+    converted (:func:`anf.from_system`).  A root read by
+    :func:`parse_system` has its polynomials from its source, with the
+    same verdict, and builds no expression for its direct lines.
     """
 
     def __init__(self, system: BoolSystem, cfg: SolverConfig):
@@ -561,7 +568,9 @@ class _AnfSearch:
             eqs = anf.from_system(system.equations, lifter.bit)
         else:
             eqs = system.source.polynomials(lifter.bit)
-        self.root = (eqs, lifter.known, lifter.ones, lifter.bindings)
+        self.index = index = anf.Index()
+        self.root = (tuple(map(index.mask, eqs)), lifter.known, lifter.ones,
+                     lifter.bindings)
         self.patterns: dict = {}
 
     def visit(self, node) -> tuple:
@@ -574,23 +583,37 @@ class _AnfSearch:
         since they come as the Shannon cubes of its table.
         """
         eqs, known, ones, bindings = node
-        occ = anf.occurring(eqs)
+        index = self.index
+        occ = index.occurring(eqs)
         if occ.bit_count() > self.cfg.n0:
             try:
                 eqs, bindings = self._eliminate(eqs, bindings)
-                occ = anf.occurring(eqs)
+                occ = index.occurring(eqs)
             except Conflict:
                 return None, ()
             except anf.OverBudget:
                 pass  # the node splits as it stands
         if occ.bit_count() <= self.cfg.n0:
             order = anf.bits_of(occ)
-            table = anf.zero_table(eqs, order, self.patterns)
+            table = index.zero_table(eqs, order, self.patterns)
             return None, self.lifter.leaf(order, table, known, ones, bindings)
-        # the child of each chain term (bits set to 0, bits set to 1)
-        return ((tuple(anf.cofactor(e, zeros, one) for e in eqs),
-                 known | zeros | one, ones | one, bindings)
-                for zeros, one in self._chain(eqs)), ()
+        return self._children(self._chain(eqs), eqs, known, ones, bindings), ()
+
+    def _children(self, chosen, eqs, known, ones, bindings) -> Iterator[tuple]:
+        """The children of the chain over the chosen bits, in term order.
+
+        Child i sets the first i bits to 1 and the next one to 0; the
+        last sets all of them to 1.  The generator holds the prefix
+        (the first i bits set to 1) and moves it forward one bit per
+        child, so each bit is cofactored once each way.
+        """
+        cofactor = self.index.cofactor
+        for b in chosen:
+            yield cofactor(eqs, b, 0), known | b, ones, bindings
+            eqs = cofactor(eqs, b, 1)
+            known |= b
+            ones |= b
+        yield eqs, known, ones, bindings
 
     def _eliminate(self, eqs, bindings) -> tuple:
         """Eliminate the affine equations to a fixpoint.
@@ -599,44 +622,33 @@ class _AnfSearch:
         into the rest; that may leave more equations affine.  An
         inconsistent affine system (1 = 0 included) is a Conflict.
         """
+        index = self.index
         cbit = self.lifter.cbit
         while True:
             affine, others = [], []
             for e in eqs:
                 if e:
-                    (affine if anf.is_affine(e) else others).append(e)
+                    (others if e & index.nonlinear else affine).append(e)
             if not affine:
                 return eqs, bindings
-            pivots = anf.gauss_jordan([anf.row_of(e, cbit) for e in affine], cbit)
+            pivots = anf.gauss_jordan([index.row(e, cbit) for e in affine], cbit)
             if pivots is None:
                 raise Conflict("inconsistent affine equations")
             for p, row in pivots:
                 rest = row ^ p
-                others = [anf.substitute(e, p, rest, cbit) for e in others]
+                others = [index.substitute(e, p, rest, cbit) for e in others]
                 bindings += ((p, rest),)
             eqs = others
 
     def _chain(self, eqs) -> list:
-        """The chain over the most frequent bits, as (zeros, ones) terms.
+        """The split bits: the most frequent ones, most frequent first.
 
-        Frequency is the number of monomials a bit occurs in; ties break
-        toward the lowest variable id.  Each distinct monomial is counted
-        once, and its count added to each of its bits.  A term sets the
-        first i chosen bits to 1 and the next one to 0; the last term
-        sets all to 1.
+        Frequency is the number of monomials a bit occurs in, summed
+        over the equations (:meth:`anf.Index.frequencies`); ties break
+        toward the lowest variable id.
         """
-        monomials: Counter = Counter()
-        for e in eqs:
-            monomials.update(e)
-        counts: dict = {}
-        for m, c in monomials.items():
-            while m:
-                b = m & -m
-                counts[b] = counts.get(b, 0) + c
-                m ^= b
-        chosen = sorted(counts, key=lambda b: (-counts[b], b))[: self.cfg.split_depth]
-        return [(chosen[i] if i < len(chosen) else 0, sum(chosen[:i]))
-                for i in range(len(chosen) + 1)]
+        counts = self.index.frequencies(eqs)
+        return sorted(counts, key=lambda b: (-counts[b], b))[: self.cfg.split_depth]
 
 
 def leaf_blocks(system: BoolSystem, cfg: Optional[SolverConfig] = None) -> Iterator[dict]:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from onsat import anf, solver
-from onsat.boolalg import Assignment, and_all, const, or_all, truth_table, var
+from onsat.boolalg import Assignment, and_all, const, or_all, truth_table, var, xor_all
 from onsat.cli import main
 from onsat.solver import (
     DECIDE,
@@ -13,6 +13,7 @@ from onsat.solver import (
     SAT,
     UNSAT,
     BoolSystem,
+    SolveOutcome,
     SolverConfig,
     _AnfSearch,
     _TreeSearch,
@@ -48,6 +49,11 @@ def convert(f, ids):
     return anf.from_expr(f, {v: 1 << i for i, v in enumerate(ids)}, {})
 
 
+def decoded(index, e) -> frozenset:
+    """The monomials of an index mask, read bit by bit from the index."""
+    return frozenset(m for i, m in enumerate(index.monomials) if e >> i & 1)
+
+
 class TestConversion:
     @pytest.mark.parametrize("ids", [[0, 1, 2, 3], [3, 7, 20, 41, 42]])
     def test_agrees_with_truth_table(self, ids):
@@ -58,7 +64,8 @@ class TestConversion:
             want = truth_table(f, ids)
             assert anf_table(e, bits) == want
             full = (1 << (1 << len(ids))) - 1
-            assert anf.zero_table([e], bits, {}) == full ^ want
+            index = anf.Index()
+            assert index.zero_table([index.mask(e)], bits, {}) == full ^ want
 
     def test_one_memo_for_shared_expressions(self):
         rng = random.Random(607)
@@ -104,13 +111,36 @@ class TestConversion:
 
 
 class TestPolynomialOps:
+    def test_index_numbers_each_monomial_once(self):
+        rng = random.Random(615)
+        index = anf.Index()
+        polys = [frozenset(rng.randrange(64) for _ in range(rng.randint(0, 6)))
+                 for _ in range(30)]
+        masks = [index.mask(e) for e in polys]
+        assert [decoded(index, e) for e in masks] == polys
+        monomials = index.monomials
+        assert len(set(monomials)) == len(monomials) == len(index.at)
+        assert all(index.at[m] == i for i, m in enumerate(monomials))
+        for b in range(6):
+            want = sum(1 << i for i, m in enumerate(monomials) if m >> b & 1)
+            assert index.has.get(1 << b, 0) == want
+        assert index.nonlinear == sum(1 << i for i, m in enumerate(monomials)
+                                      if bin(m).count("1") > 1)
+        # a mask over known monomials indexes nothing new
+        size = len(monomials)
+        assert [index.mask(e) for e in polys] == masks
+        assert len(index.monomials) == len(index.at) == size
+
     def test_cofactor_agrees_with_evaluation(self):
         rng = random.Random(608)
         ids = list(range(5))
+        index = anf.Index()
         for f in random_shared_funcs(rng, ids, 40, 8):
             e = convert(f, ids)
             zeros, ones = rng.sample(range(5), 2)
-            got = anf.cofactor(e, 1 << zeros, 1 << ones)
+            (got,) = index.cofactor([index.mask(e)], 1 << zeros, 0)
+            (got,) = index.cofactor([got], 1 << ones, 1)
+            got = decoded(index, got)
             assert all(not m & (1 << zeros | 1 << ones) for m in got)
             for point in range(32):
                 if point >> zeros & 1 or not point >> ones & 1:
@@ -121,27 +151,47 @@ class TestPolynomialOps:
         rng = random.Random(609)
         ids = list(range(5))
         cbit = 1 << 5
+        index = anf.Index()
         for f in random_shared_funcs(rng, ids, 40, 8):
             e = convert(f, ids)
             rest = rng.randrange(1, 64) & ~1   # pivot is bit 0
-            got = anf.substitute(e, 1, rest, cbit)
+            got = decoded(index, index.substitute(index.mask(e), 1, rest, cbit))
             assert all(not m & 1 for m in got)
             for point in range(0, 32, 2):
                 value = (rest & (point | cbit)).bit_count() & 1
                 assert anf_value(got, point) == anf_value(e, point | value)
 
+    def test_substitute_over_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(anf, "BUDGET", 4)
+        index = anf.Index()
+        cbit = 1 << 6
+        # x0 x1 x2 under x0 := x3 + x4 + x5 + 1 is four monomials, and
+        # x0 x1 x2 + x1 five; x1 x2 x3 + x1 under x3 := x2 + 1 is x1 again
+        rest = 0b111000 | cbit
+        e = index.mask({0b000111})
+        assert len(decoded(index, index.substitute(e, 1, rest, cbit))) == 4
+        with pytest.raises(anf.OverBudget):
+            index.substitute(index.mask({0b000111, 0b000010}), 1, rest, cbit)
+        e = index.mask({0b001110, 0b000010})
+        assert decoded(index, index.substitute(e, 0b1000, 0b100 | cbit, cbit)) == {0b10}
 
     def test_untouched_polynomial_is_returned_as_is(self):
-        e = frozenset({0, 0b011, 0b100})
-        assert anf.cofactor(e, 0b01000, 0b10000) is e
-        assert anf.substitute(e, 0b01000, 0b00011 | 1 << 6, 1 << 6) is e
+        index = anf.Index()
+        e = index.mask({0, 0b011, 0b100})
+        index.mask({0b01000, 0b10000})  # both bits are in the index
+        size = len(index.monomials)
+        assert index.cofactor([e], 0b01000, 0) == index.cofactor([e], 0b10000, 1) == (e,)
+        assert index.substitute(e, 0b01000, 0b00011 | 1 << 6, 1 << 6) is e
+        assert len(index.monomials) == size
 
     def test_folds_that_cancel_agree_with_evaluation(self):
         cbit = 1 << 3
+        index = anf.Index()
         # x0 x1 + x0 under x1 = 1 is x0 + x0 = 0; + x2 leaves x2
         for e, want in ((frozenset({0b011, 0b001}), anf.ZERO),
                         (frozenset({0b011, 0b001, 0b100}), frozenset({0b100}))):
-            got = anf.cofactor(e, 0, 0b010)
+            (got,) = index.cofactor([index.mask(e)], 0b010, 1)
+            got = decoded(index, got)
             assert got == want
             for point in range(8):
                 if point & 0b010:
@@ -150,16 +200,51 @@ class TestPolynomialOps:
         # x0 := x1 + 1 it is x2
         for rest, want in ((0b010, anf.ZERO), (0b010 | cbit, frozenset({0b100}))):
             e = frozenset({0b101, 0b110})
-            got = anf.substitute(e, 0b001, rest, cbit)
+            got = decoded(index, index.substitute(index.mask(e), 0b001, rest, cbit))
             assert got == want
             for point in range(0, 8, 2):
                 value = (rest & (point | cbit)).bit_count() & 1
                 assert anf_value(got, point) == anf_value(e, point | value)
 
+    def test_affine_rows_and_occurring_bits(self):
+        rng = random.Random(616)
+        index = anf.Index()
+        cbit = 1 << 6
+        for _ in range(200):
+            e = frozenset(rng.randrange(64) for _ in range(rng.randint(0, 5)))
+            mask = index.mask(e)
+            affine = all(bin(m).count("1") <= 1 for m in e)
+            assert (not mask & index.nonlinear) == affine
+            if affine:
+                assert index.row(mask, cbit) == sum(m or cbit for m in e)
+            eqs = [mask, index.mask({rng.randrange(64)})]
+            want = 0
+            for m in e | decoded(index, eqs[1]):
+                want |= m
+            assert index.occurring(eqs) == want
+        assert index.occurring([]) == 0
+
+    def test_frequencies_count_each_monomial_of_each_polynomial(self):
+        """The bit-sliced count against one popcount per polynomial, up
+        to 70 polynomials (seven counter levels)."""
+        rng = random.Random(618)
+        index = anf.Index()
+        for _ in range(60):
+            pool = [rng.randrange(1, 1 << 8) for _ in range(rng.randint(1, 12))]
+            eqs = [index.mask(set(rng.sample(pool, rng.randint(0, len(pool)))))
+                   for _ in range(rng.randint(0, 70))]
+            want = {}
+            for b, h in index.has.items():
+                c = sum((e & h).bit_count() for e in eqs)
+                if c:
+                    want[b] = c
+            assert index.frequencies(eqs) == want
+
     def test_zero_table_shares_one_pattern_table(self):
         """One table across leaves of interleaved sizes and unsorted orders."""
         rng = random.Random(611)
         patterns: dict = {}
+        index = anf.Index()
         for n in [3, 6, 3, 1, 6, 4, 1, 3]:
             order = [1 << b for b in rng.sample(range(12), n)]
             eqs = [frozenset(sum(rng.sample(order, rng.randint(0, min(n, 3))))
@@ -169,12 +254,14 @@ class TestPolynomialOps:
             expected = full
             for e in eqs:
                 expected &= full ^ anf_table(e, order)
-            assert anf.zero_table(eqs, order, patterns) == expected, (order, eqs)
+            got = index.zero_table([index.mask(e) for e in eqs], order, patterns)
+            assert got == expected, (order, eqs)
         assert sorted(patterns) == [1, 3, 4, 6]
 
     def test_zero_table_does_not_depend_on_the_order_of_the_polynomials(self):
         """It takes them cheapest first; every order gives the same mask."""
         rng = random.Random(613)
+        index = anf.Index()
         for _ in range(40):
             n = rng.randint(1, 8)
             order = [1 << b for b in range(n)]
@@ -185,7 +272,8 @@ class TestPolynomialOps:
             for e in eqs:
                 expected &= full ^ anf_table(e, order)
             for perm in itertools.permutations(eqs):
-                assert anf.zero_table(perm, order, {}) == expected, (n, perm)
+                got = index.zero_table([index.mask(e) for e in perm], order, {})
+                assert got == expected, (n, perm)
 
 
 class TestGaussJordan:
@@ -224,15 +312,13 @@ def cfg(**kw):
 
 
 def reference_chain(eqs, depth: int) -> list:
-    """Split terms from a count of every bit of every monomial."""
+    """Split bits from a count of every bit of every monomial."""
     counts: dict = {}
     for e in eqs:
         for m in e:
             for b in anf.bits_of(m):
                 counts[b] = counts.get(b, 0) + 1
-    chosen = sorted(counts, key=lambda b: (-counts[b], b))[:depth]
-    return [(chosen[i] if i < len(chosen) else 0, sum(chosen[:i]))
-            for i in range(len(chosen) + 1)]
+    return sorted(counts, key=lambda b: (-counts[b], b))[:depth]
 
 
 def test_chain_counts_each_monomial_of_each_equation():
@@ -255,7 +341,7 @@ def test_chain_counts_each_monomial_of_each_equation():
         depth = rng.randint(1, 4)
         search = _AnfSearch(BoolSystem.root([(var(0), const(1))]), cfg(split_depth=depth))
         want = reference_chain(eqs, depth)
-        assert search._chain(eqs) == want, (eqs, depth)
+        assert search._chain([search.index.mask(e) for e in eqs]) == want, (eqs, depth)
         counts = {1 << i: sum(1 for e in eqs for m in e if m >> i & 1)
                   for i in range(nbits)}
         ranked = sorted(counts.values(), reverse=True)
@@ -347,11 +433,11 @@ class TestAnfSearch:
         # x + y + z = 0 is affine; w = x y.  Four points: x, y free
         s = BoolSystem.root([(x ^ y ^ z, const(0)), ((x & y) ^ w, const(0))])
         calls = {"gauss_jordan": 0, "substitute": 0}
-        for name in calls:
-            def counting(*args, _f=getattr(anf, name), _name=name):
+        for owner, name in ((anf, "gauss_jordan"), (anf.Index, "substitute")):
+            def counting(*args, _f=getattr(owner, name), _name=name):
                 calls[_name] += 1
                 return _f(*args)
-            monkeypatch.setattr(anf, name, counting)
+            monkeypatch.setattr(owner, name, counting)
         oracle = oracle_system_solutions(s)
         out = bool_solve(s, cfg(n0=4))
         assert calls == {"gauss_jordan": 0, "substitute": 0}
@@ -563,3 +649,60 @@ class TestDifferential:
             for sol in out.solutions:
                 for total in sol.expand():
                     assert holds(s, total)
+
+
+def polynomial_system(rng, n: int, degree: int):
+    """Random equations over n variables, each a sum of monomials of
+    degree at most ``degree`` equal to a constant or to a variable; about
+    a third of them affine rows."""
+    eqs = []
+    for _ in range(rng.randint(2, n + 2)):
+        top = 1 if rng.random() < 0.35 else degree
+        monomials = {tuple(sorted(rng.sample(range(n), rng.randint(1, top))))
+                     for _ in range(rng.randint(1, 5))}
+        lhs = xor_all([and_all([var(v) for v in m]) for m in sorted(monomials)])
+        rhs = var(rng.randrange(n)) if rng.random() < 0.2 else const(rng.randint(0, 1))
+        eqs.append((lhs, rhs))
+    return BoolSystem.root(eqs, range(n))
+
+
+class TestIndexSweep:
+    """The search on index masks against the oracle and the trees: degrees
+    1 to 4 with affine rows, and elimination over anf.BUDGET, at n0 1-6
+    and split depth 1-4 in both modes."""
+
+    CONFIGS = list(itertools.product(range(1, 7), range(1, 5), (DECIDE, ENUMERATE)))
+
+    def check(self, s):
+        oracle = oracle_system_solutions(s)
+        for n0, depth, mode in self.CONFIGS:
+            c = cfg(n0=n0, split_depth=depth, mode=mode)
+            out = bool_solve(s, c)
+            assert out.status == (SAT if oracle else UNSAT), (s, n0, depth, mode)
+            got = expanded_solution_set(out, s.root_vars)
+            trees = tree_solutions(s, c)
+            trees = expanded_solution_set(SolveOutcome(None, trees), s.root_vars)
+            if mode == ENUMERATE:
+                assert got == oracle == trees, (s, n0, depth)
+            else:
+                assert len(out.solutions) == (1 if oracle else 0)
+                assert got <= oracle and trees <= oracle and bool(trees) == bool(oracle)
+        return oracle
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_random_polynomial_systems(self, degree):
+        rng = random.Random(617 + degree)
+        sat = 0
+        for _ in range(12):
+            s = polynomial_system(rng, rng.randint(5, 9), degree)
+            _AnfSearch(s, cfg())  # converted: the search runs on masks
+            sat += bool(self.check(s))
+        assert 0 < sat < 12, sat
+
+    def test_elimination_over_the_budget(self, monkeypatch):
+        monkeypatch.setattr(anf, "BUDGET", 16)
+        overflows = count_overflows(monkeypatch)
+        for s in late_overflow_systems()[:4]:
+            _AnfSearch(s, cfg())
+            self.check(s)
+        assert overflows

@@ -155,10 +155,11 @@ class TestZeroSet:
     def test_cap_is_enforced(self):
         # 2^25 points exceed the fixed cap of 2^24, and each call raises
         # before it builds a table (one 2^25-point table is 4 MB)
+        index = anf.Index()
         calls = (
             lambda: truth_table(x, range(25)),
             lambda: zero_set(x, over=range(25)),
-            lambda: anf.zero_table([frozenset({1})], [1 << i for i in range(25)], {}),
+            lambda: index.zero_table([index.mask({1})], [1 << i for i in range(25)], {}),
         )
         tracemalloc.start()
         try:

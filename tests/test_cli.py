@@ -133,6 +133,13 @@ class TestSolve:
             assert run("enumerate", str(path), *flags) == (
                 1, "", "onsat: line 1: bad problem line 'p cnf -3 -1'\n")
 
+    def test_digit_separators_are_refused(self, run, tmp_path):
+        path = tmp_path / "separator.cnf"
+        path.write_text("p cnf 1_0 1\n1_0 -2 0\n")
+        for mode in ("solve", "enumerate"):
+            assert run(mode, str(path)) == (
+                1, "", "onsat: line 1: bad problem line 'p cnf 1_0 1'\n")
+
     def test_enumerate_json_lines(self, run, tmp_path):
         path = tmp_path / "sys.txt"
         path.write_text("vars: a, b\na | b = 1\n")

@@ -127,6 +127,28 @@ class TestDimacs:
             with pytest.raises(ParseError, match="bad problem line 'p cnf 2 -1'"):
                 parse_dimacs("p cnf 2 -1\n1 0\n", strict=strict)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("p cnf 1_0 1\n1 0\n", 1, "bad problem line 'p cnf 1_0 1'"),
+        ("p cnf 2 1_0\n1 0\n", 1, "bad problem line 'p cnf 2 1_0'"),
+        ("p cnf \u0661 1\n1 0\n", 1, "bad problem line 'p cnf \u0661 1'"),
+        ("p cnf 10 1\n1_0 -2 0\n", 2, "non-integer literal '1_0'"),
+        ("p cnf 2 1\n1 -2\n-1_0\n0\n", 3, "non-integer literal '-1_0'"),
+        ("p cnf 2 1\n1 -\u0662 0\n", 2, "non-integer literal '-\u0662'"),
+        # a text that is otherwise clean: the digit is in a literal of
+        # the usual one-clause line
+        ("c caf\u00e9\np cnf 2 1\n\uff11 -2 0\n", 3, "non-integer literal '\uff11'"),
+    ])
+    def test_digit_separators_and_non_ascii_digits_are_refused(self, text, line, message):
+        # int() reads each of these numbers
+        with pytest.raises(ParseError) as err:
+            parse_dimacs(text)
+        assert str(err.value) == f"line {line}: {message}"
+
+    def test_a_sign_and_non_ascii_comments_are_accepted(self):
+        for text in ("p cnf 2 +1\n+1 -2 0\n", "c \u00e9t\u00e9\np cnf 2 1\n+1 -2 0\n",
+                     "c \u00e9\np cnf +2 1\n+1\n-2 +0\n"):
+            assert clause_sets(parse_dimacs(text)) == [{1, -2}], text
+
     def test_clauses_need_not_follow_lines(self):
         c = parse_dimacs("p cnf 3 4\n1 -2 0 2 3 0\n-3\n1\n2 0 -1 0\n")
         assert clause_sets(c) == [{1, -2}, {2, 3}, {-3, 1, 2}, {-1}]

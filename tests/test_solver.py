@@ -209,6 +209,44 @@ class TestDecompose:
             assert seen == parent
 
 
+    def test_tree_search_makes_only_the_children_it_visits(self, monkeypatch):
+        """a | b | ... | p = 1 and a ^ b ^ c = d & e, on the expression
+        trees (the OR is over anf.BUDGET): each child is cofactored when
+        the walk reaches it, so decide makes a few of the children that
+        enumerate makes, and every child made is visited."""
+        from onsat import anf, solver
+        from onsat.solver import _AnfSearch, _TreeSearch
+
+        vs = [var(i) for i in range(16)]
+        s = BoolSystem.root([(or_all(vs), const(1)),
+                             (vs[0] ^ vs[1] ^ vs[2], vs[3] & vs[4])])
+        with pytest.raises(anf.OverBudget):
+            _AnfSearch(s, cfg())
+        made, visited = [], []
+        subsystems, visit = solver._subsystems, _TreeSearch.visit
+
+        def making(system, terms):
+            for child in subsystems(system, terms):
+                made.append(child)
+                yield child
+
+        monkeypatch.setattr(solver, "_subsystems", making)
+        monkeypatch.setattr(_TreeSearch, "visit",
+                            lambda self, node: visited.append(node) or visit(self, node))
+        oracle = oracle_system_solutions(s)
+        counts = {}
+        for mode in (DECIDE, ENUMERATE):
+            made.clear()
+            visited.clear()
+            out = bool_solve(s, cfg(n0=2, split_depth=3, mode=mode))
+            got = expanded_solution_set(out, s.root_vars)
+            assert got == oracle if mode == ENUMERATE else got <= oracle and got
+            # the root is the one node visited and not made
+            assert visited[0] is s and made == visited[1:]
+            counts[mode] = len(made)
+        assert counts[DECIDE] < counts[ENUMERATE] // 2, counts
+
+
 class TestBruteForce:
     def test_vacuous_system(self):
         s = BoolSystem.root([], [0])

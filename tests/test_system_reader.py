@@ -70,11 +70,15 @@ def parsed(parse, text: str):
 
 
 def polynomials(system):
-    """The root polynomials of the ANF search, or None on the trees."""
+    """The root polynomials of the ANF search, each read back from its
+    monomial index as a set of monomials, or None on the trees."""
     try:
-        return _AnfSearch(system, SolverConfig()).root[0]
+        search = _AnfSearch(system, SolverConfig())
     except anf.OverBudget:
         return None
+    monomials = search.index.monomials
+    return tuple(frozenset(m for i, m in enumerate(monomials) if e >> i & 1)
+                 for e in search.root[0])
 
 
 def reference_polynomials(system):
