@@ -1,31 +1,30 @@
 """Polynomials over GF(2) in algebraic normal form (ANF).
 
 An ANF is an XOR of monomials: a monomial is a bitmask over variable
-bits, and 0 is the constant monomial 1.  Conversion holds a polynomial
-as a frozenset of monomials: XOR is symmetric difference, a product
-multiplies out pairwise with x * x = x, and a monomial that appears
-twice cancels.
+bits, and 0 is the constant monomial 1.  One solve numbers its
+monomials in an :class:`Index` and holds each polynomial, from
+conversion to leaf, as one int, bit i standing for monomial i, as a
+Macaulay matrix holds its rows over one basis.  XOR is int XOR, and a
+product (:meth:`Index.product`) multiplies out pairwise with x * x = x,
+a monomial that appears twice cancelling.
 
 A system is converted only when its polynomials are no larger than
 its expressions: when they hold more monomials than the expressions
-have distinct nodes, :func:`from_system` raises :class:`OverBudget`, so
-a caller can keep it in expression form.  An OR of k positive literals
+have distinct nodes, the converter raises :class:`OverBudget`, so a
+caller can keep it in expression form.  An OR of k positive literals
 is 2k - 1 nodes but 2^k - 1 monomials; on clause-like systems of such
 ORs the expression-tree search was measured faster, and on the
 quadratic systems of GF(2^k) curves and of planted MQ (0.1 to 0.5
 monomials per node) the polynomial search.  Every polynomial and
-product is also bounded by :data:`BUDGET`, so that substitution cannot
-blow up.
+conversion product is also bounded by :data:`BUDGET`, so that
+substitution cannot blow up.
 
-The search numbers the monomials of one solve in an :class:`Index` and
-holds each polynomial as one int, bit i standing for monomial i, as a
-Macaulay matrix holds its rows over one basis.  With ``has[b]`` the
-bitset of the monomials that hold variable bit b, setting b to 0 is
-``e & ~has[b]``, and setting it to 1 XORs the hit monomials out and
-their images without b in; an equation is affine when it meets no
-nonlinear monomial, and a bit's frequency is the popcount of
-``e & has[b]``.  Substitution and leaf tables read the monomials of a
-mask back from the index.
+With ``has[b]`` the bitset of the monomials that hold variable bit b,
+setting b to 0 is ``e & ~has[b]``, and setting it to 1 XORs the hit
+monomials out and their images without b in; an equation is affine
+when it meets no nonlinear monomial, and a bit's frequency is the
+popcount of ``e & has[b]``.  Leaf tables read the monomials of a mask
+back from the index.
 
 An affine equation (every monomial of degree <= 1) is a row: its
 variable bits plus a constant bit above all of them.  Gauss-Jordan
@@ -44,12 +43,10 @@ from .boolalg import (
 )
 
 #: Most monomials in one polynomial, and most monomial pairs in one
-#: product; past either the conversion or the elimination gives up.
-#: The benchmark's systems stay far below it (45 monomials at most).
+#: conversion product; past either the conversion or the elimination
+#: gives up.  The benchmark's systems stay far below it (45 monomials
+#: at most).
 BUDGET = 1 << 10
-
-ZERO = frozenset()
-ONE = frozenset((0,))
 
 
 class OverBudget(Exception):
@@ -57,31 +54,19 @@ class OverBudget(Exception):
     polynomials outgrew its expressions."""
 
 
-def _checked(out: set) -> frozenset:
-    if len(out) > BUDGET:
+def _checked(e: int) -> int:
+    if e.bit_count() > BUDGET:
         raise OverBudget(f"more than {BUDGET} monomials")
-    return frozenset(out)
+    return e
 
 
-def _product(a: frozenset, b: frozenset) -> frozenset:
-    if len(a) * len(b) > BUDGET:
-        raise OverBudget(f"product of {len(a)} by {len(b)} monomials")
-    out: set = set()
-    for m in a:
-        for n in b:
-            p = m | n
-            if p in out:
-                out.remove(p)
-            else:
-                out.add(p)
-    return _checked(out)
-
-
-def from_expr(f: BoolFunc, bit: Mapping[int, int], memo: dict) -> frozenset:
-    """The ANF of an expression; ``bit`` maps variable ids to bits.
+def from_expr(f: BoolFunc, bit: Mapping[int, int], index: "Index", memo: dict) -> int:
+    """The ANF of an expression as a mask of ``index``; ``bit`` maps
+    variable ids to bits.
 
     A post-order walk of the DAG without recursion.  ``memo`` maps node
-    ids to polynomials and may be shared by expressions over one ``bit``.
+    ids to masks and may be shared by expressions over one ``bit`` and
+    one ``index``.
     """
     stack = [f]
     while stack:
@@ -91,16 +76,16 @@ def from_expr(f: BoolFunc, bit: Mapping[int, int], memo: dict) -> frozenset:
             continue
         k = g.kind
         if k == VAR:
-            r = frozenset((bit[g.var],))
+            r = index.mask((bit[g.var],))
         elif k == CONST:
-            r = ONE if g.value else ZERO
+            r = index.mask((0,)) if g.value else 0
         else:
             a = memo.get(id(g.left))
             if a is None:
                 stack.append(g.left)
                 continue
             if k == NOT:
-                r = a ^ ONE
+                r = a ^ index.mask((0,))
             else:
                 b = memo.get(id(g.right))
                 if b is None:
@@ -109,25 +94,14 @@ def from_expr(f: BoolFunc, bit: Mapping[int, int], memo: dict) -> frozenset:
                 if k == XOR:
                     r = _checked(a ^ b)
                 else:
-                    ab = _product(a, b)
+                    if a.bit_count() * b.bit_count() > BUDGET:
+                        raise OverBudget(
+                            f"product of {a.bit_count()} by {b.bit_count()} monomials")
+                    ab = _checked(index.product(a, b))
                     r = ab if k == AND else _checked(a ^ b ^ ab)
         memo[id(g)] = r
         stack.pop()
     return memo[id(f)]
-
-
-def from_system(equations, bit: Mapping[int, int]) -> tuple:
-    """The polynomials ``l ^ r`` of equations ``l = r``.
-
-    Raises OverBudget when they hold more monomials than the equations'
-    expressions have distinct nodes.
-    """
-    memo: dict = {}
-    eqs = tuple(from_expr(l, bit, memo) ^ from_expr(r, bit, memo) for l, r in equations)
-    size = sum(map(len, eqs))
-    if size > len(memo):
-        raise OverBudget(f"{size} monomials from {len(memo)} expression nodes")
-    return eqs
 
 
 def gauss_jordan(rows: Sequence[int], cbit: int) -> Optional[list]:
@@ -165,14 +139,14 @@ def bits_of(mask: int) -> list:
 
 
 class Index:
-    """The monomials of one solve, each with its bit in the search's masks.
+    """The monomials of one solve, each with its bit in the solve's masks.
 
-    The search holds a polynomial as an int whose bit ``1 << i`` stands
-    for monomial ``monomials[i]``; ``at`` maps a monomial back to i.
-    ``has[b]`` is the mask of the monomials that hold variable bit b,
-    and ``nonlinear`` the mask of those of degree 2 or more.  A monomial
-    is indexed when it first appears and stays for the solve, so every
-    mask of the solve keeps its meaning.
+    A polynomial is an int whose bit ``1 << i`` stands for monomial
+    ``monomials[i]``; ``at`` maps a monomial back to i.  ``has[b]`` is
+    the mask of the monomials that hold variable bit b, and
+    ``nonlinear`` the mask of those of degree 2 or more.  A monomial is
+    indexed when it first appears, in conversion or in the search, and
+    stays for the solve, so every mask of the solve keeps its meaning.
     """
 
     __slots__ = ("monomials", "at", "has", "nonlinear")
@@ -197,6 +171,23 @@ class Index:
                 if m & (m - 1):
                     self.nonlinear |= 1 << i
             out |= 1 << i
+        return out
+
+    def product(self, a: int, b: int) -> int:
+        """The product of two polynomials: their monomials multiply out
+        pairwise, x * x = x, and a monomial that comes up twice cancels.
+
+        No budget is checked here; a caller checks what it needs.
+        """
+        monomials, at = self.monomials, self.at
+        right = [monomials[j] for j in _indices(b)]
+        out = 0
+        for i in _indices(a):
+            m = monomials[i]
+            for n in right:
+                p = m | n
+                j = at.get(p)
+                out ^= self.mask((p,)) if j is None else 1 << j
         return out
 
     def cofactor(self, eqs: Sequence[int], b: int, value: int) -> tuple:
@@ -229,27 +220,16 @@ class Index:
 
         ``rest`` is a row without the pivot: variable bits, plus ``cbit``
         for the constant 1.  Only the monomials that hold the pivot are
-        folded; with none, e itself is returned.  Raises OverBudget
-        when the result holds more than :data:`BUDGET` monomials.
+        folded: their images without it, times ``rest``.  With none, e
+        itself is returned.  Raises OverBudget when the result holds
+        more than :data:`BUDGET` monomials.
         """
         hit = e & self.has.get(pivot, 0)
         if not hit:
             return e
-        monomials = self.monomials
-        terms = [0 if t == cbit else t for t in bits_of(rest)]
-        out: set = set()
-        for i in _indices(hit):
-            m = monomials[i] ^ pivot
-            for t in terms:
-                p = m | t
-                if p in out:
-                    out.remove(p)
-                else:
-                    out.add(p)
-        e ^= hit ^ self.mask(out)
-        if e.bit_count() > BUDGET:
-            raise OverBudget(f"more than {BUDGET} monomials")
-        return e
+        (images,) = self.cofactor((hit,), pivot, 1)
+        form = self.mask([0 if t == cbit else t for t in bits_of(rest)])
+        return _checked(e ^ hit ^ self.product(images, form))
 
     def row(self, e: int, cbit: int) -> int:
         """The row of an affine polynomial (``not e & nonlinear``): its

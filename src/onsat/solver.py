@@ -57,6 +57,7 @@ from .boolalg import (
     _Record,
     _check_cap,
     _cubes,
+    _indices,
     _is_name,
     _point,
     cofactor,
@@ -555,21 +556,20 @@ class _AnfSearch:
     polynomial, so its children stay within the budget.  ``patterns``
     holds the leaves' variable patterns per leaf size for this solve
     only (see :meth:`anf.Index.zero_table`), so it goes with the search,
-    as the index does.  Raises OverBudget when the root system is not
-    converted (:func:`anf.from_system`).  A root read by
-    :func:`parse_system` has its polynomials from its source, with the
-    same verdict, and builds no expression for its direct lines.
+    as the index does.  Every root converts through
+    :meth:`_SystemFile.polynomials`, which raises OverBudget when it is
+    not converted; a root that :func:`parse_system` did not read goes
+    in as a source of parsed lines only.
     """
 
     def __init__(self, system: BoolSystem, cfg: SolverConfig):
         self.cfg = cfg
         self.lifter = lifter = _Lifter(system)
-        if system.source is None:
-            eqs = anf.from_system(system.equations, lifter.bit)
-        else:
-            eqs = system.source.polynomials(lifter.bit)
+        source = system.source
+        if source is None:
+            source = _SystemFile(None, [(l, r, None) for l, r in system.equations], 0, ())
         self.index = index = anf.Index()
-        self.root = (tuple(map(index.mask, eqs)), lifter.known, lifter.ones,
+        self.root = (source.polynomials(lifter.bit, index), lifter.known, lifter.ones,
                      lifter.bindings)
         self.patterns: dict = {}
 
@@ -715,29 +715,28 @@ class _SystemFile:
             for l, r, e in self.lines
         )
 
-    def polynomials(self, bit: dict) -> tuple:
-        """What :func:`anf.from_system` gives for :meth:`equations`, with
-        the same OverBudget verdict, without building the direct lines'
-        expressions: their node counts stand in for their DAG nodes."""
-        memo = {id(const(c)): anf.ONE if c else anf.ZERO for c in self.constants}
+    def polynomials(self, bit: dict, index: anf.Index) -> tuple:
+        """The polynomials ``l ^ r`` of the equations as masks of
+        ``index``, a direct line's as it was read and a parsed line's by
+        :func:`anf.from_expr`.  Raises OverBudget when they hold more
+        monomials than the expressions have distinct nodes, a direct
+        line's node count standing in for its DAG nodes."""
+        memo = {id(const(c)): index.mask((0,)) if c else 0 for c in self.constants}
         moved = any(b != 1 << v for v, b in bit.items())
         eqs = []
         for l, r, e in self.lines:
             if e is None:
-                e = anf.from_expr(l, bit, memo) ^ anf.from_expr(r, bit, memo)
-            elif moved:
-                e = frozenset(sum(bit[v] for v in _ids_of(m)) for m in e)
+                e = anf.from_expr(l, bit, index, memo) ^ anf.from_expr(r, bit, index, memo)
+            else:
+                if moved:
+                    e = [sum(bit[v] for v in _indices(m)) for m in e]
+                e = index.mask(e)
             eqs.append(e)
-        size = sum(map(len, eqs))
+        size = sum(map(int.bit_count, eqs))
         nodes = len(memo) + self.nodes
         if size > nodes:
             raise anf.OverBudget(f"{size} monomials from {nodes} expression nodes")
         return tuple(eqs)
-
-
-def _ids_of(mask: int) -> list:
-    """The variable ids of a bitmask whose bit v stands for id v."""
-    return [low.bit_length() - 1 for low in anf.bits_of(mask)]
 
 
 def _products(side: str, known: dict) -> Optional[list]:
@@ -823,6 +822,6 @@ def parse_system(text: str):
                 e ^= {m}
                 mentioned |= m
         lines.append((lhs, rhs, frozenset(e)))
-    universe.update(_ids_of(mentioned))
+    universe.update(_indices(mentioned))
     source = _SystemFile(table, lines, nodes, constants)
     return BoolSystem(None, universe, Assignment(), (), universe, source), table

@@ -45,13 +45,23 @@ def anf_table(e, order) -> int:
     return table
 
 
-def convert(f, ids):
-    return anf.from_expr(f, {v: 1 << i for i, v in enumerate(ids)}, {})
+def convert(f, ids, index=None):
+    """The ANF of an expression, read back from its index mask."""
+    if index is None:
+        index = anf.Index()
+    return decoded(index, anf.from_expr(f, {v: 1 << i for i, v in enumerate(ids)}, index, {}))
 
 
 def decoded(index, e) -> frozenset:
     """The monomials of an index mask, read bit by bit from the index."""
     return frozenset(m for i, m in enumerate(index.monomials) if e >> i & 1)
+
+
+def root_polynomials(equations) -> list:
+    """The root polynomials of the ANF search of a system over the
+    variables its equations mention, read back from its index."""
+    search = _AnfSearch(BoolSystem.root(equations), SolverConfig())
+    return [decoded(search.index, e) for e in search.root[0]]
 
 
 class TestConversion:
@@ -72,9 +82,9 @@ class TestConversion:
         ids = [0, 1, 2, 3, 4]
         bit = {v: 1 << v for v in ids}
         funcs = random_shared_funcs(rng, ids, 30, 6)
-        memo = {}
-        shared = [anf.from_expr(f, bit, memo) for f in funcs]
-        assert shared == [anf.from_expr(f, bit, {}) for f in funcs]
+        index, memo = anf.Index(), {}
+        shared = [anf.from_expr(f, bit, index, memo) for f in funcs]
+        assert [decoded(index, e) for e in shared] == [convert(f, ids) for f in funcs]
 
     def test_operators(self):
         x, y = var(0), var(1)
@@ -82,7 +92,7 @@ class TestConversion:
         assert convert(x | y, [0, 1]) == {0b01, 0b10, 0b11}
         assert convert(~(x ^ y), [0, 1]) == {0, 0b01, 0b10}
         assert convert((x ^ y) & (x ^ y), [0, 1]) == {0b01, 0b10}
-        assert convert(x & ~x, [0]) == anf.ZERO
+        assert convert(x & ~x, [0]) == frozenset()
 
     def test_wide_or_is_over_budget(self):
         k = anf.BUDGET.bit_length() - 1
@@ -97,17 +107,16 @@ class TestConversion:
 
     def test_system_is_converted_when_no_larger_than_its_expressions(self):
         x, y, z, w = (var(i) for i in range(4))
-        bit = {v: 1 << v for v in range(4)}
         # x | y = 1: x + y + xy + 1, four monomials from four nodes
-        (e,) = anf.from_system([(x | y, const(1))], bit)
+        (e,) = root_polynomials([(x | y, const(1))])
         assert e == {0, 0b01, 0b10, 0b11}
         # x | y | z = 1: eight monomials from six nodes
         with pytest.raises(anf.OverBudget):
-            anf.from_system([(x | y | z, const(1))], bit)
+            root_polynomials([(x | y | z, const(1))])
         # nodes shared between equations count once
         quad = (x & y) ^ (z & w) ^ x
-        eqs = anf.from_system([(quad, const(1)), (x | y, quad)], bit)
-        assert eqs[1] == {0b01, 0b10, 0b11} ^ eqs[0] ^ anf.ONE
+        eqs = root_polynomials([(quad, const(1)), (x | y, quad)])
+        assert eqs[1] == {0b01, 0b10, 0b11} ^ eqs[0] ^ {0}
 
 
 class TestPolynomialOps:
@@ -136,7 +145,7 @@ class TestPolynomialOps:
         ids = list(range(5))
         index = anf.Index()
         for f in random_shared_funcs(rng, ids, 40, 8):
-            e = convert(f, ids)
+            e = convert(f, ids, index)
             zeros, ones = rng.sample(range(5), 2)
             (got,) = index.cofactor([index.mask(e)], 1 << zeros, 0)
             (got,) = index.cofactor([got], 1 << ones, 1)
@@ -153,7 +162,7 @@ class TestPolynomialOps:
         cbit = 1 << 5
         index = anf.Index()
         for f in random_shared_funcs(rng, ids, 40, 8):
-            e = convert(f, ids)
+            e = convert(f, ids, index)
             rest = rng.randrange(1, 64) & ~1   # pivot is bit 0
             got = decoded(index, index.substitute(index.mask(e), 1, rest, cbit))
             assert all(not m & 1 for m in got)
@@ -175,6 +184,33 @@ class TestPolynomialOps:
         e = index.mask({0b001110, 0b000010})
         assert decoded(index, index.substitute(e, 0b1000, 0b100 | cbit, cbit)) == {0b10}
 
+    def test_substitute_budget_is_on_the_result_not_on_the_pairs(self, monkeypatch):
+        # x0 x1 + x0 x1 x3 under x0 := x3 + 1 multiplies 2 images by 2
+        # terms, 4 pairs over a budget of 3, but x1 x3 comes up twice and
+        # cancels: x1 + x1 x3 is 2 monomials, within it
+        monkeypatch.setattr(anf, "BUDGET", 3)
+        index = anf.Index()
+        cbit = 1 << 4
+        e = index.mask({0b0011, 0b1011})
+        got = index.substitute(e, 0b0001, 0b1000 | cbit, cbit)
+        assert decoded(index, got) == {0b0010, 0b1010}
+
+    def test_product_agrees_with_evaluation(self):
+        rng = random.Random(619)
+        index = anf.Index()
+        for _ in range(200):
+            pool = [rng.randrange(1 << 5) for _ in range(rng.randint(1, 8))]
+            a, b = (index.mask(set(rng.sample(pool, rng.randint(0, len(pool)))))
+                    for _ in range(2))
+            got = decoded(index, index.product(a, b))
+            assert index.product(b, a) == index.mask(got)
+            for point in range(32):
+                want = anf_value(decoded(index, a), point) & anf_value(decoded(index, b), point)
+                assert anf_value(got, point) == want
+        # (x0 + x1)(x0 + x1) = x0 + x1: the two x0 x1 pairs cancel
+        e = index.mask({0b01, 0b10})
+        assert index.product(e, e) == e
+
     def test_untouched_polynomial_is_returned_as_is(self):
         index = anf.Index()
         e = index.mask({0, 0b011, 0b100})
@@ -188,7 +224,7 @@ class TestPolynomialOps:
         cbit = 1 << 3
         index = anf.Index()
         # x0 x1 + x0 under x1 = 1 is x0 + x0 = 0; + x2 leaves x2
-        for e, want in ((frozenset({0b011, 0b001}), anf.ZERO),
+        for e, want in ((frozenset({0b011, 0b001}), frozenset()),
                         (frozenset({0b011, 0b001, 0b100}), frozenset({0b100}))):
             (got,) = index.cofactor([index.mask(e)], 0b010, 1)
             got = decoded(index, got)
@@ -198,7 +234,7 @@ class TestPolynomialOps:
                     assert anf_value(got, point) == anf_value(e, point)
         # x0 x2 + x1 x2 under x0 := x1 is x1 x2 + x1 x2 = 0; under
         # x0 := x1 + 1 it is x2
-        for rest, want in ((0b010, anf.ZERO), (0b010 | cbit, frozenset({0b100}))):
+        for rest, want in ((0b010, frozenset()), (0b010 | cbit, frozenset({0b100}))):
             e = frozenset({0b101, 0b110})
             got = decoded(index, index.substitute(index.mask(e), 0b001, rest, cbit))
             assert got == want

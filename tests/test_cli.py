@@ -12,7 +12,7 @@ import pytest
 
 import onsat
 from onsat import expansion
-from onsat.anf import OverBudget, from_expr
+from onsat.anf import Index, OverBudget, from_expr
 from onsat.boolalg import DEFAULT_CAP, MAX_NESTING, VarTable, const, parse_expr
 from onsat.cli import _build_parser, main
 from conftest import shannon_cubes
@@ -380,7 +380,8 @@ class TestNesting:
         expr = "".join(f"(x{i} | " for i in range(depth)) + f"x{depth}" + ")" * depth
         with pytest.raises(OverBudget):
             table = VarTable()
-            from_expr(parse_expr(expr, table), {v: 1 << v for v in range(len(table))}, {})
+            from_expr(parse_expr(expr, table), {v: 1 << v for v in range(len(table))},
+                      Index(), {})
         path = tmp_path / "deep.sys"
         path.write_text(f"{expr} = 1\n")
         code, out, _ = run("solve", str(path), "--n0", "4")

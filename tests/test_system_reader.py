@@ -3,8 +3,9 @@
 ``parse_system`` reads a line whose sides are sums of products of names
 straight into its polynomial and parses every other line as an
 expression.  The reference here parses every line as an expression and
-converts the system with ``anf.from_system``; both must agree on
-errors, names, universe, equations, polynomials, backend and output.
+converts each equation with ``anf.from_expr``, taking the budget verdict
+over their distinct nodes itself; both must agree on errors, names,
+universe, equations, polynomials, backend and output.
 """
 
 import contextlib
@@ -82,10 +83,19 @@ def polynomials(system):
 
 
 def reference_polynomials(system):
+    """Each equation ``l = r`` converted to ``l ^ r`` with one memo, or
+    None when a conversion is over budget or the polynomials hold more
+    monomials than the expressions have distinct nodes."""
+    bit, index, memo = _Lifter(system).bit, anf.Index(), {}
     try:
-        return anf.from_system(system.equations, _Lifter(system).bit)
+        eqs = [anf.from_expr(l, bit, index, memo) ^ anf.from_expr(r, bit, index, memo)
+               for l, r in system.equations]
     except anf.OverBudget:
         return None
+    if sum(map(int.bit_count, eqs)) > len(memo):
+        return None
+    monomials = index.monomials
+    return tuple(frozenset(m for i, m in enumerate(monomials) if e >> i & 1) for e in eqs)
 
 
 # ---------------------------------------------------------------------------
