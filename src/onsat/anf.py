@@ -24,7 +24,11 @@ setting b to 0 is ``e & ~has[b]``, and setting it to 1 XORs the hit
 monomials out and their images without b in; an equation is affine
 when it meets no nonlinear monomial, and a bit's frequency is the
 popcount of ``e & has[b]``.  Leaf tables read the monomials of a mask
-back from the index.
+back from the index.  A leaf equation ``x_p ^ g = 0`` in which p
+occurs only in the monomial {p} defines x_p as g, so a leaf's first
+table runs over the bits that no equation defines, each point being
+one solution; only a leaf with a solution, or with no defined bit,
+builds the full table over all its bits.
 
 An affine equation (every monomial of degree <= 1) is a row: its
 variable bits plus a constant bit above all of them.  Gauss-Jordan
@@ -35,6 +39,7 @@ each pivot being absent from every other binding.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import chain, repeat
 from operator import or_
 from typing import Mapping, Optional, Sequence
 
@@ -143,19 +148,20 @@ class Index:
 
     A polynomial is an int whose bit ``1 << i`` stands for monomial
     ``monomials[i]``; ``at`` maps a monomial back to i.  ``has[b]`` is
-    the mask of the monomials that hold variable bit b, and
-    ``nonlinear`` the mask of those of degree 2 or more.  A monomial is
-    indexed when it first appears, in conversion or in the search, and
-    stays for the solve, so every mask of the solve keeps its meaning.
+    the mask of the monomials that hold variable bit b, ``linear`` the
+    mask of those of degree 1 and ``nonlinear`` of those of degree 2 or
+    more.  A monomial is indexed when it first appears, in conversion or
+    in the search, and stays for the solve, so every mask of the solve
+    keeps its meaning.
     """
 
-    __slots__ = ("monomials", "at", "has", "nonlinear")
+    __slots__ = ("monomials", "at", "has", "linear", "nonlinear")
 
     def __init__(self):
         self.monomials: list = []
         self.at: dict = {}
         self.has: dict = {}
-        self.nonlinear = 0
+        self.linear = self.nonlinear = 0
 
     def mask(self, monomials) -> int:
         """The mask of distinct monomials, indexing the ones not seen yet."""
@@ -170,6 +176,8 @@ class Index:
                     self.has[b] = self.has.get(b, 0) | 1 << i
                 if m & (m - 1):
                     self.nonlinear |= 1 << i
+                elif m:
+                    self.linear |= 1 << i
             out |= 1 << i
         return out
 
@@ -281,24 +289,83 @@ class Index:
         ``order`` lists the variable bits, most significant point bit
         first, as in :func:`boolalg.truth_table`; the polynomials mention
         no other bits.  ``patterns`` is the solve's pattern table (see
-        :func:`boolalg._var_patterns`), shared by every leaf.  A monomial
-        is the AND of its variables' patterns, built once per leaf and
-        started from its first variable's pattern, and a polynomial the
-        XOR of its monomials.
+        :func:`boolalg._var_patterns`), shared by every leaf.
 
         The polynomials are taken fewest monomials first (a stable sort,
         so equal sizes keep their order): each one roughly halves the
-        live points, so the cheap ones do most of the cutting, and the
-        loop stops as soon as no point is left.
+        live points, so the cheap ones do most of the cutting, and a
+        pass stops as soon as no point is left.  A polynomial
+        ``x_p ^ g`` in which bit p occurs only as the monomial {p}
+        defines x_p as g (:meth:`_definitions`), so the first pass
+        tabulates over the other bits only: each defined bit's pattern
+        is the table of its g, and only the other polynomials cut.  Each
+        point of that reduced table is one solution, so an empty one
+        means an empty leaf.  The full table over ``order`` is built
+        only for a leaf with a solution, or with no defined bit.
         """
         n = len(order)
         _check_cap(n)
+        eqs = sorted(eqs, key=int.bit_count)
+        defs, others = self._definitions(eqs, order)
+        if defs:
+            defined = sum(p for p, _ in defs)
+            free = [b for b in order if not b & defined]
+            if not self._tabulate(free, defs, others, patterns):
+                return 0
+        return self._tabulate(order, (), eqs, patterns)
+
+    def _definitions(self, eqs: list, order: Sequence[int]) -> tuple:
+        """The (p, g) pairs of the polynomials that define a bit, in
+        pick order, and the other polynomials.
+
+        The polynomials are walked in the given order.  One defines bit
+        p when p occurs in it only as the monomial {p} and no polynomial
+        picked before it mentions p; then every bit it mentions is used.
+        So a g mentions only the undefined bits and the bits defined
+        before it.  The walk stops once no unused bit is left.
+        """
+        monomials, has = self.monomials, self.has
+        unused = reduce(or_, eqs, 0) & self.linear  # the {p} of the unused bits
+        defs, others = [], []
+        for i, e in enumerate(eqs):
+            if not unused:
+                others += eqs[i:]
+                break
+            lin = e & unused
+            while lin:
+                bit = lin & -lin
+                lin ^= bit
+                p = monomials[bit.bit_length() - 1]
+                if e & has[p] == bit:
+                    defs.append((p, e ^ bit))
+                    rest = unused
+                    while rest:
+                        bit = rest & -rest
+                        rest ^= bit
+                        if e & has[monomials[bit.bit_length() - 1]]:
+                            unused ^= bit
+                    break
+            else:
+                others.append(e)
+        return defs, others
+
+    def _tabulate(self, order: Sequence[int], defs: Sequence[tuple], eqs: Sequence[int],
+                  patterns: dict) -> int:
+        """The mask of the points over ``order`` where every polynomial
+        of ``eqs`` is 0, each defined bit p of ``defs`` standing for the
+        table of its g, built in order.
+
+        A monomial is the AND of its variables' patterns, built once per
+        pass and started from its first variable's pattern, and a
+        polynomial the XOR of its monomials.
+        """
+        n = len(order)
         full = (1 << (1 << n)) - 1
         pattern = dict(zip(order, _var_patterns(patterns, n)))
         monomials = self.monomials
         tables: dict = {}  # a monomial's bit in the masks -> its table
         mask = full
-        for e in sorted(eqs, key=int.bit_count):
+        for p, e in chain(defs, zip(repeat(0), eqs)):
             table = 0
             while e:
                 bit = e & -e
@@ -315,6 +382,9 @@ class Index:
                         m ^= low
                     tables[bit] = t
                 table ^= t
+            if p:
+                pattern[p] = table
+                continue
             mask &= full ^ table
             if not mask:
                 break

@@ -43,6 +43,7 @@ the lifter carries back to the root variables.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterator, Optional, Sequence
 
 from .boolalg import (
@@ -389,6 +390,14 @@ def _local_solutions(system: BoolSystem) -> tuple[list, int]:
     return occ, mask
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _low_bits(x: int) -> bytes:
+    """The bits of x below its top bit, lowest first, one byte each."""
+    return bin(x)[:2:-1].encode().translate(_BITS)
+
+
 class _Lifter:
     """Lifts leaf cubes to cubes over a system's variables.
 
@@ -437,10 +446,11 @@ class _Lifter:
 
         A bit on the right of a binding that is neither fixed nor bound
         gets both values, 0 first.  Each result is a cube, the dict of
-        the fixed values; variables that nothing fixes are don't-cares.
-        The stack holds one pending branch per split bit.
+        the fixed values, keyed in id order; variables that nothing
+        fixes are don't-cares.  The stack holds one pending branch per
+        split bit.
         """
-        cbit = self.cbit
+        ids, cbit = self.ids, self.cbit
         stack = [(len(bindings), known | cbit, ones | cbit)]
         while stack:
             i, known, ones = stack.pop()
@@ -456,7 +466,9 @@ class _Lifter:
                 known |= p
                 if (rest & ones).bit_count() & 1:
                     ones |= p
-            yield {v: ones >> j & 1 for j, v in enumerate(self.ids) if known >> j & 1}
+            # the fixed ids and their values, picked out lowest bit first
+            fixed = _low_bits(known)
+            yield dict(zip(compress(ids, fixed), compress(_low_bits(ones), fixed)))
 
 
 def _tree_leaf(system: BoolSystem) -> Iterator[dict]:
@@ -554,7 +566,7 @@ class _AnfSearch:
     elimination outgrows ``anf.BUDGET`` keeps its equations and
     bindings from before it and splits: cofactoring never grows a
     polynomial, so its children stay within the budget.  ``patterns``
-    holds the leaves' variable patterns per leaf size for this solve
+    holds the leaves' variable patterns per table size for this solve
     only (see :meth:`anf.Index.zero_table`), so it goes with the search,
     as the index does.  Every root converts through
     :meth:`_SystemFile.polynomials`, which raises OverBudget when it is

@@ -45,6 +45,34 @@ def anf_table(e, order) -> int:
     return table
 
 
+def leaf_table(eqs, order) -> int:
+    """The points where every polynomial is 0, from :func:`anf_table`."""
+    full = (1 << (1 << len(order))) - 1
+    mask = full
+    for e in eqs:
+        mask &= full ^ anf_table(e, order)
+    return mask
+
+
+def reference_defined_count(eqs) -> int:
+    """How many bits the greedy rule defines, on sets of monomials.
+
+    Fewest monomials first, a polynomial defines a bit p when {p} is one
+    of its monomials, no other monomial of it holds p, and no polynomial
+    picked before it mentions p; then every bit it mentions is used.
+    """
+    used = count = 0
+    for e in sorted(eqs, key=len):
+        mentioned = 0
+        for m in e:
+            mentioned |= m
+        if any(m and not m & (m - 1) and not m & used
+               and not any(x & m for x in e if x != m) for m in e):
+            count += 1
+            used |= mentioned
+    return count
+
+
 def convert(f, ids, index=None):
     """The ANF of an expression, read back from its index mask."""
     if index is None:
@@ -277,22 +305,28 @@ class TestPolynomialOps:
             assert index.frequencies(eqs) == want
 
     def test_zero_table_shares_one_pattern_table(self):
-        """One table across leaves of interleaved sizes and unsorted orders."""
+        """One table across leaves of interleaved sizes and unsorted
+        orders, holding exactly the sizes of the passes that ran."""
         rng = random.Random(611)
         patterns: dict = {}
+        sizes = set()
         index = anf.Index()
         for n in [3, 6, 3, 1, 6, 4, 1, 3]:
             order = [1 << b for b in rng.sample(range(12), n)]
             eqs = [frozenset(sum(rng.sample(order, rng.randint(0, min(n, 3))))
                              for _ in range(rng.randint(1, 5)))
                    for _ in range(rng.randint(1, 3))]
-            full = (1 << (1 << n)) - 1
-            expected = full
-            for e in eqs:
-                expected &= full ^ anf_table(e, order)
+            expected = leaf_table(eqs, order)
             got = index.zero_table([index.mask(e) for e in eqs], order, patterns)
             assert got == expected, (order, eqs)
-        assert sorted(patterns) == [1, 3, 4, 6]
+            # the reduced pass over the n - k undefined bits, and the
+            # full pass only for a leaf with a point or no defined bit
+            k = reference_defined_count(eqs)
+            if k:
+                sizes.add(n - k)
+            if expected or not k:
+                sizes.add(n)
+        assert sorted(patterns) == sorted(sizes) == [0, 1, 2, 3, 4, 6]
 
     def test_zero_table_does_not_depend_on_the_order_of_the_polynomials(self):
         """It takes them cheapest first; every order gives the same mask."""
@@ -310,6 +344,120 @@ class TestPolynomialOps:
             for perm in itertools.permutations(eqs):
                 got = index.zero_table([index.mask(e) for e in perm], order, {})
                 assert got == expected, (n, perm)
+
+
+def defining_leaf(rng, n: int) -> tuple:
+    """A leaf's order and polynomials (sets of monomials) over n of 14
+    variable bits, rich in polynomials x_p ^ g that define a bit.
+
+    A g is quadratic and cubic products over the other bits, often over
+    the bits defined before it, with linear terms that often avoid its
+    products; the rest are affine rows and random quadratics and cubics,
+    whose linear terms may hit their products.
+    """
+    order = [1 << b for b in rng.sample(range(14), n)]
+    eqs, defined = [], []
+    for _ in range(rng.randint(1, n + 4)):
+        r = rng.random()
+        poly = {0} if rng.random() < 0.5 else set()
+        if n and r < 0.55:
+            p = rng.choice(order)
+            rest = [b for b in order if b != p]
+            earlier = [b for b in defined if b != p]
+            for _ in range(rng.randint(0, 4)):
+                if not rest:
+                    break
+                degree = min(rng.choice((1, 2, 2, 3)), len(rest))
+                factors = rng.sample(rest, degree)
+                if earlier and rng.random() < 0.5:
+                    factors[0] = rng.choice(earlier)
+                poly ^= {sum(set(factors))}
+            poly ^= {p}
+            defined.append(p)
+        elif n and r < 0.75:
+            poly ^= set(rng.sample(order, rng.randint(1, n)))
+        elif n:
+            for _ in range(rng.randint(1, 5)):
+                poly ^= {sum(rng.sample(order, min(rng.choice((1, 2, 3)), n)))}
+        eqs.append(frozenset(poly))
+    return order, eqs
+
+
+class TestDefinedBits:
+    """zero_table's reduced pass over the bits that no equation defines."""
+
+    def test_zero_table_agrees_with_the_tables(self):
+        """A seeded sweep against :func:`anf_table` on leaves of 0 to 10
+        bits with chains of defining polynomials, SAT and UNSAT."""
+        rng = random.Random(2901)
+        seen = {"defined": 0, "chain": 0, "sat": 0, "unsat": 0}
+        for n in range(11):
+            index = anf.Index()
+            patterns: dict = {}
+            for _ in range(60 if n < 8 else 20):
+                order, eqs = defining_leaf(rng, n)
+                masks = [index.mask(e) for e in eqs]
+                want = leaf_table(eqs, order)
+                assert index.zero_table(masks, order, patterns) == want, (order, eqs)
+                defs, _ = index._definitions(sorted(masks, key=int.bit_count), order)
+                assert len(defs) == reference_defined_count(eqs)
+                if defs:
+                    seen["defined"] += 1
+                    seen["sat" if want else "unsat"] += 1
+                    before = 0
+                    for p, g in defs:
+                        if index.occurring((g,)) & before:
+                            seen["chain"] += 1
+                            break
+                        before |= p
+        assert min(seen.values()) >= 40, seen
+
+    def test_full_pass_runs_once_per_leaf_with_a_point(self, monkeypatch):
+        """On a planted quadratic system, a leaf with a defined bit runs
+        the reduced pass, and the full pass only when it has a point."""
+        rng = random.Random(2902)
+        n = 12
+        planted = [rng.getrandbits(1) for _ in range(n)]
+        lines = ["vars: " + ", ".join(f"x{i}" for i in range(n))]  # x_i is id i
+        for _ in range(10):
+            pairs = [sorted(rng.sample(range(n), 2)) for _ in range(4)]
+            singles = rng.sample(range(n), 2)
+            rhs = (sum(planted[a] & planted[b] for a, b in pairs)
+                   + sum(planted[a] for a in singles)) & 1
+            terms = [f"x{a} & x{b}" for a, b in pairs] + [f"x{a}" for a in singles]
+            lines.append(" ^ ".join(terms) + f" = {rhs}")
+        system, _ = parse_system("\n".join(lines) + "\n")
+        passes: list = []
+        tabulate, zero_table = anf.Index._tabulate, anf.Index.zero_table
+
+        def record_pass(self, order, defs, eqs, patterns):
+            mask = tabulate(self, order, defs, eqs, patterns)
+            passes[-1][1].append((len(order), bool(defs), bool(mask)))
+            return mask
+
+        def record_leaf(self, eqs, order, patterns):
+            passes.append((len(order), []))
+            return zero_table(self, eqs, order, patterns)
+
+        monkeypatch.setattr(anf.Index, "_tabulate", record_pass)
+        monkeypatch.setattr(anf.Index, "zero_table", record_leaf)
+        out = bool_solve(system, cfg(n0=6, split_depth=2, mode=ENUMERATE))
+        points = expanded_solution_set(out, system.root_vars)
+        assert tuple(enumerate(planted)) in points
+        kinds = {"empty": 0, "point": 0}
+        for size, runs in passes:
+            first = runs[0]
+            if not first[1]:  # no defined bit: the full pass alone
+                assert runs == [(size, False, first[2])]
+                continue
+            assert first[0] < size
+            if first[2]:
+                assert runs[1:] == [(size, False, True)]
+                kinds["point"] += 1
+            else:
+                assert runs == [first]
+                kinds["empty"] += 1
+        assert kinds["point"] >= 3 and kinds["empty"] >= 10, kinds
 
 
 class TestGaussJordan:

@@ -7,12 +7,17 @@ parentheses and putting in huge ids.  Each mutant goes through
 traceback, and the two modes must agree on whether it is satisfiable.
 A system mutant that parses must also convert, in ANF or not at all,
 as the same text read line by line through the expression parser.
+Every mutant that parses also makes a round trip: a DIMACS text through
+``emit_dimacs``, a system text through ``boolalg.to_text``.
 """
 
+import json
 import random
 import re
+import warnings
 
-from onsat.boolalg import MAX_NESTING
+from onsat.boolalg import MAX_NESTING, ParseError, to_text
+from onsat.cnf import emit_dimacs, parse_dimacs
 from onsat.solver import parse_system
 from test_system_reader import (
     cli_run,
@@ -159,3 +164,44 @@ class TestFuzzCorpus:
             for code in set(run_both_modes(text, "dimacs", ("16", "1")[i % 2])):
                 seen[code] += 1
         assert min(seen.values()) >= 15, seen
+
+
+def expanded_points(text: str) -> tuple:
+    """The exit code of enumerating a system text with every don't-care
+    expanded, and its points as sets of (name, value) pairs."""
+    code, out, _ = cli_run(text, "enumerate", "--format", "system", "--expand-dont-cares")
+    return code, {frozenset(json.loads(line)["assignment"].items())
+                  for line in out.splitlines()}
+
+
+class TestRoundTrips:
+    def test_dimacs_parse_emit_parse(self):
+        parsed_texts = 0
+        for text in corpus(2802, DIMACS, False, 600):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    cnf = parse_dimacs(text)
+                except ParseError:
+                    continue
+                assert parse_dimacs(emit_dimacs(cnf)) == cnf, text
+            parsed_texts += 1
+        assert parsed_texts >= 200, parsed_texts
+
+    def test_system_equations_rewritten_by_to_text(self):
+        """Each equation of a parsed mutant, rendered by to_text under a
+        header that declares the root universe, gives the same points
+        and exit code."""
+        codes = {1: 0, 10: 0, 20: 0}
+        for text in corpus(2801, SYSTEMS, True, 600):
+            try:
+                system, table = parse_system(text)
+            except ParseError:
+                continue
+            names = [table.name_of(v) for v in sorted(system.root_vars)]
+            lines = ["vars: " + ", ".join(names)] if names else []
+            lines += [f"{to_text(l, table)} = {to_text(r, table)}" for l, r in system.equations]
+            want = expanded_points(text)
+            assert expanded_points("\n".join(lines) + "\n") == want, (text, lines)
+            codes[want[0]] += 1
+        assert codes[10] >= 100 and codes[20] >= 15, codes

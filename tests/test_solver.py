@@ -5,6 +5,7 @@ import pytest
 
 from onsat.boolalg import (
     AND,
+    Assignment,
     CONST,
     NOT,
     OR,
@@ -402,6 +403,50 @@ class TestBoolSolve:
             assert witness == out.solutions[:1], text
             sat += out.sat
         assert sat and max(bound) > 0
+
+    def test_lifted_cube_keys_are_the_fixed_ids_in_id_order(self):
+        """Random lifts over sparse ids: each cube, its keys' order
+        included, is the one a scan of every id gives."""
+        from onsat import solver as mod
+
+        def scan_lift(lifter, known, ones, bindings):
+            cbit = lifter.cbit
+            stack = [(len(bindings), known | cbit, ones | cbit)]
+            while stack:
+                i, known, ones = stack.pop()
+                while i:
+                    p, rest = bindings[i - 1]
+                    free = rest & ~known
+                    if free:
+                        low = free & -free
+                        stack.append((i, known | low, ones | low))
+                        known |= low
+                        continue
+                    i -= 1
+                    known |= p
+                    if (rest & ones).bit_count() & 1:
+                        ones |= p
+                yield {v: ones >> j & 1 for j, v in enumerate(lifter.ids) if known >> j & 1}
+
+        rng = random.Random(2903)
+        lifted = 0
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            ids = rng.sample(range(1 << 30), n)
+            lifter = mod._Lifter(BoolSystem([], ids, Assignment(), (), ids))
+            bits = [1 << j for j in range(n)]
+            known = sum(b for b in bits if rng.random() < rng.random())
+            ones = known & rng.getrandbits(n)
+            pivots = rng.sample(bits, rng.randint(0, min(n, 5)))
+            bindings = tuple(
+                (p, sum(rng.sample(bits, rng.randint(0, min(n, 3)))) & ~p
+                 | (lifter.cbit if rng.random() < 0.5 else 0))
+                for p in pivots)
+            got = [list(c.items()) for c in lifter.lift(known, ones, bindings)]
+            want = [list(c.items()) for c in scan_lift(lifter, known, ones, bindings)]
+            assert got == want, (ids, known, ones, bindings)
+            lifted += len(got)
+        assert lifted > 1000
 
     def test_expand_puts_the_first_dont_care_most_significant(self):
         sol = Solution.make({0: 1}, [5, 2])
