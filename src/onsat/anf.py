@@ -306,7 +306,7 @@ class Index:
         n = len(order)
         _check_cap(n)
         eqs = sorted(eqs, key=int.bit_count)
-        defs, others = self._definitions(eqs, order)
+        defs, others = self._definitions(eqs)
         if defs:
             defined = sum(p for p, _ in defs)
             free = [b for b in order if not b & defined]
@@ -314,7 +314,7 @@ class Index:
                 return 0
         return self._tabulate(order, (), eqs, patterns)
 
-    def _definitions(self, eqs: list, order: Sequence[int]) -> tuple:
+    def _definitions(self, eqs: list) -> tuple:
         """The (p, g) pairs of the polynomials that define a bit, in
         pick order, and the other polynomials.
 

@@ -233,8 +233,11 @@ class BoolFunc:
     functions may be structurally different (compare those with
     :func:`semantically_equal`).
 
-    The ``_vars``, ``_hash`` and ``_occ`` caches are filled on first
-    use, children first and without recursion, so any depth is fine.
+    A node's variable set and hash (``_vars``, ``_hash``) are filled
+    together by :func:`_fill` on first use of either, and its
+    per-variable occurrence counts (``_occ``) by :func:`_occurrences`;
+    both walk children first and without recursion, so any depth is
+    fine.
     A pickle holds no cache: the hash of a node kind, a string, differs
     between processes, so a loaded expression computes its own.  An
     inner node pickles as one flat post-order tuple of its DAG
@@ -276,7 +279,8 @@ class BoolFunc:
         """The set of variable ids the expression mentions."""
         got = self._vars
         if got is None:
-            got = _fill_vars(self)
+            _fill(self)
+            got = self._vars
         return got
 
     def __eq__(self, other) -> bool:
@@ -310,7 +314,8 @@ class BoolFunc:
     def __hash__(self) -> int:
         got = self._hash
         if got is None:
-            got = _fill_hash(self)
+            _fill(self)
+            got = self._hash
         return got
 
     def __repr__(self) -> str:
@@ -338,69 +343,57 @@ _CONST0 = BoolFunc(CONST, value=0)
 _CONST1 = BoolFunc(CONST, value=1)
 
 
-def _fill_vars(f: BoolFunc) -> frozenset:
-    """f's cached variable set, filled in post-order without recursion.
+def _fill(f: BoolFunc) -> None:
+    """Fill the cached variable set and hash of f and of every node
+    under it whose caches are empty, children first and without
+    recursion.
 
-    The stack is a path down from f: a node is pushed only while its
-    cache is empty and is filled before the nodes above it, so when the
-    children are cached the first pass is the only one.
+    The two caches are set together, so a node's are both empty or both
+    full.  A node with an empty child goes back on the stack under its
+    empty children, and a node popped once it is filled (a shared one,
+    reached again) is skipped, so each node is filled once.
     """
     stack = [f]
     while stack:
-        g = stack[-1]
-        k = g.kind
-        if k == VAR:
-            g._vars = frozenset((g.var,))
-        elif k == CONST:
-            g._vars = frozenset()
-        else:
-            left = g.left._vars
-            if left is None:
-                stack.append(g.left)
-                continue
-            if k == NOT:
-                g._vars = left
+        g = stack.pop()
+        if g._vars is not None:
+            continue
+        left, right = g.left, g.right
+        if left is None:  # a variable or a constant
+            if g.kind == VAR:
+                g._vars = frozenset((g.var,))
+                g._hash = hash((VAR, g.var))
             else:
-                right = g.right._vars
-                if right is None:
-                    stack.append(g.right)
-                    continue
-                g._vars = left | right
-        stack.pop()
-    return f._vars
-
-
-def _fill_hash(f: BoolFunc) -> int:
-    """f's cached hash, filled like :func:`_fill_vars`."""
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        k = g.kind
-        if k == VAR:
-            g._hash = hash((VAR, g.var))
-        elif k == CONST:
-            g._hash = hash((CONST, g.value))
-        else:
-            left = g.left._hash
-            if left is None:
-                stack.append(g.left)
+                g._vars = frozenset()
+                g._hash = hash((CONST, g.value))
+            continue
+        lv = left._vars
+        if right is None:  # a NOT
+            if lv is None:
+                stack += (g, left)
                 continue
-            if k == NOT:
-                g._hash = hash((NOT, left))
-            else:
-                right = g.right._hash
-                if right is None:
-                    stack.append(g.right)
-                    continue
-                g._hash = hash((k, left, right))
-        stack.pop()
-    return f._hash
+            g._vars = lv
+            g._hash = hash((NOT, left._hash))
+            continue
+        rv = right._vars
+        if lv is None or rv is None:
+            stack.append(g)
+            if lv is None:
+                stack.append(left)
+            if rv is None:
+                stack.append(right)
+            continue
+        # share a left set that covers the right one: about half the
+        # nodes of a lowered curve, and the test costs less than a union
+        g._vars = lv if rv <= lv else lv | rv
+        g._hash = hash((g.kind, left._hash, right._hash))
 
 
 def _flatten(f: BoolFunc) -> tuple:
     """f's DAG as one post-order tuple of (kind, var, value, left, right)
     rows, a child given by the index of its row, a shared node by one
-    row.  Walked like :func:`_fill_vars`, so any depth is fine."""
+    row.  Walked without recursion, like :func:`_fill`, so any depth
+    is fine."""
     rows: list = []
     index: dict = {}  # by node id: its row
     stack = [f]

@@ -332,10 +332,12 @@ def _verify_identities(args) -> int:
 
 
 def _run_curve(args) -> int:
-    field = gf2k.Field(int(args.modulus, 16))
+    # hex numbers are read as DIMACS numbers are: ASCII, no separators
+    hexa = functools.partial(cnf._ascii_int, base=16)
+    field = gf2k.Field(hexa(args.modulus))
     curve = gf2k.Curve(
-        a1=int(args.a1, 16), a2=int(args.a2, 16), a3=int(args.a3, 16),
-        a4=int(args.a4, 16), a6=int(args.a6, 16),
+        a1=hexa(args.a1), a2=hexa(args.a2), a3=hexa(args.a3),
+        a4=hexa(args.a4), a6=hexa(args.a6),
     )
     points = gf2k.enumerate_curve(curve, field, args.method)
     for x, y in sorted(points):

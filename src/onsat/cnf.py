@@ -145,12 +145,12 @@ class CnfSet:
 # ---------------------------------------------------------------------------
 # DIMACS input and output
 
-def _ascii_int(tok: str) -> int:
+def _ascii_int(tok: str, base: int = 10) -> int:
     """int() of a token, refusing the digit separators (``1_0``) and the
     non-ASCII digits that int() accepts."""
     if not tok.isascii() or "_" in tok:
-        raise ValueError(f"not a DIMACS number: {tok!r}")
-    return int(tok)
+        raise ValueError(f"not a plain ASCII number: {tok!r}")
+    return int(tok, base)
 
 
 def parse_dimacs(text: str, strict: bool = False) -> CnfSet:

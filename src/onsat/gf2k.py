@@ -72,6 +72,8 @@ class Field:
     """
 
     def __init__(self, modulus: int):
+        if modulus < 0:
+            raise ValueError(f"modulus {modulus:#x} is negative")
         k = _poly_degree(modulus)
         if k < 1:
             raise ValueError("modulus must have degree at least 1")

@@ -399,7 +399,7 @@ class TestDefinedBits:
                 masks = [index.mask(e) for e in eqs]
                 want = leaf_table(eqs, order)
                 assert index.zero_table(masks, order, patterns) == want, (order, eqs)
-                defs, _ = index._definitions(sorted(masks, key=int.bit_count), order)
+                defs, _ = index._definitions(sorted(masks, key=int.bit_count))
                 assert len(defs) == reference_defined_count(eqs)
                 if defs:
                     seen["defined"] += 1

@@ -536,6 +536,87 @@ class TestOccurrences:
         assert dag(1) != dag(2)
 
 
+def reachable(f) -> list:
+    """Every node of f's DAG once, shared nodes included once."""
+    seen, stack, out = set(), [f], []
+    while stack:
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        out.append(g)
+        if g.kind not in (boolalg.VAR, boolalg.CONST):
+            stack.append(g.left)
+            if g.kind != boolalg.NOT:
+                stack.append(g.right)
+    return out
+
+
+def rebuilt(f, memo: dict):
+    """An unshared copy of f made of new nodes, none of them cached."""
+    got = memo.get(id(f))
+    if got is None:
+        k = f.kind
+        left = right = None
+        if k not in (boolalg.VAR, boolalg.CONST):
+            left = rebuilt(f.left, {})
+            if k != boolalg.NOT:
+                right = rebuilt(f.right, {})
+        got = memo[id(f)] = boolalg.BoolFunc(k, f.var, f.value, left, right)
+    return got
+
+
+def reference_hash(f) -> int:
+    k = f.kind
+    if k == boolalg.VAR:
+        return hash((k, f.var))
+    if k == boolalg.CONST:
+        return hash((k, f.value))
+    if k == boolalg.NOT:
+        return hash((k, reference_hash(f.left)))
+    return hash((k, reference_hash(f.left), reference_hash(f.right)))
+
+
+def reference_vars(f) -> frozenset:
+    if f.kind == boolalg.VAR:
+        return frozenset((f.var,))
+    if f.kind == boolalg.CONST:
+        return frozenset()
+    if f.kind == boolalg.NOT:
+        return reference_vars(f.left)
+    return reference_vars(f.left) | reference_vars(f.right)
+
+
+class TestCaches:
+    """A node's variable set and hash are filled together, on the node
+    and on every node under it, by reading either one."""
+
+    def test_reading_vars_fills_every_hash(self, rng):
+        ids = list(range(6))
+        for _ in range(40):
+            f = random_shared_funcs(rng, ids, 1, rng.randint(2, 16))[0]
+            nodes = reachable(f)
+            assert all(g._vars is None and g._hash is None
+                       for g in nodes if g.kind != boolalg.CONST)
+            assert f.vars == reference_vars(f)
+            for g in nodes:
+                assert g._hash is not None
+                assert g._hash == reference_hash(g) == hash(rebuilt(g, {}))
+
+    def test_hashing_fills_every_variable_set(self, rng):
+        ids = list(range(6))
+        for _ in range(40):
+            f = random_shared_funcs(rng, ids, 1, rng.randint(2, 16))[0]
+            nodes = reachable(f)
+            # some nodes below f already filled, through either fact
+            for g in rng.sample(nodes, len(nodes) // 3):
+                hash(g) if rng.random() < 0.5 else g.vars
+            assert hash(f) == reference_hash(f)
+            for g in nodes:
+                assert g._vars == reference_vars(g)
+                assert g._hash == reference_hash(g)
+
+
 class TestParser:
     def test_precedence(self):
         t = VarTable()

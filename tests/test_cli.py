@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 import onsat
-from onsat import expansion
+from onsat import boolalg, expansion
 from onsat.anf import Index, OverBudget, from_expr
 from onsat.boolalg import DEFAULT_CAP, MAX_NESTING, VarTable, const, parse_expr
 from onsat.cli import _build_parser, main
@@ -420,6 +420,21 @@ class TestVerify:
                   if line.startswith("FAIL ")}
         assert {"reconstruction", "coefficient-range"} <= failed
 
+    @pytest.mark.parametrize("identity, module, name, broken", [
+        ("dual-star", boolalg, "dual", lambda f: const(0)),
+        ("eliminant-projection", expansion, "eliminant", lambda f, x: const(1)),
+        ("minterm-consistency", expansion, "minterm_consistency",
+         lambda f, x1, _real=expansion.minterm_consistency: not _real(f, x1)),
+    ])
+    def test_each_broken_identity_fails_alone(self, run, monkeypatch,
+                                              identity, module, name, broken):
+        monkeypatch.setattr(module, name, broken)
+        code, out, _ = run("verify", "--n", "3", "--trials", "5", "--seed", "1")
+        assert code == 1
+        status = {line.split()[1]: line.split()[0] for line in out.splitlines()}
+        assert len(status) == 7 and status.pop(identity) == "FAIL"
+        assert set(status.values()) == {"ok"}
+
     @pytest.mark.parametrize("argv", [
         ("--n", "0"),
         ("--n", "-2"),
@@ -470,6 +485,26 @@ class TestCurve:
     def test_bad_modulus(self, run):
         code, _, err = run("curve", "--modulus", "0xf")
         assert code == 1
+
+    @pytest.mark.parametrize("method", ["boolean", "field"])
+    def test_negative_modulus_is_refused(self, run, method):
+        # "--modulus -0xb" reads as a missing value, so the sign needs "="
+        code, out, err = run("curve", "--modulus=-0xb", "--a1", "1", "--a6", "1",
+                             "--method", method)
+        assert (code, out) == (1, "")
+        assert err == "onsat: modulus -0xb is negative\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("--modulus", "0x1_3"),
+        ("--modulus", "0xb", "--a1", "\u0661"),  # ARABIC-INDIC DIGIT ONE
+        ("--modulus", "\uff10xb"),  # FULLWIDTH DIGIT ZERO
+        ("--modulus", "0xb", "--a6", "1_0"),
+    ])
+    @pytest.mark.parametrize("method", ["boolean", "field"])
+    def test_hex_numbers_are_ascii_without_separators(self, run, method, argv):
+        code, out, err = run("curve", *argv, "--method", method)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("onsat: not a plain ASCII number")
 
 
 class TestUsage:

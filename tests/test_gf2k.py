@@ -38,6 +38,12 @@ class TestFieldArithmetic:
         with pytest.raises(ValueError):
             Field(0b1111)  # (t+1)(t^2+t+1)
 
+    @pytest.mark.parametrize("modulus", [-0xB, -0x3, -0x7, -0x13, -1])
+    def test_negative_modulus_rejected(self, modulus):
+        # -0xb once built "GF(2^3)" from the bit length of |m|
+        with pytest.raises(ValueError, match=f"modulus {modulus:#x} is negative"):
+            Field(modulus)
+
     def test_addition_is_xor(self):
         for a in F8.elements():
             for b in F8.elements():
