@@ -27,8 +27,11 @@ popcount of ``e & has[b]``.  Leaf tables read the monomials of a mask
 back from the index.  A leaf equation ``x_p ^ g = 0`` in which p
 occurs only in the monomial {p} defines x_p as g, so a leaf's first
 table runs over the bits that no equation defines, each point being
-one solution; only a leaf with a solution, or with no defined bit,
-builds the full table over all its bits.
+one solution that fixes every defined bit.  A leaf with at most
+:data:`SCATTER` such points places them into its full table; only a
+leaf with more, or with no defined bit, tabulates over all its bits.
+The search makes a node a leaf by its undefined bits, so the first
+table is the one that guess-and-determine solvers enumerate.
 
 An affine equation (every monomial of degree <= 1) is a row: its
 variable bits plus a constant bit above all of them.  Gauss-Jordan
@@ -283,49 +286,67 @@ class Index:
                 counts[b] = c
         return counts
 
-    def zero_table(self, eqs: Sequence[int], order: Sequence[int], patterns: dict) -> int:
+    def zero_table(self, eqs: Sequence[int], order: Sequence[int], patterns: dict,
+                   pick: Optional[tuple] = None, full: bool = True) -> Optional[int]:
         """Truth table of the points where every polynomial is 0.
 
         ``order`` lists the variable bits, most significant point bit
         first, as in :func:`boolalg.truth_table`; the polynomials mention
         no other bits.  ``patterns`` is the solve's pattern table (see
-        :func:`boolalg._var_patterns`), shared by every leaf.
+        :func:`boolalg._var_patterns`), shared by every leaf.  ``pick``
+        is the polynomials' :meth:`_definitions`, when the caller has
+        made it already.
 
-        The polynomials are taken fewest monomials first (a stable sort,
-        so equal sizes keep their order): each one roughly halves the
-        live points, so the cheap ones do most of the cutting, and a
-        pass stops as soon as no point is left.  A polynomial
-        ``x_p ^ g`` in which bit p occurs only as the monomial {p}
-        defines x_p as g (:meth:`_definitions`), so the first pass
-        tabulates over the other bits only: each defined bit's pattern
-        is the table of its g, and only the other polynomials cut.  Each
-        point of that reduced table is one solution, so an empty one
-        means an empty leaf.  The full table over ``order`` is built
-        only for a leaf with a solution, or with no defined bit.
+        A polynomial ``x_p ^ g`` in which bit p occurs only as the
+        monomial {p} defines x_p as g, so the first pass tabulates over
+        the undefined bits only: each defined bit's pattern is the table
+        of its g, and only the other polynomials cut.  Each point of
+        that reduced table is one solution and fixes every defined bit
+        through that bit's table, so an empty one means an empty leaf,
+        and one of at most :data:`SCATTER` points is placed into the
+        full table point by point.  Only a leaf with more points, or
+        with no defined bit, runs the full pass over ``order``; with
+        ``full`` false, such a leaf gives None instead.  A pass takes
+        the polynomials fewest monomials first: each one roughly halves
+        the live points, so the cheap ones do most of the cutting, and
+        it stops as soon as no point is left.
         """
         n = len(order)
         _check_cap(n)
-        eqs = sorted(eqs, key=int.bit_count)
-        defs, others = self._definitions(eqs)
+        defs, others = self._definitions(eqs) if pick is None else pick
         if defs:
             defined = sum(p for p, _ in defs)
             free = [b for b in order if not b & defined]
-            if not self._tabulate(free, defs, others, patterns):
-                return 0
-        return self._tabulate(order, (), eqs, patterns)
+            mask, pattern = self._tabulate(free, defs, others, patterns)
+            if mask.bit_count() <= SCATTER:
+                return _scatter(mask, free, pattern, order)
+        if not full:
+            return None
+        return self._tabulate(order, (), sorted(eqs, key=int.bit_count), patterns)[0]
 
-    def _definitions(self, eqs: list) -> tuple:
+    def _definitions(self, eqs: Sequence[int], need: int = 0) -> Optional[tuple]:
         """The (p, g) pairs of the polynomials that define a bit, in
-        pick order, and the other polynomials.
+        pick order, and the other polynomials, fewest monomials first;
+        or None once fewer than ``need`` bits can be defined.
 
-        The polynomials are walked in the given order.  One defines bit
-        p when p occurs in it only as the monomial {p} and no polynomial
-        picked before it mentions p; then every bit it mentions is used.
-        So a g mentions only the undefined bits and the bits defined
-        before it.  The walk stops once no unused bit is left.
+        The polynomials are walked fewest monomials first (a stable
+        sort, so equal sizes keep their order).  One defines bit p when
+        p occurs in it only as the monomial {p} and no polynomial picked
+        before it mentions p; then every bit it mentions is used.  So a
+        g mentions only the undefined bits and the bits defined before
+        it.  The walk stops once no unused bit is left.  Each later
+        definition takes an unused bit's monomial {p} and a polynomial
+        not yet walked, so the walk gives up as soon as the definitions
+        so far plus the fewer of those two counts fall short of
+        ``need``.  On a node that cannot be a leaf it mostly ends at its
+        first polynomial or two.
         """
-        monomials, has = self.monomials, self.has
+        spare = len(eqs) - need  # polynomials that may define nothing
         unused = reduce(or_, eqs, 0) & self.linear  # the {p} of the unused bits
+        if spare < 0 or unused.bit_count() < need:
+            return None
+        eqs = sorted(eqs, key=int.bit_count)
+        monomials, has = self.monomials, self.has
         defs, others = [], []
         for i, e in enumerate(eqs):
             if not unused:
@@ -344,16 +365,22 @@ class Index:
                         rest ^= bit
                         if e & has[monomials[bit.bit_length() - 1]]:
                             unused ^= bit
+                    if len(defs) + unused.bit_count() < need:
+                        return None
                     break
             else:
                 others.append(e)
+                spare -= 1
+                if spare < 0:
+                    return None
         return defs, others
 
     def _tabulate(self, order: Sequence[int], defs: Sequence[tuple], eqs: Sequence[int],
-                  patterns: dict) -> int:
+                  patterns: dict) -> tuple:
         """The mask of the points over ``order`` where every polynomial
         of ``eqs`` is 0, each defined bit p of ``defs`` standing for the
-        table of its g, built in order.
+        table of its g, built in order; and the table of each bit, by
+        bit.
 
         A monomial is the AND of its variables' patterns, built once per
         pass and started from its first variable's pattern, and a
@@ -388,4 +415,34 @@ class Index:
             mask &= full ^ table
             if not mask:
                 break
-        return mask
+        return mask, pattern
+
+
+#: Most points of a reduced table that :meth:`Index.zero_table` places
+#: one by one into the full table.  A leaf with more runs the full pass,
+#: and a node above n0 with more splits instead (``solver._AnfSearch``).
+SCATTER = 64
+
+
+def _scatter(mask: int, free: Sequence[int], pattern: dict, order: Sequence[int]) -> int:
+    """The full table over ``order`` of the points of a reduced table.
+
+    ``mask`` is the reduced table over ``free``, and ``pattern`` maps
+    each bit of ``order``, free or defined, to its table over ``free``.
+    A point's index over ``order`` adds up the weights of the bits that
+    are 1 there.  The tables are read as bytes, and the full table is
+    set in a bytearray and converted once, since a shift or an OR on a
+    wide int copies all of it.
+    """
+    if not mask:
+        return 0
+    n = len(order)
+    size = max(1, (1 << len(free)) >> 3)
+    tables = [(1 << (n - 1 - i), pattern[b].to_bytes(size, "little"))
+              for i, b in enumerate(order)]
+    out = bytearray(max(1, (1 << n) >> 3))
+    for i in _indices(mask):
+        byte, shift = i >> 3, i & 7
+        at = sum([w for w, table in tables if table[byte] >> shift & 1])
+        out[at >> 3] |= 1 << (at & 7)
+    return int.from_bytes(out, "little")

@@ -51,6 +51,7 @@ from .boolalg import (
     Assignment,
     BoolFunc,
     CONST,
+    DEFAULT_CAP,
     OR,
     ParseError,
     VarTable,
@@ -561,14 +562,15 @@ class _AnfSearch:
     generator, :meth:`_children`, that cofactors one chain bit at a
     time, as the walk reaches each child.  A node over at most n0 bits
     is brute-forced as it stands; only a larger one is eliminated, since
-    its leaf table costs less than elimination, and elimination that
-    brings a node to n0 or below also makes it a leaf.  A node whose
-    elimination outgrows ``anf.BUDGET`` keeps its equations and
-    bindings from before it and splits: cofactoring never grows a
-    polynomial, so its children stay within the budget.  ``patterns``
-    holds the leaves' variable patterns per table size for this solve
-    only (see :meth:`anf.Index.zero_table`), so it goes with the search,
-    as the index does.  Every root converts through
+    its leaf table costs less than elimination.  After elimination a
+    node is a leaf when the bits that its equations do not define
+    number at most n0 and its reduced table is empty or small (see
+    :meth:`visit`).  A node whose elimination outgrows ``anf.BUDGET``
+    keeps its equations and bindings from before it: cofactoring never
+    grows a polynomial, so its children stay within the budget.
+    ``patterns`` holds the leaves' variable patterns per table size for
+    this solve only (see :meth:`anf.Index.zero_table`), so it goes with
+    the search, as the index does.  Every root converts through
     :meth:`_SystemFile.polynomials`, which raises OverBudget when it is
     not converted; a root that :func:`parse_system` did not read goes
     in as a source of parsed lines only.
@@ -586,29 +588,40 @@ class _AnfSearch:
         self.patterns: dict = {}
 
     def visit(self, node) -> tuple:
-        """A leaf table over the occurring bits when there are at most
-        n0 of them, with no elimination; else eliminate, then such a
-        leaf or a split.
+        """A leaf table when the node's bits that no equation defines
+        number at most n0; else a split.
 
-        Such a leaf may still hold affine equations.  Its solutions are
-        those that elimination would give; only their cubes differ,
-        since they come as the Shannon cubes of its table.
+        A node over at most n0 bits is a leaf as it stands, with no
+        elimination.  A larger one is eliminated, and then, if all its
+        bits fit under the enumeration cap, picks its definitions once
+        (:meth:`anf.Index._definitions`): with at most n0 bits left
+        undefined, the reduced table over them decides.  No point
+        refutes the node, at most ``anf.SCATTER`` points make it a leaf,
+        and more make it split, so that no full pass runs over more than
+        n0 bits.  A leaf may still hold affine equations.  Its solutions
+        are those that elimination or splitting would give; only their
+        cubes differ, since they come as the Shannon cubes of its table.
         """
         eqs, known, ones, bindings = node
         index = self.index
+        n0 = self.cfg.n0
         occ = index.occurring(eqs)
-        if occ.bit_count() > self.cfg.n0:
+        if occ.bit_count() > n0:
             try:
                 eqs, bindings = self._eliminate(eqs, bindings)
                 occ = index.occurring(eqs)
             except Conflict:
                 return None, ()
             except anf.OverBudget:
-                pass  # the node splits as it stands
-        if occ.bit_count() <= self.cfg.n0:
-            order = anf.bits_of(occ)
-            table = index.zero_table(eqs, order, self.patterns)
-            return None, self.lifter.leaf(order, table, known, ones, bindings)
+                pass  # the node goes on as it stands
+        width = occ.bit_count()
+        if width <= n0 or 1 << width <= DEFAULT_CAP:
+            pick = index._definitions(eqs, width - n0)
+            if pick is not None:
+                order = anf.bits_of(occ)
+                table = index.zero_table(eqs, order, self.patterns, pick, width <= n0)
+                if table is not None:
+                    return None, self.lifter.leaf(order, table, known, ones, bindings)
         return self._children(self._chain(eqs), eqs, known, ones, bindings), ()
 
     def _children(self, chosen, eqs, known, ones, bindings) -> Iterator[tuple]:

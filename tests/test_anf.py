@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -320,12 +321,10 @@ class TestPolynomialOps:
             got = index.zero_table([index.mask(e) for e in eqs], order, patterns)
             assert got == expected, (order, eqs)
             # the reduced pass over the n - k undefined bits, and the
-            # full pass only for a leaf with a point or no defined bit
+            # full pass only for a leaf with no defined bit: at most 6
+            # bits, no reduced table holds more than anf.SCATTER points
             k = reference_defined_count(eqs)
-            if k:
-                sizes.add(n - k)
-            if expected or not k:
-                sizes.add(n)
+            sizes.add(n - k)
         assert sorted(patterns) == sorted(sizes) == [0, 1, 2, 3, 4, 6]
 
     def test_zero_table_does_not_depend_on_the_order_of_the_polynomials(self):
@@ -412,52 +411,136 @@ class TestDefinedBits:
                         before |= p
         assert min(seen.values()) >= 40, seen
 
+    def test_scattered_mask_agrees_with_the_tables(self):
+        """A seeded sweep on leaves of 0 to 12 bits with chains of
+        definitions: the reduced table's points, scattered into the full
+        table, give :func:`leaf_table` bit for bit, whether the reduced
+        table holds no point, one, 2 to anf.SCATTER or more."""
+        rng = random.Random(3101)
+        seen = {"none": 0, "one": 0, "few": 0, "many": 0, "chain": 0}
+        for n in range(13):
+            index = anf.Index()
+            patterns: dict = {}
+            for _ in range(40 if n < 9 else 12):
+                order, eqs = defining_leaf(rng, n)
+                masks = [index.mask(e) for e in eqs]
+                defs, others = index._definitions(masks)
+                if not defs:
+                    continue
+                want = leaf_table(eqs, order)
+                defined = sum(p for p, _ in defs)
+                free = [b for b in order if not b & defined]
+                mask, pattern = index._tabulate(free, defs, others, patterns)
+                assert anf._scatter(mask, free, pattern, order) == want, (order, eqs)
+                assert index.zero_table(masks, order, patterns) == want, (order, eqs)
+                points = mask.bit_count()
+                assert points == want.bit_count()
+                seen["none" if not points else "one" if points == 1
+                     else "few" if points <= anf.SCATTER else "many"] += 1
+                if any(index.occurring((g,)) & sum(p for p, _ in defs[:i])
+                       for i, (_, g) in enumerate(defs)):
+                    seen["chain"] += 1
+        assert min(seen.values()) >= 10, seen
+
     def test_full_pass_runs_once_per_leaf_with_a_point(self, monkeypatch):
-        """On a planted quadratic system, a leaf with a defined bit runs
-        the reduced pass, and the full pass only when it has a point."""
+        """On planted quadratic systems, no full pass runs above n0, a
+        leaf whose reduced table holds at most anf.SCATTER points never
+        runs it, and a leaf with more points runs it once."""
         rng = random.Random(2902)
-        n = 12
-        planted = [rng.getrandbits(1) for _ in range(n)]
-        lines = ["vars: " + ", ".join(f"x{i}" for i in range(n))]  # x_i is id i
-        for _ in range(10):
-            pairs = [sorted(rng.sample(range(n), 2)) for _ in range(4)]
-            singles = rng.sample(range(n), 2)
-            rhs = (sum(planted[a] & planted[b] for a, b in pairs)
-                   + sum(planted[a] for a in singles)) & 1
-            terms = [f"x{a} & x{b}" for a, b in pairs] + [f"x{a}" for a in singles]
-            lines.append(" ^ ".join(terms) + f" = {rhs}")
-        system, _ = parse_system("\n".join(lines) + "\n")
-        passes: list = []
-        tabulate, zero_table = anf.Index._tabulate, anf.Index.zero_table
+        leaves = record_leaves(monkeypatch)
+        kinds: dict = {}
+        for n, neq, n0 in [(12, 10, 6), (12, 10, 3), (14, 3, 10)]:
+            planted = [rng.getrandbits(1) for _ in range(n)]
+            system = planted_system(rng, n, neq, planted)
+            del leaves[:]
+            out = bool_solve(system, cfg(n0=n0, split_depth=2, mode=ENUMERATE))
+            points = expanded_solution_set(out, system.root_vars)
+            assert tuple(enumerate(planted)) in points
+            assert points == oracle_system_solutions(system)
+            for kind, count in leaf_kinds(leaves, n0).items():
+                kinds[kind] = kinds.get(kind, 0) + count
+        assert min(kinds.get(k, 0) for k in
+                   ("plain", "empty", "scattered", "full", "wide", "split")) >= 2, kinds
 
-        def record_pass(self, order, defs, eqs, patterns):
-            mask = tabulate(self, order, defs, eqs, patterns)
-            passes[-1][1].append((len(order), bool(defs), bool(mask)))
-            return mask
 
-        def record_leaf(self, eqs, order, patterns):
-            passes.append((len(order), []))
-            return zero_table(self, eqs, order, patterns)
+def record_leaves(monkeypatch) -> list:
+    """Patch zero_table and _tabulate to record, per zero_table call,
+    its bit count, its ``full`` flag, its result, and its passes as
+    (bits, whether bits are defined, points)."""
+    leaves: list = []
+    tabulate, zero_table = anf.Index._tabulate, anf.Index.zero_table
 
-        monkeypatch.setattr(anf.Index, "_tabulate", record_pass)
-        monkeypatch.setattr(anf.Index, "zero_table", record_leaf)
-        out = bool_solve(system, cfg(n0=6, split_depth=2, mode=ENUMERATE))
-        points = expanded_solution_set(out, system.root_vars)
-        assert tuple(enumerate(planted)) in points
-        kinds = {"empty": 0, "point": 0}
-        for size, runs in passes:
-            first = runs[0]
-            if not first[1]:  # no defined bit: the full pass alone
-                assert runs == [(size, False, first[2])]
-                continue
-            assert first[0] < size
-            if first[2]:
-                assert runs[1:] == [(size, False, True)]
-                kinds["point"] += 1
-            else:
-                assert runs == [first]
-                kinds["empty"] += 1
-        assert kinds["point"] >= 3 and kinds["empty"] >= 10, kinds
+    def record_pass(self, order, defs, eqs, patterns):
+        mask, pattern = tabulate(self, order, defs, eqs, patterns)
+        leaves[-1]["passes"].append((len(order), bool(defs), mask.bit_count()))
+        return mask, pattern
+
+    def record_leaf(self, eqs, order, patterns, pick=None, full=True):
+        leaves.append({"size": len(order), "full": full, "passes": []})
+        leaves[-1]["table"] = table = zero_table(self, eqs, order, patterns, pick, full)
+        return table
+
+    monkeypatch.setattr(anf.Index, "_tabulate", record_pass)
+    monkeypatch.setattr(anf.Index, "zero_table", record_leaf)
+    return leaves
+
+
+def leaf_kinds(leaves: list, n0: int) -> dict:
+    """Check the passes of recorded leaves and count them by kind.
+
+    A node above n0 runs the reduced pass alone: it is a ``wide`` leaf
+    when that pass has at most anf.SCATTER points, and else it
+    ``split``s.  A leaf at or below n0 runs the full pass alone when
+    no bit is defined (``plain``), the reduced pass alone when it has
+    no point (``empty``) or at most anf.SCATTER (``scattered``), and
+    the full pass once after it when it has more (``full``).
+    """
+    kinds: dict = {}
+    for leaf in leaves:
+        size, passes, table = leaf["size"], leaf["passes"], leaf["table"]
+        first = passes[0]
+        assert leaf["full"] == (size <= n0)
+        if size > n0:
+            assert first[1] and first[0] <= n0 and passes == [first]
+            kind = "wide" if first[2] <= anf.SCATTER else "split"
+            assert (table is None) == (kind == "split")
+        elif not first[1]:
+            assert passes == [(size, False, table.bit_count())]
+            kind = "plain"
+        elif first[2] > anf.SCATTER:
+            assert passes == [first, (size, False, first[2])]
+            kind = "full"
+        else:
+            assert passes == [first] and table.bit_count() == first[2]
+            kind = "scattered" if first[2] else "empty"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    return kinds
+
+
+def planted_system(rng, n: int, neq: int, planted: list, defining: int = 0):
+    """A system over x0..x(n-1) (x_i is id i) that holds at ``planted``:
+    ``neq`` equations of 4 random products and 2 variables, after
+    ``defining`` equations x_p ^ g whose g (products over the other
+    variables, often over a bit defined before) sets x_p."""
+    lines = ["vars: " + ", ".join(f"x{i}" for i in range(n))]
+    order = rng.sample(range(n), defining)
+    for j, p in enumerate(order):
+        defined = order[:j]
+        others = [v for v in range(n) if v not in order[j:]]
+        pairs = [rng.sample(others, 2) for _ in range(rng.randint(1, 3))]
+        if defined and rng.random() < 0.6:
+            pairs[0][0] = rng.choice(defined)
+        planted[p] = sum(planted[a] & planted[b] for a, b in pairs) & 1
+        lines.append(f"x{p} ^ " + " ^ ".join(f"x{a} & x{b}" for a, b in pairs) + " = 0")
+    for _ in range(neq):
+        pairs = [sorted(rng.sample(range(n), 2)) for _ in range(4)]
+        singles = rng.sample(range(n), 2)
+        rhs = (sum(planted[a] & planted[b] for a, b in pairs)
+               + sum(planted[a] for a in singles)) & 1
+        terms = [f"x{a} & x{b}" for a, b in pairs] + [f"x{a}" for a in singles]
+        lines.append(" ^ ".join(terms) + f" = {rhs}")
+    system, _ = parse_system("\n".join(lines) + "\n")
+    return system
 
 
 class TestGaussJordan:
@@ -890,3 +973,93 @@ class TestIndexSweep:
             _AnfSearch(s, cfg())
             self.check(s)
         assert overflows
+
+
+class TestWideLeaves:
+    """Nodes above n0 whose definitions leave at most n0 bits undefined:
+    planted quadratic systems with chains of definitions at n0 1-6 and
+    split depth 1-3, in both modes, against the oracle."""
+
+    CONFIGS = list(itertools.product(range(1, 7), range(1, 4), (DECIDE, ENUMERATE)))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_planted_systems_with_defining_chains(self, seed, monkeypatch):
+        rng = random.Random(3110 + seed)
+        leaves = record_leaves(monkeypatch)
+        kinds: dict = {}
+        for _ in range(4):
+            n = rng.randint(6, 10)
+            planted = [rng.getrandbits(1) for _ in range(n)]
+            s = planted_system(rng, n, rng.randint(1, 4), planted, rng.randint(2, n - 3))
+            oracle = oracle_system_solutions(s)
+            assert tuple(enumerate(planted)) in oracle
+            for n0, depth, mode in self.CONFIGS:
+                del leaves[:]
+                out = bool_solve(s, cfg(n0=n0, split_depth=depth, mode=mode))
+                got = expanded_solution_set(out, s.root_vars)
+                if mode == ENUMERATE:
+                    assert got == oracle, (s, n0, depth)
+                else:
+                    assert len(out.solutions) == 1 and got <= oracle, (s, n0, depth)
+                for kind, count in leaf_kinds(leaves, n0).items():
+                    kinds[kind] = kinds.get(kind, 0) + count
+        assert kinds.get("wide", 0) >= 1, kinds
+
+    def test_a_wide_node_with_many_points_splits(self, monkeypatch):
+        """A 14-bit root with 6 bits defined over 8 free ones and one
+        cutting equation has about 128 reduced points at n0 8: it
+        splits, and its children give the oracle's points."""
+        s = wide_system(random.Random(3120), 8, 6)
+        oracle = oracle_system_solutions(s)
+        leaves = record_leaves(monkeypatch)
+        for mode in (DECIDE, ENUMERATE):
+            del leaves[:]
+            out = bool_solve(s, cfg(n0=8, split_depth=2, mode=mode))
+            got = expanded_solution_set(out, s.root_vars)
+            if mode == ENUMERATE:
+                assert got == oracle
+            else:
+                assert len(out.solutions) == 1 and got <= oracle
+            kinds = leaf_kinds(leaves, 8)
+            root = leaves[0]
+            assert root["size"] == 14 and root["table"] is None, root
+            assert root["passes"][0][2] > anf.SCATTER, root
+            assert kinds.get("split", 0) >= 1, kinds
+
+    def test_many_points_over_24_bits_stay_small(self, monkeypatch):
+        """16 free bits, 8 defined by quadratics and one cutting
+        equation: the 24-bit root's reduced table holds about 2^15
+        points, so it splits instead of building 2^24-point tables (2 MB
+        per monomial), and decide mode at the default config stays
+        within a few MB."""
+        s = wide_system(random.Random(3121), 16, 8)
+        leaves = record_leaves(monkeypatch)
+        tracemalloc.start()
+        try:
+            out = bool_solve(s, SolverConfig(mode=DECIDE))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.status == SAT and len(out.solutions) == 1
+        for point in expanded_solution_set(out, s.root_vars):
+            assert holds(s, dict(point))
+        root = leaves[0]
+        assert root["size"] == 24 and root["passes"] == [(16, True, root["passes"][0][2])]
+        assert root["passes"][0][2] > 1 << 14 and root["table"] is None, root["passes"]
+        assert peak < 4 << 20, peak
+
+
+def wide_system(rng, free: int, defined: int):
+    """``free`` bits f_i and ``defined`` bits d_i: each d_i is set by 4
+    random products of free bits, and one equation of 10 such products
+    cuts the points about in half."""
+    fs = [f"f{i}" for i in range(free)]
+
+    def products(k):
+        return " ^ ".join(f"{a} & {b}" for a, b in (rng.sample(fs, 2) for _ in range(k)))
+
+    lines = ["vars: " + ", ".join(fs + [f"d{i}" for i in range(defined)])]
+    lines += [f"d{i} ^ {products(4)} = 0" for i in range(defined)]
+    lines.append(products(10) + " = 1")
+    system, _ = parse_system("\n".join(lines) + "\n")
+    return system
