@@ -31,7 +31,11 @@ one solution that fixes every defined bit.  A leaf with at most
 :data:`SCATTER` such points places them into its full table; only a
 leaf with more, or with no defined bit, tabulates over all its bits.
 The search makes a node a leaf by its undefined bits, so the first
-table is the one that guess-and-determine solvers enumerate.
+table is the one that guess-and-determine solvers enumerate, and each
+defined bit halves it.  The definitions are picked on bitsets: a
+least-damage walk takes at each step the polynomial that mentions the
+fewest of the bits still definable, and the greedy walk fewest
+monomials first stands in where it defines more.
 
 An affine equation (every monomial of degree <= 1) is a row: its
 variable bits plus a constant bit above all of them.  Gauss-Jordan
@@ -329,51 +333,86 @@ class Index:
         pick order, and the other polynomials, fewest monomials first;
         or None once fewer than ``need`` bits can be defined.
 
-        The polynomials are walked fewest monomials first (a stable
-        sort, so equal sizes keep their order).  One defines bit p when
-        p occurs in it only as the monomial {p} and no polynomial picked
-        before it mentions p; then every bit it mentions is used.  So a
-        g mentions only the undefined bits and the bits defined before
-        it.  The walk stops once no unused bit is left.  Each later
-        definition takes an unused bit's monomial {p} and a polynomial
-        not yet walked, so the walk gives up as soon as the definitions
-        so far plus the fewer of those two counts fall short of
-        ``need``.  On a node that cannot be a leaf it mostly ends at its
-        first polynomial or two.
+        A polynomial's candidates are the bits p that occur in it only
+        as the monomial {p}; defining one uses every bit the polynomial
+        mentions, so a g mentions only the undefined bits and the bits
+        defined before it.  ``reach`` is the union of the candidates
+        that no picked polynomial mentions.  The greedy walk takes the
+        polynomials fewest monomials first (a stable sort), each that
+        still has a candidate; the least-damage walk
+        (:func:`_least_damage`) takes at each step one that mentions the
+        fewest bits of ``reach``.  Each defines its lowest candidate
+        left, and the greedy pick stands unless the other defines more.
+        Which bits are defined changes the reduced table, not the
+        node's points.
+
+        A pick defines at most one bit per polynomial with a candidate
+        and one per bit of ``reach``, and after its first polynomial at
+        most one per bit of ``reach`` that this polynomial does not
+        mention (:func:`_opening`).  The pick gives up as soon as one of
+        these bounds falls short of ``need``, and the least-damage walk
+        checks them again at each step, so a pick that does not give up
+        is the full walk's.
         """
+        if not eqs:
+            return ([], []) if need <= 0 else None
         spare = len(eqs) - need  # polynomials that may define nothing
-        unused = reduce(or_, eqs, 0) & self.linear  # the {p} of the unused bits
-        if spare < 0 or unused.bit_count() < need:
+        linear = reduce(or_, eqs, 0) & self.linear
+        if spare < 0 or linear.bit_count() < need:
             return None
-        eqs = sorted(eqs, key=int.bit_count)
         monomials, has = self.monomials, self.has
-        defs, others = [], []
+        live = []  # (polynomial, position, candidates) of each one with a candidate
+        reach = 0
         for i, e in enumerate(eqs):
-            if not unused:
-                others += eqs[i:]
-                break
-            lin = e & unused
+            lin = e & linear
+            cands = 0
             while lin:
                 bit = lin & -lin
                 lin ^= bit
                 p = monomials[bit.bit_length() - 1]
                 if e & has[p] == bit:
-                    defs.append((p, e ^ bit))
-                    rest = unused
-                    while rest:
-                        bit = rest & -rest
-                        rest ^= bit
-                        if e & has[monomials[bit.bit_length() - 1]]:
-                            unused ^= bit
-                    if len(defs) + unused.bit_count() < need:
-                        return None
-                    break
+                    cands |= p
+            if cands:
+                live.append((e, i, cands))
+                reach |= cands
             else:
-                others.append(e)
                 spare -= 1
                 if spare < 0:
                     return None
-        return defs, others
+        left = reach.bit_count()
+        most = min(len(live), left)
+        if most < need:
+            return None
+        reached = []  # (q, has[q]) of each bit q of reach
+        rest = reach
+        while rest:
+            q = rest & -rest
+            rest ^= q
+            reached.append((q, has[q]))
+        if need > 1 and not _opening(live, reached, 1 + left - need):
+            return None
+        blocks = []  # (monomials, position, candidates, bits of reach mentioned)
+        for e, i, c in live:
+            v = 0
+            for q, h in reached:
+                if e & h:
+                    v |= q
+            blocks.append((e.bit_count(), i, c, v))
+        blocks.sort()
+        picks, unused = [], reach
+        for _, i, c, v in blocks:
+            c &= unused
+            if c:
+                picks.append((c & -c, i))
+                unused &= ~v
+        if len(picks) < most:
+            picks = _least_damage(blocks, reach, max(need, len(picks) + 1)) or picks
+            if len(picks) < need:
+                return None
+        at = self.at
+        picked = {i for _, i in picks}
+        return ([(p, eqs[i] ^ 1 << at[p]) for p, i in picks],
+                sorted([e for i, e in enumerate(eqs) if i not in picked], key=int.bit_count))
 
     def _tabulate(self, order: Sequence[int], defs: Sequence[tuple], eqs: Sequence[int],
                   patterns: dict) -> tuple:
@@ -416,6 +455,56 @@ class Index:
             if not mask:
                 break
         return mask, pattern
+
+
+def _opening(live: list, reached: list, slack: int) -> bool:
+    """Whether a polynomial of ``live``, a (polynomial, position,
+    candidates) triple, mentions at most ``slack`` of the bits of
+    ``reached``, its (q, has[q]) pairs.  A first pick blocks what it
+    mentions, so only such a polynomial can open a pick of
+    ``len(reached) + 1 - slack`` definitions or more.  Each count stops
+    once it passes ``slack``."""
+    for e, _, c in live:
+        damage = c.bit_count()
+        if damage <= slack:
+            for q, h in reached:
+                if e & h and not q & c:
+                    damage += 1
+                    if damage > slack:
+                        break
+            else:
+                return True
+    return False
+
+
+def _least_damage(blocks: list, reach: int, need: int) -> Optional[list]:
+    """The (p, position) picks of the least-damage walk of
+    :meth:`Index._definitions`, or None once fewer than ``need`` can be
+    made.
+
+    ``blocks`` holds a (monomials, position, candidates, bits of
+    ``reach`` mentioned) tuple for each polynomial with a candidate.
+    Each step picks the polynomial that mentions the fewest bits of
+    ``reach``, ties going to its lowest candidate and then to the
+    earlier position, and takes the bits it mentions out of ``reach``.
+    """
+    picks = []
+    while blocks:
+        left = reach.bit_count()
+        if len(picks) + min(len(blocks), left) < need:
+            return None
+        best = None
+        for _, i, c, v in blocks:
+            key = ((v & reach).bit_count(), c & -c, i)
+            if best is None or key < best:
+                best, used = key, v
+        damage, p, i = best
+        if len(picks) + 1 + left - damage < need:
+            return None
+        picks.append((p, i))
+        reach &= ~used
+        blocks = [(n, j, k, v) for n, j, c, v in blocks if (k := c & reach)]
+    return picks
 
 
 #: Most points of a reduced table that :meth:`Index.zero_table` places

@@ -74,6 +74,41 @@ def reference_defined_count(eqs) -> int:
     return count
 
 
+def most_defined_count(eqs) -> int:
+    """The most bits that any pick defines, by exhaustive search on sets
+    of monomials: distinct polynomials in some order, each defining a
+    bit p that occurs in it only as {p} and that no polynomial before it
+    mentions."""
+    def pivots(e):
+        return [m for m in e if m and not m & (m - 1) and not any(x & m for x in e if x != m)]
+
+    def most(rest, used):
+        out = 0
+        for k, e in enumerate(rest):
+            if any(not p & used for p in pivots(e)):
+                mentioned = 0
+                for m in e:
+                    mentioned |= m
+                out = max(out, 1 + most(rest[:k] + rest[k + 1:], used | mentioned))
+        return out
+
+    return most(tuple(eqs), 0)
+
+
+def check_definitions(index, masks, defs, others):
+    """A pick is valid: no g mentions its own p (so p occurs in its
+    polynomial g ^ {p} only as {p}) or a bit defined after it, and the
+    picked polynomials and ``others`` are ``masks``, the others fewest
+    monomials first."""
+    later = sum(p for p, _ in defs)
+    for p, g in defs:
+        later ^= p
+        assert not index.occurring((g,)) & (p | later), (p, g)
+    picked = [g ^ index.mask((p,)) for p, g in defs]
+    assert sorted(picked + others) == sorted(masks)
+    assert [e.bit_count() for e in others] == sorted(e.bit_count() for e in others)
+
+
 def convert(f, ids, index=None):
     """The ANF of an expression, read back from its index mask."""
     if index is None:
@@ -382,14 +417,30 @@ def defining_leaf(rng, n: int) -> tuple:
     return order, eqs
 
 
+def quadratic(rng, order) -> frozenset:
+    """A random quadratic polynomial over the bits of ``order``: each
+    bit's monomial {p} with probability 1/2, one to three products of
+    two bits, and the constant 1 with probability 1/2."""
+    poly = {b for b in order if rng.random() < 0.5}
+    for _ in range(rng.randint(1, 3)):
+        poly ^= {sum(rng.sample(order, 2))}
+    if rng.random() < 0.5:
+        poly ^= {0}
+    return frozenset(poly)
+
+
 class TestDefinedBits:
     """zero_table's reduced pass over the bits that no equation defines."""
 
     def test_zero_table_agrees_with_the_tables(self):
         """A seeded sweep against :func:`anf_table` on leaves of 0 to 10
-        bits with chains of defining polynomials, SAT and UNSAT."""
+        bits with chains of defining polynomials, SAT and UNSAT.  Every
+        pick is valid (:func:`check_definitions`) and defines no fewer
+        bits than the greedy rule of :func:`reference_defined_count`,
+        on many leaves more, and on at most 6 polynomials no more than
+        an exhaustive search (:func:`most_defined_count`)."""
         rng = random.Random(2901)
-        seen = {"defined": 0, "chain": 0, "sat": 0, "unsat": 0}
+        seen = {"defined": 0, "chain": 0, "sat": 0, "unsat": 0, "more": 0}
         for n in range(11):
             index = anf.Index()
             patterns: dict = {}
@@ -398,8 +449,13 @@ class TestDefinedBits:
                 masks = [index.mask(e) for e in eqs]
                 want = leaf_table(eqs, order)
                 assert index.zero_table(masks, order, patterns) == want, (order, eqs)
-                defs, _ = index._definitions(sorted(masks, key=int.bit_count))
-                assert len(defs) == reference_defined_count(eqs)
+                defs, others = index._definitions(sorted(masks, key=int.bit_count))
+                check_definitions(index, masks, defs, others)
+                greedy = reference_defined_count(eqs)
+                assert len(defs) >= greedy, eqs
+                seen["more"] += len(defs) > greedy
+                if len(eqs) <= 6:
+                    assert len(defs) <= most_defined_count(eqs), eqs
                 if defs:
                     seen["defined"] += 1
                     seen["sat" if want else "unsat"] += 1
@@ -442,14 +498,65 @@ class TestDefinedBits:
                     seen["chain"] += 1
         assert min(seen.values()) >= 10, seen
 
+    def test_the_walk_that_defines_more_is_taken(self):
+        """From x1 ^ x10 and 1 ^ x1 the least-damage walk defines x1 by
+        the second, which blocks no other candidate, and then x10 by the
+        first; fewest monomials first, x1 ^ x10 would define x1 alone.
+        From b ^ c, a ^ b c and a ^ d (a to d the bits 1 to 8) the
+        greedy walk defines b, a and d, where the least-damage one would
+        take a ^ d first (damage 2, candidate a) and strand a ^ b c."""
+        index = anf.Index()
+        x1, x10 = 1 << 1, 1 << 10
+        masks = [index.mask(e) for e in ({x1, x10}, {0, x1})]
+        assert index._definitions(masks) == (
+            [(x1, index.mask({0})), (x10, index.mask({x1}))], [])
+        a, b, c, d = 1, 2, 4, 8
+        masks = [index.mask(e) for e in ({b, c}, {a, b | c}, {a, d})]
+        assert index._definitions(masks) == (
+            [(b, index.mask({c})), (a, index.mask({b | c})), (d, index.mask({a}))], [])
+        assert index._definitions(masks, 3) == index._definitions(masks)
+        assert index._definitions(masks, 4) is None
+
+    def test_giving_up_early_never_changes_the_pick(self):
+        """For every need from 0 to the width, the pick is None exactly
+        when the full walk defines fewer bits, and else the full walk's
+        pick, on seeded quadratic nodes of the gf2k-curve shape (4
+        polynomials over 5 to 7 bits) and on defining leaves; a repeated
+        call picks the same."""
+        rng = random.Random(3201)
+        seen = {"none": 0, "picked": 0}
+        for k in range(240):
+            index = anf.Index()
+            if k % 2:
+                order, eqs = defining_leaf(rng, rng.randint(5, 9))
+            else:
+                order = [1 << b for b in range(rng.randint(5, 7))]
+                eqs = [quadratic(rng, order) for _ in range(4)]
+            masks = [index.mask(e) for e in eqs]
+            full = index._definitions(masks)
+            assert index._definitions(masks) == full
+            defined = len(full[0])
+            for need in range(len(order) + 1):
+                got = index._definitions(masks, need)
+                if defined < need:
+                    assert got is None, (eqs, need)
+                else:
+                    assert got == full, (eqs, need)
+                if 0 < need <= len(eqs):
+                    seen["none" if got is None else "picked"] += 1
+        assert min(seen.values()) >= 100, seen
+
     def test_full_pass_runs_once_per_leaf_with_a_point(self, monkeypatch):
         """On planted quadratic systems, no full pass runs above n0, a
         leaf whose reduced table holds at most anf.SCATTER points never
-        runs it, and a leaf with more points runs it once."""
+        runs it, and a leaf with more points runs it once.  The fourth
+        system (13 bits, n0 5) holds the empty leaves: on the first
+        three the pick defines enough bits to make their nodes wide
+        leaves instead."""
         rng = random.Random(2902)
         leaves = record_leaves(monkeypatch)
         kinds: dict = {}
-        for n, neq, n0 in [(12, 10, 6), (12, 10, 3), (14, 3, 10)]:
+        for n, neq, n0 in [(12, 10, 6), (12, 10, 3), (14, 3, 10), (13, 8, 5)]:
             planted = [rng.getrandbits(1) for _ in range(n)]
             system = planted_system(rng, n, neq, planted)
             del leaves[:]
@@ -1004,6 +1111,31 @@ class TestWideLeaves:
                 for kind, count in leaf_kinds(leaves, n0).items():
                     kinds[kind] = kinds.get(kind, 0) + count
         assert kinds.get("wide", 0) >= 1, kinds
+
+    def test_a_root_that_the_pick_makes_one_leaf(self, monkeypatch):
+        """a ^ b e = 0, d ^ b e = 1, c ^ a d = 0, a ^ d e = 0: the
+        least-damage walk defines a, d and c (the first two polynomials
+        mention one candidate each), so at n0 2 the 5-bit root is one
+        wide leaf with b and e undefined; fewest monomials first, a ^ b e
+        and c ^ a d would define a and c and block d.  Its 2 points, a =
+        c = e = 0 and d = 1 with b both ways, are those that splits give
+        at n0 1."""
+        s, _ = parse_system("a ^ b & e = 0\nd ^ b & e = 1\nc ^ a & d = 0\na ^ d & e = 0\n")
+        visits = []
+        visit = _AnfSearch.visit
+
+        def counting(self, node):
+            visits.append(node)
+            return visit(self, node)
+
+        monkeypatch.setattr(_AnfSearch, "visit", counting)
+        oracle = oracle_system_solutions(s)
+        assert len(oracle) == 2
+        for n0 in (2, 1):
+            del visits[:]
+            out = bool_solve(s, cfg(n0=n0, split_depth=3))
+            assert expanded_solution_set(out, s.root_vars) == oracle, n0
+            assert (len(visits) == 1) == (n0 == 2), (n0, len(visits))
 
     def test_a_wide_node_with_many_points_splits(self, monkeypatch):
         """A 14-bit root with 6 bits defined over 8 free ones and one
