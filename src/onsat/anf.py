@@ -28,8 +28,9 @@ back from the index.  A leaf equation ``x_p ^ g = 0`` in which p
 occurs only in the monomial {p} defines x_p as g, so a leaf's first
 table runs over the bits that no equation defines, each point being
 one solution that fixes every defined bit.  A leaf with at most
-:data:`SCATTER` such points places them into its full table; only a
-leaf with more, or with no defined bit, tabulates over all its bits.
+:data:`SCATTER` such points gives their indices in its full table, so
+that its cost follows its points, not its width; only a leaf with
+more, or with no defined bit, tabulates over all its bits.
 The search makes a node a leaf by its undefined bits, so the first
 table is the one that guess-and-determine solvers enumerate, and each
 defined bit halves it.  The definitions are picked on bitsets: a
@@ -48,7 +49,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import chain, repeat
 from operator import or_
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 from .boolalg import (
     AND, CONST, NOT, VAR, XOR, BoolFunc, _check_cap, _indices, _var_patterns,
@@ -291,8 +292,13 @@ class Index:
         return counts
 
     def zero_table(self, eqs: Sequence[int], order: Sequence[int], patterns: dict,
-                   pick: Optional[tuple] = None, full: bool = True) -> Optional[int]:
+                   pick: Optional[tuple] = None,
+                   full: bool = True) -> Union[int, tuple, None]:
         """Truth table of the points where every polynomial is 0.
+
+        The table is an int mask, or, for a leaf of at most
+        :data:`SCATTER` points, the sorted tuple of their indices (see
+        :func:`_scatter`); :func:`boolalg._cubes` takes either.
 
         ``order`` lists the variable bits, most significant point bit
         first, as in :func:`boolalg.truth_table`; the polynomials mention
@@ -307,13 +313,13 @@ class Index:
         of its g, and only the other polynomials cut.  Each point of
         that reduced table is one solution and fixes every defined bit
         through that bit's table, so an empty one means an empty leaf,
-        and one of at most :data:`SCATTER` points is placed into the
-        full table point by point.  Only a leaf with more points, or
-        with no defined bit, runs the full pass over ``order``; with
-        ``full`` false, such a leaf gives None instead.  A pass takes
-        the polynomials fewest monomials first: each one roughly halves
-        the live points, so the cheap ones do most of the cutting, and
-        it stops as soon as no point is left.
+        and one of at most :data:`SCATTER` points gives each point's
+        index in the full table, which is never built.  Only a leaf with
+        more points, or with no defined bit, runs the full pass over
+        ``order``; with ``full`` false, such a leaf gives None instead.
+        A pass takes the polynomials fewest monomials first: each one
+        roughly halves the live points, so the cheap ones do most of the
+        cutting, and it stops as soon as no point is left.
         """
         n = len(order)
         _check_cap(n)
@@ -507,31 +513,37 @@ def _least_damage(blocks: list, reach: int, need: int) -> Optional[list]:
     return picks
 
 
-#: Most points of a reduced table that :meth:`Index.zero_table` places
-#: one by one into the full table.  A leaf with more runs the full pass,
-#: and a node above n0 with more splits instead (``solver._AnfSearch``).
+#: Most points of a reduced table that :meth:`Index.zero_table` hands
+#: on as their indices in the full table.  A leaf with more runs the
+#: full pass, and a node above n0 with more splits instead
+#: (``solver._AnfSearch``).
 SCATTER = 64
 
 
-def _scatter(mask: int, free: Sequence[int], pattern: dict, order: Sequence[int]) -> int:
-    """The full table over ``order`` of the points of a reduced table.
+def _scatter(mask: int, free: Sequence[int], pattern: dict, order: Sequence[int]) -> tuple:
+    """The sorted indices over ``order`` of the points of a reduced table.
 
     ``mask`` is the reduced table over ``free``, and ``pattern`` maps
-    each bit of ``order``, free or defined, to its table over ``free``.
-    A point's index over ``order`` adds up the weights of the bits that
-    are 1 there.  The tables are read as bytes, and the full table is
-    set in a bytearray and converted once, since a shift or an OR on a
-    wide int copies all of it.
+    each defined bit of ``order`` to its table over ``free``.  A point's
+    index over ``order`` adds up the weights of the bits that are 1
+    there: a free bit is 1 where the reduced index has it, and a
+    defined bit where its table does.  The tables are read as bytes,
+    since a shift on a wide int copies all of it; nothing of the full
+    table's size is built.
     """
     if not mask:
-        return 0
-    n = len(order)
-    size = max(1, (1 << len(free)) >> 3)
-    tables = [(1 << (n - 1 - i), pattern[b].to_bytes(size, "little"))
-              for i, b in enumerate(order)]
-    out = bytearray(max(1, (1 << n) >> 3))
+        return ()
+    n, k = len(order), len(free)
+    size = max(1, (1 << k) >> 3)
+    weight = {b: 1 << (n - 1 - i) for i, b in enumerate(order)}
+    # each free bit's weight in the reduced index and in the full one;
+    # the bits left in ``weight`` are the defined ones
+    lifts = [(1 << (k - 1 - j), weight.pop(b)) for j, b in enumerate(free)]
+    tables = [(w, pattern[b].to_bytes(size, "little")) for b, w in weight.items()]
+    points = []
     for i in _indices(mask):
         byte, shift = i >> 3, i & 7
-        at = sum([w for w, table in tables if table[byte] >> shift & 1])
-        out[at >> 3] |= 1 << (at & 7)
-    return int.from_bytes(out, "little")
+        points.append(sum([w for r, w in lifts if i & r])
+                      + sum([w for w, table in tables if table[byte] >> shift & 1]))
+    points.sort()
+    return tuple(points)

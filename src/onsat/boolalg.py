@@ -19,6 +19,7 @@ are cached on the node, filled lazily on first use.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 #: Hard ceiling on exhaustive enumeration (number of point evaluations).
@@ -733,21 +734,27 @@ def _point(index: int, order: Sequence[int]) -> dict:
     return {v: index >> (n - 1 - i) & 1 for i, v in enumerate(order)}
 
 
-def _cubes(table: int, order: Sequence[int], fixed: dict) -> Iterator[dict]:
+def _cubes(table: Union[int, tuple], order: Sequence[int], fixed: dict) -> Iterator[dict]:
     """A truth table's points as disjoint cubes, by Shannon expansion.
 
-    The table is in the MSB-first format over ``order``, and each cube
-    comes out as a copy of ``fixed`` plus its literals, the variables
-    of ``order`` it leaves out being free.  The table is split on the
-    ON set {v', v} of each variable of ``order`` in turn: an empty
-    half-table gives no cube, a full one gives one cube, and a variable
-    whose two half-tables are equal is a don't-care of its sub-cube.
-    The cubes come lowest index first.  The stack holds at most
-    ``len(order) + 1`` entries, each a sub-table, the position of its
-    first variable, and the cube's length and literal where it starts;
-    the cube's literals are one list that the entries cut back to.
+    The table is in the MSB-first format over ``order``: an int mask,
+    or the sorted tuple of its point indices, the form of a leaf with
+    few points over many bits (:meth:`onsat.anf.Index.zero_table`).
+    Each cube comes out as a copy of ``fixed`` plus its literals, the
+    variables of ``order`` it leaves out being free.  The table is
+    split on the ON set {v', v} of each variable of ``order`` in turn:
+    an empty half-table gives no cube, a full one gives one cube, and a
+    variable whose two half-tables are equal is a don't-care of its
+    sub-cube.  The cubes come lowest index first.  The stack holds at
+    most ``len(order) + 1`` entries, each a sub-table, the position of
+    its first variable, and the cube's length and literal where it
+    starts; the cube's literals are one list that the entries cut back
+    to.  A tuple takes the same walk in :func:`_point_cubes`.
     """
     if not table:
+        return
+    if type(table) is tuple:
+        yield from _point_cubes(table, order, fixed)
         return
     n = len(order)
     lits: list = []  # (variable, value) of the current cube
@@ -760,6 +767,44 @@ def _cubes(table: int, order: Sequence[int], fixed: dict) -> Iterator[dict]:
             lo, hi = t & full, t >> width
             if lo == hi:
                 if lo == full:
+                    break
+                t = lo
+            elif not lo:
+                lits.append((order[i], 1))
+                t = hi
+            else:
+                if hi:
+                    stack.append((hi, i + 1, len(lits), (order[i], 1)))
+                lits.append((order[i], 0))
+                t = lo
+            i += 1
+        cube = dict(fixed)
+        cube.update(lits)
+        yield cube
+        if not stack:
+            return
+        t, i, k, lit = stack.pop()
+        del lits[k:]
+        lits.append(lit)
+
+
+def _point_cubes(points: tuple, order: Sequence[int], fixed: dict) -> Iterator[dict]:
+    """:func:`_cubes` of a nonempty table given as its sorted point
+    indices, in time linear in the points per level rather than in the
+    table's width: ``bisect`` splits a sub-table into its low half and
+    its high half shifted down, and a half of ``width`` points is full.
+    """
+    n = len(order)
+    lits: list = []
+    stack: list = []
+    t, i = points, 0
+    while True:
+        while i < n:
+            width = 1 << (n - 1 - i)
+            k = bisect_left(t, width)
+            lo, hi = t[:k], tuple([x - width for x in t[k:]])
+            if lo == hi:
+                if k == width:
                     break
                 t = lo
             elif not lo:

@@ -430,10 +430,12 @@ class _Lifter:
             for v1, v2, same_pol in system.bindings
         )
 
-    def leaf(self, order, table: int, known: int, ones: int, bindings) -> Iterator[dict]:
+    def leaf(self, order, table, known: int, ones: int, bindings) -> Iterator[dict]:
         """Lift each Shannon cube of a leaf table (:func:`boolalg._cubes`).
 
-        ``order`` lists the bits, most significant point bit first.  A
+        ``order`` lists the bits, most significant point bit first, and
+        ``table`` is an int mask or the sorted tuple of the indices of a
+        few-point leaf (:meth:`anf.Index.zero_table`).  A
         cube's bits are known, its 1 bits ones; a bit it leaves free
         stays free unless a binding mentions it, and then ``lift``
         splits it, so the lifted cubes stay disjoint.

@@ -55,6 +55,16 @@ def leaf_table(eqs, order) -> int:
     return mask
 
 
+def table_points(table) -> tuple:
+    """The points of a :meth:`anf.Index.zero_table` result in either
+    form, as an int mask, and how many they are.  A scattered leaf's
+    tuple must hold its indices sorted and distinct."""
+    if type(table) is tuple:
+        assert list(table) == sorted(set(table)), table
+        return sum(1 << i for i in table), len(table)
+    return table, table.bit_count()
+
+
 def reference_defined_count(eqs) -> int:
     """How many bits the greedy rule defines, on sets of monomials.
 
@@ -139,7 +149,7 @@ class TestConversion:
             assert anf_table(e, bits) == want
             full = (1 << (1 << len(ids))) - 1
             index = anf.Index()
-            assert index.zero_table([index.mask(e)], bits, {}) == full ^ want
+            assert table_points(index.zero_table([index.mask(e)], bits, {}))[0] == full ^ want
 
     def test_one_memo_for_shared_expressions(self):
         rng = random.Random(607)
@@ -354,7 +364,7 @@ class TestPolynomialOps:
                    for _ in range(rng.randint(1, 3))]
             expected = leaf_table(eqs, order)
             got = index.zero_table([index.mask(e) for e in eqs], order, patterns)
-            assert got == expected, (order, eqs)
+            assert table_points(got)[0] == expected, (order, eqs)
             # the reduced pass over the n - k undefined bits, and the
             # full pass only for a leaf with no defined bit: at most 6
             # bits, no reduced table holds more than anf.SCATTER points
@@ -377,7 +387,7 @@ class TestPolynomialOps:
                 expected &= full ^ anf_table(e, order)
             for perm in itertools.permutations(eqs):
                 got = index.zero_table([index.mask(e) for e in perm], order, {})
-                assert got == expected, (n, perm)
+                assert table_points(got)[0] == expected, (n, perm)
 
 
 def defining_leaf(rng, n: int) -> tuple:
@@ -448,7 +458,8 @@ class TestDefinedBits:
                 order, eqs = defining_leaf(rng, n)
                 masks = [index.mask(e) for e in eqs]
                 want = leaf_table(eqs, order)
-                assert index.zero_table(masks, order, patterns) == want, (order, eqs)
+                got = index.zero_table(masks, order, patterns)
+                assert table_points(got)[0] == want, (order, eqs)
                 defs, others = index._definitions(sorted(masks, key=int.bit_count))
                 check_definitions(index, masks, defs, others)
                 greedy = reference_defined_count(eqs)
@@ -471,7 +482,8 @@ class TestDefinedBits:
         """A seeded sweep on leaves of 0 to 12 bits with chains of
         definitions: the reduced table's points, scattered into the full
         table, give :func:`leaf_table` bit for bit, whether the reduced
-        table holds no point, one, 2 to anf.SCATTER or more."""
+        table holds no point, one, 2 to anf.SCATTER or more.  Its sorted
+        indices (:func:`table_points`) are exactly the table's points."""
         rng = random.Random(3101)
         seen = {"none": 0, "one": 0, "few": 0, "many": 0, "chain": 0}
         for n in range(13):
@@ -487,10 +499,13 @@ class TestDefinedBits:
                 defined = sum(p for p, _ in defs)
                 free = [b for b in order if not b & defined]
                 mask, pattern = index._tabulate(free, defs, others, patterns)
-                assert anf._scatter(mask, free, pattern, order) == want, (order, eqs)
-                assert index.zero_table(masks, order, patterns) == want, (order, eqs)
+                scattered = anf._scatter(mask, free, pattern, order)
+                assert type(scattered) is tuple
+                assert table_points(scattered)[0] == want, (order, eqs)
+                got = index.zero_table(masks, order, patterns)
+                assert table_points(got)[0] == want, (order, eqs)
                 points = mask.bit_count()
-                assert points == want.bit_count()
+                assert points == want.bit_count() == len(scattered)
                 seen["none" if not points else "one" if points == 1
                      else "few" if points <= anf.SCATTER else "many"] += 1
                 if any(index.occurring((g,)) & sum(p for p, _ in defs[:i])
@@ -600,7 +615,8 @@ def leaf_kinds(leaves: list, n0: int) -> dict:
     ``split``s.  A leaf at or below n0 runs the full pass alone when
     no bit is defined (``plain``), the reduced pass alone when it has
     no point (``empty``) or at most anf.SCATTER (``scattered``), and
-    the full pass once after it when it has more (``full``).
+    the full pass once after it when it has more (``full``).  Only a
+    wide, scattered or empty leaf gives its points as a tuple.
     """
     kinds: dict = {}
     for leaf in leaves:
@@ -611,14 +627,19 @@ def leaf_kinds(leaves: list, n0: int) -> dict:
             assert first[1] and first[0] <= n0 and passes == [first]
             kind = "wide" if first[2] <= anf.SCATTER else "split"
             assert (table is None) == (kind == "split")
+            if table is not None:
+                assert table_points(table)[1] == first[2] and type(table) is tuple
         elif not first[1]:
-            assert passes == [(size, False, table.bit_count())]
+            assert type(table) is int
+            assert passes == [(size, False, table_points(table)[1])]
             kind = "plain"
         elif first[2] > anf.SCATTER:
             assert passes == [first, (size, False, first[2])]
+            assert type(table) is int and table.bit_count() == first[2]
             kind = "full"
         else:
-            assert passes == [first] and table.bit_count() == first[2]
+            assert type(table) is tuple
+            assert passes == [first] and table_points(table)[1] == first[2]
             kind = "scattered" if first[2] else "empty"
         kinds[kind] = kinds.get(kind, 0) + 1
     return kinds
@@ -1179,6 +1200,43 @@ class TestWideLeaves:
         assert root["size"] == 24 and root["passes"] == [(16, True, root["passes"][0][2])]
         assert root["passes"][0][2] > 1 << 14 and root["table"] is None, root["passes"]
         assert peak < 4 << 20, peak
+
+    def test_a_few_point_leaf_over_24_bits_builds_no_full_table(self, monkeypatch):
+        """d_i ^ a_(i mod 4) a_(i+1 mod 4) ^ a_(i+2 mod 4) = 0 for i < 20
+        and a0 a1 = 0: the 24-bit root is one wide leaf over a0..a3 with
+        12 points.  Its table is their 12 indices, so both modes stay
+        far below the 2 MB of one 2^24-point table."""
+        a = [f"a{j}" for j in range(4)]
+        lines = [f"d{i} ^ {a[i % 4]} & {a[(i + 1) % 4]} ^ {a[(i + 2) % 4]} = 0"
+                 for i in range(20)]
+        s, table = parse_system("\n".join(lines + ["a0 & a1 = 0"]) + "\n")
+        want = set()
+        for x in itertools.product((0, 1), repeat=4):
+            if not x[0] & x[1]:
+                d = [x[i % 4] & x[(i + 1) % 4] ^ x[(i + 2) % 4] for i in range(20)]
+                total = {table.id_of(f"a{j}"): x[j] for j in range(4)}
+                total.update({table.id_of(f"d{i}"): d[i] for i in range(20)})
+                want.add(tuple(sorted(total.items())))
+        assert len(want) == 12
+        leaves = record_leaves(monkeypatch)
+        for mode in (DECIDE, ENUMERATE):
+            del leaves[:]
+            tracemalloc.start()
+            try:
+                out = bool_solve(s, SolverConfig(mode=mode))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            got = expanded_solution_set(out, s.root_vars)
+            if mode == ENUMERATE:
+                assert got == want
+            else:
+                assert len(out.solutions) == 1 and got <= want
+            assert peak < 256 << 10, (mode, peak)
+            # one wide leaf: 4 bits undefined, 12 reduced points
+            assert [(leaf["size"], leaf["passes"]) for leaf in leaves] == [
+                (24, [(4, True, 12)])]
+            assert type(leaves[0]["table"]) is tuple
 
 
 def wide_system(rng, free: int, defined: int):

@@ -246,6 +246,8 @@ class TestCubes:
         full = (1 << (1 << n)) - 1
         literals, bits = self.tables(n)
         cubes = list(boolalg._cubes(table, order, self.FIXED))
+        # the sorted point indices split the same way
+        assert list(boolalg._cubes(tuple(boolalg._indices(table)), order, self.FIXED)) == cubes
         covered = lowest = 0
         for cube in cubes:
             points = full
@@ -281,12 +283,57 @@ class TestCubes:
 
     def test_merges_a_full_table_and_equal_halves(self):
         order = [4, 7, 2]
+        for table, points in [(0xFF, tuple(range(8))), (0b10101010, (1, 3, 5, 7)),
+                              (0b11001111, (0, 1, 2, 3, 6, 7))]:
+            assert list(boolalg._cubes(points, order, {})) == list(
+                boolalg._cubes(table, order, {}))
         assert list(boolalg._cubes(0xFF, order, {1: 0})) == [{1: 0}]
         # the odd indices, 2 = 1: the halves on 4 and on 7 are equal
         assert list(boolalg._cubes(0b10101010, order, {})) == [{2: 1}]
         # 4 = 0 with 7 and 2 free, then 4 = 1, 7 = 1 with 2 free
         assert list(boolalg._cubes(0b11001111, order, {})) == [
             {4: 0}, {4: 1, 7: 1}]
+        assert list(boolalg._cubes((), order, {1: 0})) == []
+
+    @pytest.mark.parametrize("n", range(20, 25))
+    def test_sparse_point_tuples_up_to_24_variables(self, n):
+        """Seeded sets of at most 64 points over 20 to 24 variables, as
+        the sorted indices that a scattered ANF leaf hands in: the same
+        cubes as the mask and as conftest's expansion, with no point,
+        one, 64, a full trailing sub-cube and equal halves among them."""
+        rng = random.Random(3300 + n)
+        order = rng.sample([v for v in range(40) if v not in self.FIXED], n)
+        base = rng.randrange(1 << (n - 6)) << 6
+        twin = 1 << rng.randrange(n)  # each point both ways on that bit
+        pairs = rng.sample(range(1 << n), 8)
+        sets = [
+            [], [rng.randrange(1 << n)], rng.sample(range(1 << n), 64),
+            list(range(base, base + 64)),
+            [p | twin for p in pairs] + [p & ~twin for p in pairs],
+        ]
+        for _ in range(4):  # unions of a few sub-cubes of 1 to 8 points
+            points = set()
+            for _ in range(rng.randint(1, 8)):
+                free = rng.sample(range(n), rng.randint(0, 3))
+                at = rng.randrange(1 << n)
+                for k in range(1 << len(free)):
+                    points.add(at ^ sum(1 << f for j, f in enumerate(free) if k >> j & 1))
+            sets.append(points)
+        for points in sets:
+            points = tuple(sorted(set(points)))
+            cubes = list(boolalg._cubes(points, order, self.FIXED))
+            mask = sum(1 << i for i in points)
+            assert cubes == list(boolalg._cubes(mask, order, self.FIXED))
+            bits = frozenset(tuple(i >> (n - 1 - k) & 1 for k in range(n)) for i in points)
+            assert cubes == [{**self.FIXED, **{order[i]: b for i, b in cube}}
+                             for cube in shannon_cubes(bits, n)]
+        # the 64-point block is one cube: the full half ends it 6 bits
+        # early; and the bit that every point has both ways is free
+        assert list(boolalg._cubes(tuple(range(base, base + 64)), order, {})) == [
+            boolalg._point(base >> 6, order[:n - 6])]
+        twins = tuple(sorted({p | twin for p in pairs} | {p & ~twin for p in pairs}))
+        twin_var = order[n - twin.bit_length()]
+        assert all(twin_var not in cube for cube in boolalg._cubes(twins, order, {}))
 
     def test_parity_cubes_come_one_at_a_time(self):
         # the 16-variable parity table is 2^15 one-point cubes, and the
