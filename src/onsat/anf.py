@@ -337,7 +337,7 @@ class Index:
     def _definitions(self, eqs: Sequence[int], need: int = 0) -> Optional[tuple]:
         """The (p, g) pairs of the polynomials that define a bit, in
         pick order, and the other polynomials, fewest monomials first;
-        or None once fewer than ``need`` bits can be defined.
+        or None when fewer than ``need`` bits are defined.
 
         A polynomial's candidates are the bits p that occur in it only
         as the monomial {p}; defining one uses every bit the polynomial
@@ -353,20 +353,11 @@ class Index:
         node's points.
 
         A pick defines at most one bit per polynomial with a candidate
-        and one per bit of ``reach``, and after its first polynomial at
-        most one per bit of ``reach`` that this polynomial does not
-        mention (:func:`_opening`).  The pick gives up as soon as one of
-        these bounds falls short of ``need``, and the least-damage walk
-        checks them again at each step, so a pick that does not give up
-        is the full walk's.
+        and one per bit of ``reach``, so the pick gives up before either
+        walk when that count falls short of ``need``, and the
+        least-damage walk runs only when the greedy one falls short of it.
         """
-        if not eqs:
-            return ([], []) if need <= 0 else None
-        spare = len(eqs) - need  # polynomials that may define nothing
-        linear = reduce(or_, eqs, 0) & self.linear
-        if spare < 0 or linear.bit_count() < need:
-            return None
-        monomials, has = self.monomials, self.has
+        monomials, has, linear = self.monomials, self.has, self.linear
         live = []  # (polynomial, position, candidates) of each one with a candidate
         reach = 0
         for i, e in enumerate(eqs):
@@ -381,12 +372,7 @@ class Index:
             if cands:
                 live.append((e, i, cands))
                 reach |= cands
-            else:
-                spare -= 1
-                if spare < 0:
-                    return None
-        left = reach.bit_count()
-        most = min(len(live), left)
+        most = min(len(live), reach.bit_count())
         if most < need:
             return None
         reached = []  # (q, has[q]) of each bit q of reach
@@ -395,8 +381,6 @@ class Index:
             q = rest & -rest
             rest ^= q
             reached.append((q, has[q]))
-        if need > 1 and not _opening(live, reached, 1 + left - need):
-            return None
         blocks = []  # (monomials, position, candidates, bits of reach mentioned)
         for e, i, c in live:
             v = 0
@@ -412,7 +396,7 @@ class Index:
                 picks.append((c & -c, i))
                 unused &= ~v
         if len(picks) < most:
-            picks = _least_damage(blocks, reach, max(need, len(picks) + 1)) or picks
+            picks = max(picks, _least_damage(blocks, reach), key=len)  # greedy on a tie
             if len(picks) < need:
                 return None
         at = self.at
@@ -463,30 +447,9 @@ class Index:
         return mask, pattern
 
 
-def _opening(live: list, reached: list, slack: int) -> bool:
-    """Whether a polynomial of ``live``, a (polynomial, position,
-    candidates) triple, mentions at most ``slack`` of the bits of
-    ``reached``, its (q, has[q]) pairs.  A first pick blocks what it
-    mentions, so only such a polynomial can open a pick of
-    ``len(reached) + 1 - slack`` definitions or more.  Each count stops
-    once it passes ``slack``."""
-    for e, _, c in live:
-        damage = c.bit_count()
-        if damage <= slack:
-            for q, h in reached:
-                if e & h and not q & c:
-                    damage += 1
-                    if damage > slack:
-                        break
-            else:
-                return True
-    return False
-
-
-def _least_damage(blocks: list, reach: int, need: int) -> Optional[list]:
+def _least_damage(blocks: list, reach: int) -> list:
     """The (p, position) picks of the least-damage walk of
-    :meth:`Index._definitions`, or None once fewer than ``need`` can be
-    made.
+    :meth:`Index._definitions`.
 
     ``blocks`` holds a (monomials, position, candidates, bits of
     ``reach`` mentioned) tuple for each polynomial with a candidate.
@@ -496,17 +459,12 @@ def _least_damage(blocks: list, reach: int, need: int) -> Optional[list]:
     """
     picks = []
     while blocks:
-        left = reach.bit_count()
-        if len(picks) + min(len(blocks), left) < need:
-            return None
         best = None
         for _, i, c, v in blocks:
             key = ((v & reach).bit_count(), c & -c, i)
             if best is None or key < best:
                 best, used = key, v
-        damage, p, i = best
-        if len(picks) + 1 + left - damage < need:
-            return None
+        _, p, i = best
         picks.append((p, i))
         reach &= ~used
         blocks = [(n, j, k, v) for n, j, c, v in blocks if (k := c & reach)]

@@ -65,23 +65,75 @@ def table_points(table) -> tuple:
     return table, table.bit_count()
 
 
-def reference_defined_count(eqs) -> int:
-    """How many bits the greedy rule defines, on sets of monomials.
+def candidate_bits(e) -> list:
+    """The bits p that occur in a polynomial, a set of monomials, only
+    as the monomial {p}."""
+    return [m for m in e if m and not m & (m - 1) and not any(x & m for x in e if x != m)]
 
-    Fewest monomials first, a polynomial defines a bit p when {p} is one
-    of its monomials, no other monomial of it holds p, and no polynomial
-    picked before it mentions p; then every bit it mentions is used.
+
+def mentioned_bits(e) -> int:
+    """The union of a polynomial's monomials."""
+    out = 0
+    for m in e:
+        out |= m
+    return out
+
+
+def reference_greedy_pick(eqs) -> list:
+    """The bits the greedy rule defines, in pick order, on sets of monomials.
+
+    Fewest monomials first (a stable sort), a polynomial defines its
+    lowest bit p that occurs in it only as {p} and that no polynomial
+    picked before it mentions; then every bit it mentions is used.
     """
-    used = count = 0
+    used, bits = 0, []
     for e in sorted(eqs, key=len):
-        mentioned = 0
-        for m in e:
-            mentioned |= m
-        if any(m and not m & (m - 1) and not m & used
-               and not any(x & m for x in e if x != m) for m in e):
-            count += 1
-            used |= mentioned
-    return count
+        free = [p for p in candidate_bits(e) if not p & used]
+        if free:
+            bits.append(min(free))
+            used |= mentioned_bits(e)
+    return bits
+
+
+def reference_defined_count(eqs) -> int:
+    """How many bits the greedy rule (:func:`reference_greedy_pick`) defines."""
+    return len(reference_greedy_pick(eqs))
+
+
+def reference_least_damage_pick(eqs) -> list:
+    """The bits the least-damage rule defines, in pick order, on sets of
+    monomials.
+
+    The definable bits start as every polynomial's candidates (see
+    :func:`candidate_bits`).  Each step takes the polynomial that
+    mentions the fewest definable bits among those with a definable
+    candidate, ties going to its lowest such candidate and then to the
+    earlier position; it defines that candidate, and every bit it
+    mentions leaves the definable set.
+    """
+    cands = [sum(candidate_bits(e)) for e in eqs]
+    mentions = [mentioned_bits(e) for e in eqs]
+    definable = 0
+    for c in cands:
+        definable |= c
+    bits = []
+    while True:
+        steps = []
+        for k, c in enumerate(cands):
+            c &= definable
+            if c:
+                steps.append(((mentions[k] & definable).bit_count(), c & -c, k))
+        if not steps:
+            return bits
+        _, p, k = min(steps)
+        bits.append(p)
+        definable &= ~mentions[k]
+
+
+def reference_least_damage_count(eqs) -> int:
+    """How many bits the least-damage rule
+    (:func:`reference_least_damage_pick`) defines."""
+    return len(reference_least_damage_pick(eqs))
 
 
 def most_defined_count(eqs) -> int:
@@ -89,17 +141,11 @@ def most_defined_count(eqs) -> int:
     of monomials: distinct polynomials in some order, each defining a
     bit p that occurs in it only as {p} and that no polynomial before it
     mentions."""
-    def pivots(e):
-        return [m for m in e if m and not m & (m - 1) and not any(x & m for x in e if x != m)]
-
     def most(rest, used):
         out = 0
         for k, e in enumerate(rest):
-            if any(not p & used for p in pivots(e)):
-                mentioned = 0
-                for m in e:
-                    mentioned |= m
-                out = max(out, 1 + most(rest[:k] + rest[k + 1:], used | mentioned))
+            if any(not p & used for p in candidate_bits(e)):
+                out = max(out, 1 + most(rest[:k] + rest[k + 1:], used | mentioned_bits(e)))
         return out
 
     return most(tuple(eqs), 0)
@@ -439,6 +485,34 @@ def quadratic(rng, order) -> frozenset:
     return frozenset(poly)
 
 
+def mq_node(rng) -> list:
+    """A node of the system-mq shape, as sets of monomials: 33 equations
+    over 21 bits, each of 8 distinct products of two bits, 2 bits and
+    the constant 1 half the time, cofactored by 0 to 6 random bits."""
+    bits = [1 << b for b in range(21)]
+    eqs = []
+    for _ in range(33):
+        poly = set()
+        while len(poly) < 8:
+            poly.add(sum(rng.sample(bits, 2)))
+        poly |= set(rng.sample(bits, 2))
+        if rng.random() < 0.5:
+            poly.add(0)
+        eqs.append(poly)
+    for b in rng.sample(bits, rng.randint(0, 6)):
+        value = rng.getrandbits(1)
+        for k, e in enumerate(eqs):
+            out = set()
+            for m in e:
+                if m & b:
+                    if not value:
+                        continue
+                    m ^= b
+                out ^= {m}
+            eqs[k] = out
+    return [frozenset(e) for e in eqs]
+
+
 class TestDefinedBits:
     """zero_table's reduced pass over the bits that no equation defines."""
 
@@ -560,6 +634,33 @@ class TestDefinedBits:
                 if 0 < need <= len(eqs):
                     seen["none" if got is None else "picked"] += 1
         assert min(seen.values()) >= 100, seen
+
+    def test_the_pick_is_the_longer_walk(self):
+        """On seeded nodes of the system-mq shape (:func:`mq_node`) and
+        of the gf2k-curve shape (4 quadratics over 5 to 7 bits), the pick
+        is the greedy one (:func:`reference_greedy_pick`) unless the
+        least-damage one (:func:`reference_least_damage_pick`) defines
+        more, so it defines the larger of their counts; each outcome
+        occurs."""
+        rng = random.Random(3401)
+        seen = {"greedy": 0, "least damage": 0, "tie": 0}
+        # the greedy walk wins on fewer than 1% of either shape
+        for k in range(4800):
+            index = anf.Index()
+            if k % 8 == 7:
+                eqs = mq_node(rng)
+            else:
+                order = [1 << b for b in range(rng.randint(5, 7))]
+                eqs = [quadratic(rng, order) for _ in range(4)]
+            masks = [index.mask(e) for e in eqs]
+            defs, others = index._definitions(masks)
+            check_definitions(index, masks, defs, others)
+            greedy, least = reference_defined_count(eqs), reference_least_damage_count(eqs)
+            assert len(defs) == max(greedy, least), eqs
+            walk = reference_greedy_pick if greedy >= least else reference_least_damage_pick
+            assert [p for p, _ in defs] == walk(eqs), eqs
+            seen["greedy" if greedy > least else "least damage" if least > greedy else "tie"] += 1
+        assert min(seen.values()) >= 10, seen
 
     def test_full_pass_runs_once_per_leaf_with_a_point(self, monkeypatch):
         """On planted quadratic systems, no full pass runs above n0, a
